@@ -9,7 +9,6 @@
 use crate::catalog::{Catalog, FileId, Topic};
 use crate::interest::InterestProfile;
 use arq_simkern::Rng64;
-use std::collections::BTreeSet;
 
 /// What a query asks for. Matching is by exact file — the Gnutella
 /// analogue of "this set of keywords identifies the song I want". The
@@ -22,10 +21,12 @@ pub struct QueryKey {
     pub topic: Topic,
 }
 
-/// The set of files one node shares.
+/// The set of files one node shares: a sorted, duplicate-free `Vec`.
+/// Libraries hold tens of files and are probed on every query delivery,
+/// so one contiguous binary search beats a tree walk.
 #[derive(Debug, Clone, Default)]
 pub struct Library {
-    files: BTreeSet<FileId>,
+    files: Vec<FileId>,
 }
 
 impl Library {
@@ -36,19 +37,21 @@ impl Library {
 
     /// Fills a library with `n` files drawn from the node's interests.
     pub fn sample(catalog: &Catalog, profile: &InterestProfile, n: usize, rng: &mut Rng64) -> Self {
-        let mut files = BTreeSet::new();
+        let mut lib = Library {
+            files: Vec::with_capacity(n),
+        };
         let mut guard = 0;
-        while files.len() < n && guard < n * 50 {
+        while lib.len() < n && guard < n * 50 {
             let topic = profile.sample_topic(rng);
-            files.insert(catalog.sample_file(topic, rng));
+            lib.insert(catalog.sample_file(topic, rng));
             guard += 1;
         }
-        Library { files }
+        lib
     }
 
     /// Whether the library contains `f`.
     pub fn contains(&self, f: FileId) -> bool {
-        self.files.contains(&f)
+        self.files.binary_search(&f).is_ok()
     }
 
     /// Whether this library can answer `q`.
@@ -66,15 +69,21 @@ impl Library {
         self.files.is_empty()
     }
 
-    /// Iterates over shared files.
+    /// Iterates over shared files in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = FileId> + '_ {
         self.files.iter().copied()
     }
 
     /// Adds a file (e.g. after a successful download — downloads spread
-    /// content in real networks).
+    /// content in real networks). Returns whether the file was new.
     pub fn insert(&mut self, f: FileId) -> bool {
-        self.files.insert(f)
+        match self.files.binary_search(&f) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.files.insert(pos, f);
+                true
+            }
+        }
     }
 }
 
@@ -168,9 +177,11 @@ impl WorkloadGen {
         QueryKey { file, topic }
     }
 
-    /// All nodes whose library can answer `q` — ground truth for
-    /// hit-rate accounting.
-    pub fn holders(&self, q: QueryKey) -> Vec<usize> {
+    /// All nodes whose library can answer `q`: an O(nodes) scan, kept
+    /// as the oracle of this crate's tests. The simulator keeps a live
+    /// holder count per file instead.
+    #[cfg(test)]
+    pub(crate) fn holders(&self, q: QueryKey) -> Vec<usize> {
         self.libraries
             .iter()
             .enumerate()
@@ -184,6 +195,7 @@ impl WorkloadGen {
 mod tests {
     use super::*;
     use crate::catalog::CatalogConfig;
+    use std::collections::BTreeSet;
 
     fn setup() -> (Catalog, WorkloadGen, Rng64) {
         let mut rng = Rng64::seed_from(42);

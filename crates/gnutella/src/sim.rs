@@ -25,7 +25,7 @@ use crate::net::{LinkPlan, LinkState, Transmission};
 use crate::node::Upstream;
 use crate::policy::{ForwardCtx, ForwardingPolicy, ShortcutProposal};
 use crate::store::GuidStore;
-use arq_content::{Catalog, CatalogConfig, FileId, QueryKey, WorkloadConfig, WorkloadGen};
+use arq_content::{Catalog, CatalogConfig, FileId, Library, QueryKey, WorkloadConfig, WorkloadGen};
 use arq_obs::{DropKind, Event as ObsEvent, Obs, ObsReport};
 use arq_overlay::churn::{rewire_join, ChurnKind};
 use arq_overlay::{generate, ChurnConfig, ChurnProcess, Graph, NodeId};
@@ -381,6 +381,42 @@ impl AdaptState {
     }
 }
 
+/// How many *online* nodes share each file. Answers "can anyone but
+/// the issuer serve this query" from one counter instead of probing
+/// every library: shifted by a node's own library when its liveness
+/// flips, bumped when a download adds a replica at a live node.
+struct LiveHolders(Vec<u32>);
+
+impl LiveHolders {
+    fn build(graph: &Graph, workload: &WorkloadGen, files: usize) -> Self {
+        let mut holders = LiveHolders(vec![0; files]);
+        for node in graph.live_nodes() {
+            holders.came_online(workload.library(node.index()));
+        }
+        holders
+    }
+
+    fn came_online(&mut self, library: &Library) {
+        for f in library.iter() {
+            self.0[f.0 as usize] += 1;
+        }
+    }
+
+    fn went_offline(&mut self, library: &Library) {
+        for f in library.iter() {
+            self.0[f.0 as usize] -= 1;
+        }
+    }
+
+    fn gained_replica(&mut self, f: FileId) {
+        self.0[f.0 as usize] += 1;
+    }
+
+    fn of(&self, f: FileId) -> u32 {
+        self.0[f.0 as usize]
+    }
+}
+
 /// One simulation instance. Build with [`Network::new`], consume with
 /// [`Network::run`].
 pub struct Network<P: ForwardingPolicy> {
@@ -388,6 +424,9 @@ pub struct Network<P: ForwardingPolicy> {
     graph: Graph,
     catalog: Catalog,
     workload: WorkloadGen,
+    /// Kept in step with `graph` liveness and `workload` libraries by
+    /// [`Network::depart`], [`Network::rejoin`] and `deliver_hit`.
+    live_holders: LiveHolders,
     policy: P,
     /// Network-wide GUID dedup + reverse-path memory in struct-of-arrays
     /// layout (one open-addressed table instead of a HashMap per node).
@@ -577,6 +616,7 @@ impl<P: ForwardingPolicy> Network<P> {
         policy.init(&graph, &workload, &catalog);
 
         Network {
+            live_holders: LiveHolders::build(&graph, &workload, catalog.len()),
             collector: cfg.collector.map(Collector::new),
             store: GuidStore::new(cfg.nodes, cfg.guid_cache, cfg.guid_expiry),
             guid_gens,
@@ -624,53 +664,68 @@ impl<P: ForwardingPolicy> Network<P> {
         Duration::from_ticks(lo + self.net_rng.below(hi - lo))
     }
 
+    /// Takes `node` offline in the overlay and the live-holder counts.
+    /// A node that is already down (a crash landing mid-downtime) is
+    /// left as it is.
+    fn depart(&mut self, node: NodeId) {
+        if self.graph.is_alive(node) {
+            self.live_holders
+                .went_offline(self.workload.library(node.index()));
+            self.graph.depart(node);
+        }
+    }
+
+    /// Brings `node` back online and wires it to fresh neighbors:
+    /// through a ping-discovery walk from a random live bootstrap peer
+    /// when configured, else (or when the walk finds nobody) to uniformly
+    /// random live peers.
+    fn rejoin(&mut self, node: NodeId) {
+        if !self.graph.is_alive(node) {
+            self.live_holders
+                .came_online(self.workload.library(node.index()));
+            self.graph.rejoin(node);
+        }
+        if let Some(ttl) = self.cfg.rejoin_via_ping {
+            let others = self.graph.live_count() - 1;
+            if others > 0 {
+                let bootstrap = self
+                    .graph
+                    .select_live_except(node, self.net_rng.index(others))
+                    .expect("draw is below the live count");
+                let wired = crate::discovery::rewire_via_discovery(
+                    &mut self.graph,
+                    node,
+                    bootstrap,
+                    ttl,
+                    self.cfg.rejoin_degree,
+                    &mut self.net_rng,
+                );
+                if !wired.is_empty() {
+                    return;
+                }
+            }
+        }
+        rewire_join(
+            &mut self.graph,
+            node,
+            self.cfg.rejoin_degree,
+            &mut self.net_rng,
+        );
+    }
+
     fn apply_churn_until(&mut self, horizon: SimTime) {
-        let Some(churn) = self.churn.as_mut() else {
-            return;
-        };
         let mut changed = false;
-        while let Some(ev) = churn.next_before(horizon) {
+        while let Some(ev) = self.churn.as_mut().and_then(|c| c.next_before(horizon)) {
             if self.crashed[ev.node.index()] {
                 continue; // crashed nodes neither leave nor rejoin
             }
             match ev.kind {
-                ChurnKind::Leave => {
-                    self.graph.depart(ev.node);
+                ChurnKind::Leave | ChurnKind::Crash => {
+                    self.depart(ev.node);
                     self.store.reset(ev.node);
+                    self.crashed[ev.node.index()] |= ev.kind == ChurnKind::Crash;
                 }
-                ChurnKind::Crash => {
-                    self.graph.depart(ev.node);
-                    self.store.reset(ev.node);
-                    self.crashed[ev.node.index()] = true;
-                }
-                ChurnKind::Join => {
-                    self.graph.rejoin(ev.node);
-                    let mut wired = false;
-                    if let Some(ttl) = self.cfg.rejoin_via_ping {
-                        let live: Vec<NodeId> =
-                            self.graph.live_nodes().filter(|&n| n != ev.node).collect();
-                        if !live.is_empty() {
-                            let bootstrap = live[self.net_rng.index(live.len())];
-                            wired = !crate::discovery::rewire_via_discovery(
-                                &mut self.graph,
-                                ev.node,
-                                bootstrap,
-                                ttl,
-                                self.cfg.rejoin_degree,
-                                &mut self.net_rng,
-                            )
-                            .is_empty();
-                        }
-                    }
-                    if !wired {
-                        rewire_join(
-                            &mut self.graph,
-                            ev.node,
-                            self.cfg.rejoin_degree,
-                            &mut self.net_rng,
-                        );
-                    }
-                }
+                ChurnKind::Join => self.rejoin(ev.node),
             }
             changed = true;
         }
@@ -767,6 +822,44 @@ impl<P: ForwardingPolicy> Network<P> {
         if changed {
             self.policy.on_topology_change(&self.graph);
         }
+    }
+
+    /// The incrementally kept counts against a rebuild from the final
+    /// overlay and libraries.
+    #[cfg(test)]
+    fn assert_live_holders_match_rebuild(&self) {
+        let rebuilt = LiveHolders::build(&self.graph, &self.workload, self.catalog.len());
+        assert_eq!(self.live_holders.0, rebuilt.0, "live-holder counts drifted");
+    }
+
+    /// Draws `node`'s next query and opens its record, deciding
+    /// answerability — does any *other* live node hold the file — from
+    /// the live-holder count.
+    fn open_query(&mut self, node: NodeId, now: SimTime) {
+        let key = self
+            .workload
+            .next_query(node.index(), &self.catalog, &mut self.issue_rng);
+        let own = self.graph.is_alive(node) && self.workload.library(node.index()).matches(key);
+        let answerable = self.live_holders.of(key.file) > u32::from(own);
+        #[cfg(test)]
+        assert_eq!(
+            answerable,
+            (0..self.workload.len()).any(|h| h != node.index()
+                && self.graph.is_alive(NodeId(h as u32))
+                && self.workload.library(h).matches(key)),
+            "live-holder count disagrees with the library scan for {key:?}"
+        );
+        self.queries.push(LiveQuery {
+            node,
+            key,
+            issued_at: now,
+            outcome: QueryOutcome {
+                answerable,
+                ..QueryOutcome::default()
+            },
+            first_hop: Vec::new(),
+            responders: Vec::new(),
+        });
     }
 
     /// Issues one attempt of query `qidx` under a fresh GUID. Returns
@@ -1090,9 +1183,11 @@ impl<P: ForwardingPolicy> Network<P> {
             self.obs.observe_query_latency(latency.ticks());
             if self.cfg.download_on_hit {
                 // First hit: fetch the file, becoming a new replica.
-                self.workload
-                    .library_mut(issuer.index())
-                    .insert(msg.key.file);
+                let file = msg.key.file;
+                let fresh = self.workload.library_mut(issuer.index()).insert(file);
+                if fresh && self.graph.is_alive(issuer) {
+                    self.live_holders.gained_replica(file);
+                }
             }
         }
     }
@@ -1182,33 +1277,17 @@ impl<P: ForwardingPolicy> Network<P> {
             match event {
                 Event::Issue { qidx } => {
                     debug_assert_eq!(qidx, self.queries.len());
-                    // Pick a live issuer; a dead one simply skips its turn
+                    // Pick a live issuer uniformly: the k-th live node in
+                    // id order. With everyone down, node 0 skips its turn
                     // (recorded as unanswerable, zero-message query).
-                    let live: Vec<NodeId> = self.graph.live_nodes().collect();
-                    let node = if live.is_empty() {
-                        NodeId(0)
-                    } else {
-                        *self.issue_rng.pick(&live)
+                    let node = match self.graph.live_count() {
+                        0 => NodeId(0),
+                        live => self
+                            .graph
+                            .select_live(self.issue_rng.index(live))
+                            .expect("draw is below the live count"),
                     };
-                    let key =
-                        self.workload
-                            .next_query(node.index(), &self.catalog, &mut self.issue_rng);
-                    let answerable = self
-                        .workload
-                        .holders(key)
-                        .into_iter()
-                        .any(|h| h != node.index() && self.graph.is_alive(NodeId(h as u32)));
-                    self.queries.push(LiveQuery {
-                        node,
-                        key,
-                        issued_at: now,
-                        outcome: QueryOutcome {
-                            answerable,
-                            ..QueryOutcome::default()
-                        },
-                        first_hop: Vec::new(),
-                        responders: Vec::new(),
-                    });
+                    self.open_query(node, now);
                     if self.graph.is_alive(node) {
                         self.issue_attempt(qidx, first_ttl, now);
                         let sent_at = self.attempt_sent_at(now);
@@ -1243,7 +1322,7 @@ impl<P: ForwardingPolicy> Network<P> {
                 Event::QueryDeadline { qidx, attempt } => self.handle_deadline(qidx, attempt, now),
                 Event::Crash { node } => {
                     if self.graph.is_alive(node) {
-                        self.graph.depart(node);
+                        self.depart(node);
                         self.store.reset(node);
                         self.policy.on_topology_change(&self.graph);
                     }
@@ -1274,6 +1353,8 @@ impl<P: ForwardingPolicy> Network<P> {
             }
         }
 
+        #[cfg(test)]
+        self.assert_live_holders_match_rebuild();
         let end_time = self.queue.now();
         let mut builder = MetricsBuilder::new();
         let mut total_attempts = 0u64;
@@ -1446,6 +1527,42 @@ mod tests {
             with.answerable,
             without.answerable
         );
+    }
+
+    /// The live-holder counts against their oracles: in test builds
+    /// `open_query` compares every answerability verdict with the
+    /// O(nodes) library scan and the end of a run compares the counts
+    /// with a rebuild. Session churn, crashes landing on nodes that are
+    /// mid-downtime, ping rejoin and downloads all move the counts here.
+    #[test]
+    fn live_holder_counts_agree_with_the_library_scan() {
+        for seed in 0..12 {
+            let mut cfg = tiny_cfg(100 + seed);
+            cfg.queries = 400;
+            cfg.workload.files_per_node = 10;
+            cfg.download_on_hit = true;
+            cfg.churn = Some(ChurnConfig {
+                mean_session: Duration::from_ticks(100_000),
+                mean_downtime: Duration::from_ticks(50_000),
+                pinned: vec![],
+            });
+            cfg.faults = Some(FaultPlan {
+                crash: 0.3,
+                ..Default::default()
+            });
+            if seed % 2 == 0 {
+                cfg.rejoin_via_ping = Some(3);
+            }
+            let (result, _policy, graph) = Network::new(cfg, FloodPolicy).run_full();
+            let m = &result.metrics;
+            assert_eq!(m.queries, 400);
+            assert!(graph.live_count() < 50, "seed {seed}: no node stayed down");
+            assert!(
+                m.answerable > 0 && m.answerable < m.queries,
+                "seed {seed}: answerability never varied ({})",
+                m.answerable
+            );
+        }
     }
 
     #[test]

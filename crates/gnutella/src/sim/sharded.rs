@@ -52,10 +52,9 @@
 //! * churn, crashes, and control events apply at window granularity:
 //!   deadlines see hits delivered up to the previous window boundary,
 //!   and a node crashing mid-window is dead for that whole window;
-//! * issuers are drawn by rejection sampling over live nodes instead of
-//!   materializing the live-node list, and answerability is resolved
-//!   through an inverted file→holders index (same answer, different
-//!   issue-stream draw count);
+//! * issuers are drawn by rejection sampling over all node ids instead
+//!   of one rank-select draw over the live ones (same distribution,
+//!   different issue-stream draw count);
 //! * GUID age expiry may observe send times up to one window out of
 //!   order (bounded by `W` ticks).
 //!
@@ -81,9 +80,9 @@ use crate::net::{LinkState, Transmission};
 use crate::node::Upstream;
 use crate::policy::{ForwardCtx, ForwardingPolicy};
 use crate::store::GuidStore;
-use arq_content::{FileId, WorkloadGen};
+use arq_content::WorkloadGen;
 use arq_obs::{DropKind, Event as ObsEvent};
-use arq_overlay::churn::{rewire_join, ChurnKind};
+use arq_overlay::churn::ChurnKind;
 use arq_overlay::{Graph, NodeId};
 use arq_simkern::SimTime;
 use std::collections::VecDeque;
@@ -280,34 +279,6 @@ fn shard_verdicts(
     }
 }
 
-/// Inverted `FileId → holders` index. The exact engine answers "is this
-/// query answerable" with an O(nodes) library scan per issue; at 100k+
-/// nodes that dominates the run, so the sharded engine maintains the
-/// inverse map (libraries only ever grow, via `download_on_hit`).
-struct HoldersIndex {
-    by_file: Vec<Vec<NodeId>>,
-}
-
-impl HoldersIndex {
-    fn build(workload: &WorkloadGen, files: usize) -> Self {
-        let mut by_file = vec![Vec::new(); files];
-        for i in 0..workload.len() {
-            for f in workload.library(i).iter() {
-                by_file[f.0 as usize].push(NodeId(i as u32));
-            }
-        }
-        HoldersIndex { by_file }
-    }
-
-    fn holders(&self, f: FileId) -> &[NodeId] {
-        &self.by_file[f.0 as usize]
-    }
-
-    fn insert(&mut self, f: FileId, node: NodeId) {
-        self.by_file[f.0 as usize].push(node);
-    }
-}
-
 impl<P: ForwardingPolicy> Network<P> {
     /// Runs the windowed sharded engine to completion. See the
     /// [module docs](self) for the execution model and how its results
@@ -372,11 +343,6 @@ impl<P: ForwardingPolicy> Network<P> {
             seq: 0,
             pending: 0,
         };
-        let mut index = HoldersIndex::build(
-            &self.workload,
-            self.cfg.catalog.topics * self.cfg.catalog.files_per_topic,
-        );
-        let mut live = self.graph.live_count();
         let first_ttl = self
             .cfg
             .ring
@@ -402,10 +368,8 @@ impl<P: ForwardingPolicy> Network<P> {
             // Phase 1: control. Churn first, then adaptation rounds due
             // by the window start, then every control event in the
             // window; all may mutate the graph and shard stores, so the
-            // parallel phase below sees a frozen world. Adaptation only
-            // adds/removes edges — it never changes liveness, so the
-            // live-node counter is untouched.
-            self.apply_churn_windowed(wstart, &mut shards, chunk, &mut live);
+            // parallel phase below sees a frozen world.
+            self.apply_churn_windowed(wstart, &mut shards, chunk);
             self.apply_adaptation_until(wstart);
             while self.queue.peek_time().is_some_and(|t| t < wend) {
                 let (now, event) = self.queue.pop().expect("peeked event vanished");
@@ -419,8 +383,6 @@ impl<P: ForwardingPolicy> Network<P> {
                             &mut shards,
                             chunk,
                             &mut dring,
-                            live,
-                            &index,
                         );
                     }
                     Event::QueryDeadline { qidx, attempt } => {
@@ -461,10 +423,9 @@ impl<P: ForwardingPolicy> Network<P> {
                     }
                     Event::Crash { node } => {
                         if self.graph.is_alive(node) {
-                            self.graph.depart(node);
+                            self.depart(node);
                             shards[node.index() / chunk].store.reset(node);
                             self.policy.on_topology_change(&self.graph);
-                            live -= 1;
                         }
                         self.crashed[node.index()] = true;
                     }
@@ -542,13 +503,9 @@ impl<P: ForwardingPolicy> Network<P> {
                                 query_hops: msg.hops,
                             };
                             match route {
-                                HitRoute::Origin => self.deliver_hit_indexed(
-                                    e.to,
-                                    hitmsg,
-                                    e.qidx as usize,
-                                    now,
-                                    &mut index,
-                                ),
+                                HitRoute::Origin => {
+                                    self.deliver_hit(e.to, hitmsg, e.qidx as usize, now)
+                                }
                                 HitRoute::Up(up) => self.send_hit_windowed(
                                     up,
                                     e.to,
@@ -577,13 +534,7 @@ impl<P: ForwardingPolicy> Network<P> {
                     (Verdict::Hit { upstream }, Payload::Hit(msg)) => {
                         self.policy.on_reply(e.to, upstream, e.from, msg.key);
                         match upstream {
-                            None => self.deliver_hit_indexed(
-                                e.to,
-                                msg,
-                                e.qidx as usize,
-                                now,
-                                &mut index,
-                            ),
+                            None => self.deliver_hit(e.to, msg, e.qidx as usize, now),
                             Some(up) => {
                                 if self.graph.is_alive(up) {
                                     self.send_hit_windowed(
@@ -603,6 +554,8 @@ impl<P: ForwardingPolicy> Network<P> {
             }
         }
 
+        #[cfg(test)]
+        self.assert_live_holders_match_rebuild();
         let mut builder = MetricsBuilder::new();
         let mut total_attempts = 0u64;
         for q in &self.queries {
@@ -633,65 +586,20 @@ impl<P: ForwardingPolicy> Network<P> {
     }
 
     /// Window-granular churn: like `apply_churn_until`, but GUID memory
-    /// resets go to the owning shard and the live-node counter (used for
-    /// rejection-sampling issuers) is maintained incrementally.
-    fn apply_churn_windowed(
-        &mut self,
-        horizon: SimTime,
-        shards: &mut [Shard],
-        chunk: usize,
-        live: &mut usize,
-    ) {
-        let Some(churn) = self.churn.as_mut() else {
-            return;
-        };
+    /// resets go to the owning shard.
+    fn apply_churn_windowed(&mut self, horizon: SimTime, shards: &mut [Shard], chunk: usize) {
         let mut changed = false;
-        while let Some(ev) = churn.next_before(horizon) {
+        while let Some(ev) = self.churn.as_mut().and_then(|c| c.next_before(horizon)) {
             if self.crashed[ev.node.index()] {
                 continue; // crashed nodes neither leave nor rejoin
             }
             match ev.kind {
                 ChurnKind::Leave | ChurnKind::Crash => {
-                    if self.graph.is_alive(ev.node) {
-                        *live -= 1;
-                    }
-                    self.graph.depart(ev.node);
+                    self.depart(ev.node);
                     shards[ev.node.index() / chunk].store.reset(ev.node);
-                    if ev.kind == ChurnKind::Crash {
-                        self.crashed[ev.node.index()] = true;
-                    }
+                    self.crashed[ev.node.index()] |= ev.kind == ChurnKind::Crash;
                 }
-                ChurnKind::Join => {
-                    if !self.graph.is_alive(ev.node) {
-                        *live += 1;
-                    }
-                    self.graph.rejoin(ev.node);
-                    let mut wired = false;
-                    if let Some(ttl) = self.cfg.rejoin_via_ping {
-                        let live_nodes: Vec<NodeId> =
-                            self.graph.live_nodes().filter(|&n| n != ev.node).collect();
-                        if !live_nodes.is_empty() {
-                            let bootstrap = live_nodes[self.net_rng.index(live_nodes.len())];
-                            wired = !crate::discovery::rewire_via_discovery(
-                                &mut self.graph,
-                                ev.node,
-                                bootstrap,
-                                ttl,
-                                self.cfg.rejoin_degree,
-                                &mut self.net_rng,
-                            )
-                            .is_empty();
-                        }
-                    }
-                    if !wired {
-                        rewire_join(
-                            &mut self.graph,
-                            ev.node,
-                            self.cfg.rejoin_degree,
-                            &mut self.net_rng,
-                        );
-                    }
-                }
+                ChurnKind::Join => self.rejoin(ev.node),
             }
             changed = true;
         }
@@ -701,9 +609,7 @@ impl<P: ForwardingPolicy> Network<P> {
     }
 
     /// Issue-event handler: picks a live issuer by rejection sampling
-    /// (uniform over live nodes without materializing them) and resolves
-    /// answerability through the inverted holders index.
-    #[allow(clippy::too_many_arguments)]
+    /// (uniform over live nodes without materializing them).
     fn handle_issue_windowed(
         &mut self,
         qidx: usize,
@@ -712,10 +618,9 @@ impl<P: ForwardingPolicy> Network<P> {
         shards: &mut [Shard],
         chunk: usize,
         dring: &mut DeliveryRing,
-        live: usize,
-        index: &HoldersIndex,
     ) {
         debug_assert_eq!(qidx, self.queries.len());
+        let live = self.graph.live_count();
         let node = if live == 0 {
             NodeId(0) // everyone is down; recorded as a dead zero-message query
         } else {
@@ -727,30 +632,15 @@ impl<P: ForwardingPolicy> Network<P> {
                 }
                 tries += 1;
                 if tries > self.cfg.nodes * 4 {
-                    // Pathologically sparse network: fall back to a scan.
-                    let all: Vec<NodeId> = self.graph.live_nodes().collect();
-                    break *self.issue_rng.pick(&all);
+                    // Pathologically sparse network: one rank-select draw.
+                    break self
+                        .graph
+                        .select_live(self.issue_rng.index(live))
+                        .expect("draw is below the live count");
                 }
             }
         };
-        let key = self
-            .workload
-            .next_query(node.index(), &self.catalog, &mut self.issue_rng);
-        let answerable = index
-            .holders(key.file)
-            .iter()
-            .any(|&h| h != node && self.graph.is_alive(h));
-        self.queries.push(super::LiveQuery {
-            node,
-            key,
-            issued_at: now,
-            outcome: crate::metrics::QueryOutcome {
-                answerable,
-                ..Default::default()
-            },
-            first_hop: Vec::new(),
-            responders: Vec::new(),
-        });
+        self.open_query(node, now);
         if self.graph.is_alive(node) {
             self.issue_attempt_windowed(qidx, first_ttl, now, shards, chunk, dring);
             // The deadline clock starts when the attempt's last byte
@@ -987,27 +877,6 @@ impl<P: ForwardingPolicy> Network<P> {
         false
     }
 
-    /// `deliver_hit` plus holders-index maintenance: a first hit with
-    /// `download_on_hit` adds the issuer as a new replica, which must be
-    /// visible to later answerability checks.
-    fn deliver_hit_indexed(
-        &mut self,
-        issuer: NodeId,
-        msg: HitMsg,
-        qidx: usize,
-        now: SimTime,
-        index: &mut HoldersIndex,
-    ) {
-        let first_before = self.queries[qidx].outcome.first_hit_hops.is_none();
-        self.deliver_hit(issuer, msg, qidx, now);
-        if self.cfg.download_on_hit
-            && first_before
-            && self.queries[qidx].outcome.first_hit_hops.is_some()
-        {
-            index.insert(msg.key.file, issuer);
-        }
-    }
-
     /// Windowed counterpart of `handle_deadline`.
     fn handle_deadline_windowed(
         &mut self,
@@ -1182,6 +1051,32 @@ mod tests {
             with.answerable,
             without.answerable
         );
+    }
+
+    /// Both engines share `open_query`, whose test build checks every
+    /// answerability verdict against the library scan; this drives the
+    /// windowed liveness paths (churn, crashes, downloads) through it.
+    #[test]
+    fn live_holder_counts_agree_with_the_library_scan_windowed() {
+        for seed in 0..8 {
+            let mut cfg = harsh_cfg(200 + seed);
+            cfg.queries = 300;
+            cfg.workload.files_per_node = 10;
+            cfg.download_on_hit = true;
+            if seed % 2 == 0 {
+                cfg.rejoin_via_ping = Some(3);
+            }
+            let (result, _policy, graph) =
+                Network::new(cfg, FloodPolicy).run_sharded_full(1 + seed as usize % 3);
+            let m = &result.metrics;
+            assert_eq!(m.queries, 300);
+            assert!(graph.live_count() < 60, "seed {seed}: no node stayed down");
+            assert!(
+                m.answerable > 0 && m.answerable < m.queries,
+                "seed {seed}: answerability never varied ({})",
+                m.answerable
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Release-profile scale smoke test for the windowed sharded engine.
+//! Release-profile scale smoke tests at 100k nodes, one per engine.
 //!
-//! Runs a 100k-node simulation under loss, jitter, crashes, silent
+//! The windowed sharded engine runs under loss, jitter, crashes, silent
 //! free-riders, session churn, and deadline-driven retries, and checks
 //! the three properties the scale architecture promises:
 //!
@@ -15,7 +15,13 @@
 //!    one-time O(nodes) setup — GUID rings, shard stores — which the
 //!    marginal rate cancels out).
 //!
-//! The test is `#[ignore]`d: it is a capacity run, meant for
+//! The exact engine runs the same configuration and checks that no
+//! per-event path allocates in proportion to the network: bytes
+//! allocated per issued query stay under a fixed budget (a live-node
+//! list per issue alone would be 400 KB) and doubling the queries does
+//! not double the peak heap.
+//!
+//! The tests are `#[ignore]`d: they are capacity runs, meant for
 //! `cargo test --release -p arq-gnutella --test scale -- --ignored`.
 
 use arq_gnutella::policy::{ForwardCtx, ForwardingPolicy};
@@ -26,18 +32,21 @@ use arq_simkern::time::Duration;
 use arq_simkern::Rng64;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Counting wrapper around the system allocator: tracks total
-/// allocation calls plus live and peak heap bytes.
+/// allocation calls and bytes plus live and peak heap bytes.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         let live =
             LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
         PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
@@ -113,20 +122,43 @@ fn scale_cfg(nodes: usize, queries: usize, seed: u64) -> SimConfig {
     cfg
 }
 
-/// Runs `queries` queries at `nodes` scale on one thread, returning the
-/// result plus the allocation calls and peak heap growth of the run
-/// itself (network construction excluded).
-fn run_counted(nodes: usize, queries: usize, seed: u64) -> (SimResult, u64, u64) {
+/// The allocator counters are process-wide and the test harness runs
+/// tests on parallel threads: each test holds this lock throughout.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+/// What one run allocated, network construction excluded.
+struct Counted {
+    result: SimResult,
+    /// Allocation calls.
+    calls: u64,
+    /// Bytes requested over all allocation calls.
+    bytes: u64,
+    /// Peak heap growth over the heap at the start of the run.
+    peak_growth: u64,
+}
+
+/// Runs `queries` queries at `nodes` scale through `run`, counting the
+/// allocations of the run itself.
+fn run_counted(
+    nodes: usize,
+    queries: usize,
+    seed: u64,
+    run: fn(Network<WalkPolicy>) -> SimResult,
+) -> Counted {
     let network = Network::new(scale_cfg(nodes, queries, seed), WalkPolicy { k: 3 });
     let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(live_before, Ordering::Relaxed);
-    let result = network.run_sharded(1);
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls_before;
-    let peak_growth = PEAK_BYTES
-        .load(Ordering::Relaxed)
-        .saturating_sub(live_before);
-    (result, calls, peak_growth)
+    let result = run(network);
+    Counted {
+        result,
+        calls: ALLOC_CALLS.load(Ordering::Relaxed) - calls_before,
+        bytes: ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before,
+        peak_growth: PEAK_BYTES
+            .load(Ordering::Relaxed)
+            .saturating_sub(live_before),
+    }
 }
 
 fn messages(r: &SimResult) -> f64 {
@@ -139,11 +171,13 @@ fn hundred_k_nodes_bounded_memory_and_thread_invariant() {
     const NODES: usize = 100_000;
     const QUERIES: usize = 5_000;
     const SEED: u64 = 29;
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
 
-    let (base, base_calls, base_peak) = run_counted(NODES, QUERIES, SEED);
-    let (double, double_calls, double_peak) = run_counted(NODES, 2 * QUERIES, SEED);
-    let base_msgs = messages(&base);
-    let double_msgs = messages(&double);
+    let sharded_1 = |n: Network<WalkPolicy>| n.run_sharded(1);
+    let base = run_counted(NODES, QUERIES, SEED, sharded_1);
+    let double = run_counted(NODES, 2 * QUERIES, SEED, sharded_1);
+    let base_msgs = messages(&base.result);
+    let double_msgs = messages(&double.result);
     assert!(
         base_msgs > 50_000.0,
         "run too small to measure: {base_msgs}"
@@ -154,7 +188,7 @@ fn hundred_k_nodes_bounded_memory_and_thread_invariant() {
     // delivery ring, scratch buffers) fits in a fixed budget that a
     // per-message blowup would overrun immediately.
     const PEAK_BUDGET: u64 = 1_500_000_000;
-    for peak in [base_peak, double_peak] {
+    for peak in [base.peak_growth, double.peak_growth] {
         assert!(
             peak < PEAK_BUDGET,
             "peak heap growth {peak} bytes exceeds the {PEAK_BUDGET} byte budget"
@@ -165,12 +199,12 @@ fn hundred_k_nodes_bounded_memory_and_thread_invariant() {
     // doubled run cost almost no extra allocations. (Absolute counts
     // include one-time O(nodes) setup — per-node GUID rings — which
     // this marginal rate cancels.)
-    let marginal = (double_calls.saturating_sub(base_calls)) as f64 / (double_msgs - base_msgs);
+    let marginal = (double.calls.saturating_sub(base.calls)) as f64 / (double_msgs - base_msgs);
     assert!(
         marginal < 0.5,
         "{} extra allocations over {:.0} extra messages ({marginal:.2}/msg): \
          relay path is allocating per message",
-        double_calls.saturating_sub(base_calls),
+        double.calls.saturating_sub(base.calls),
         double_msgs - base_msgs
     );
 
@@ -182,10 +216,73 @@ fn hundred_k_nodes_bounded_memory_and_thread_invariant() {
             r.metrics, r.end_time, r.distinct_query_guids, r.total_attempts
         )
     };
-    assert_eq!(fp(&base), fp(&sharded), "thread count changed results");
+    assert_eq!(
+        fp(&base.result),
+        fp(&sharded),
+        "thread count changed results"
+    );
 
     // The run did real routing work under faults.
-    assert!(base.metrics.success_rate > 0.0, "no query ever succeeded");
-    assert!(base.metrics.lost_messages > 0, "loss injection inert");
-    assert!(base.metrics.retried > 0, "retry lifecycle inert");
+    assert!(
+        base.result.metrics.success_rate > 0.0,
+        "no query ever succeeded"
+    );
+    assert!(
+        base.result.metrics.lost_messages > 0,
+        "loss injection inert"
+    );
+    assert!(base.result.metrics.retried > 0, "retry lifecycle inert");
+}
+
+#[test]
+#[ignore = "capacity run: release profile, ~100k nodes"]
+fn hundred_k_nodes_exact_engine_allocates_per_query_not_per_node() {
+    const NODES: usize = 100_000;
+    const QUERIES: usize = 5_000;
+    const SEED: u64 = 29;
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+
+    let base = run_counted(NODES, QUERIES, SEED, Network::run);
+    let double = run_counted(NODES, 2 * QUERIES, SEED, Network::run);
+    assert_eq!(base.result.metrics.queries, QUERIES as u64);
+    assert_eq!(double.result.metrics.queries, 2 * QUERIES as u64);
+    assert!(base.result.metrics.retried > 0, "retry lifecycle inert");
+    assert!(
+        messages(&base.result) > 50_000.0,
+        "run too small to measure: {}",
+        messages(&base.result)
+    );
+
+    // Everything a query, its retries and the churn beside it allocate:
+    // query records, GUID map and event-queue growth, a rejoining node's
+    // picks (measured: 7.7 KB). One live-node list per issue would alone
+    // be 4 × NODES bytes.
+    const BYTES_PER_QUERY_BUDGET: u64 = 32 * 1024;
+    for run in [&base, &double] {
+        let per_query = run.bytes / run.result.metrics.queries;
+        assert!(
+            per_query < BYTES_PER_QUERY_BUDGET,
+            "{per_query} bytes allocated per issued query exceeds the \
+             {BYTES_PER_QUERY_BUDGET} byte budget"
+        );
+    }
+
+    // Peak heap is the GUID memory of the messages delivered so far
+    // (nothing expires inside this horizon) plus the event queue: a
+    // fixed price per message (measured: 190 bytes), so twice the
+    // queries need less than twice the heap.
+    const PEAK_BYTES_PER_MESSAGE_BUDGET: f64 = 400.0;
+    for run in [&base, &double] {
+        let per_message = run.peak_growth as f64 / messages(&run.result);
+        assert!(
+            per_message < PEAK_BYTES_PER_MESSAGE_BUDGET,
+            "peak heap grew {per_message:.0} bytes per message"
+        );
+    }
+    assert!(
+        double.peak_growth < 2 * base.peak_growth,
+        "peak heap growth went from {} to {} bytes when queries doubled",
+        base.peak_growth,
+        double.peak_growth
+    );
 }

@@ -180,15 +180,16 @@ pub fn rewire_join(
     target_degree: usize,
     rng: &mut Rng64,
 ) -> Vec<NodeId> {
-    let candidates: Vec<NodeId> = g.live_nodes().filter(|&m| m != node).collect();
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let k = target_degree.min(candidates.len());
-    let picks = rng.sample_indices(candidates.len(), k);
+    // Candidates are the live nodes other than `node`, in id order; a
+    // pick is an index into that order, resolved by rank-select.
+    let candidates = g.live_count() - usize::from(g.is_alive(node));
+    let k = target_degree.min(candidates);
+    let picks = rng.sample_indices(candidates, k);
     let mut chosen = Vec::with_capacity(k);
     for idx in picks {
-        let peer = candidates[idx];
+        let peer = g
+            .select_live_except(node, idx)
+            .expect("pick is below the candidate count");
         if g.add_edge(node, peer) {
             chosen.push(peer);
         }

@@ -5,8 +5,12 @@
 //! paper's "IP address" — persists) but takes no further part in routing
 //! until it rejoins. Adjacency is stored as sorted `Vec<NodeId>` per node:
 //! overlays are sparse (Gnutella averages 3–10 neighbors), so linear scans
-//! beat hashing while keeping iteration order deterministic.
+//! beat hashing while keeping iteration order deterministic. Liveness is
+//! a bitmap with a rank-select tree over it, so the live count is a
+//! counter and "the k-th live node in id order" — what a uniform draw
+//! over live nodes needs — costs O(log n) instead of a scan.
 
+use crate::live_set::LiveSet;
 use std::fmt;
 
 /// Identifier of an overlay node. Dense, stable across leave/rejoin.
@@ -31,7 +35,7 @@ impl fmt::Display for NodeId {
 #[derive(Debug, Clone)]
 pub struct Graph {
     adj: Vec<Vec<NodeId>>,
-    alive: Vec<bool>,
+    alive: LiveSet,
     edges: usize,
 }
 
@@ -40,7 +44,7 @@ impl Graph {
     pub fn new(n: usize) -> Self {
         Graph {
             adj: vec![Vec::new(); n],
-            alive: vec![true; n],
+            alive: LiveSet::all_live(n),
             edges: 0,
         }
     }
@@ -60,9 +64,27 @@ impl Graph {
         self.edges
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes (a maintained counter, not a scan).
     pub fn live_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.alive.live()
+    }
+
+    /// The `k`-th live node in id order — `live_nodes().nth(k)` in
+    /// O(log n). `None` when `k >= live_count()`.
+    pub fn select_live(&self, k: usize) -> Option<NodeId> {
+        self.alive.select(k).map(|i| NodeId(i as u32))
+    }
+
+    /// The `k`-th live node in id order, not counting `skip` —
+    /// `live_nodes().filter(|&n| n != skip).nth(k)` in O(log n).
+    pub fn select_live_except(&self, skip: NodeId, k: usize) -> Option<NodeId> {
+        let n = self.select_live(k)?;
+        if n >= skip && self.is_alive(skip) {
+            // `skip` is among the first `k + 1` live nodes: shift by one.
+            self.select_live(k + 1)
+        } else {
+            Some(n)
+        }
     }
 
     /// Iterator over all node ids.
@@ -78,14 +100,14 @@ impl Graph {
     /// Whether `n` is currently live.
     #[inline]
     pub fn is_alive(&self, n: NodeId) -> bool {
-        self.alive[n.index()]
+        self.alive.contains(n.index())
     }
 
     /// Adds a fresh isolated live node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.adj.len() as u32);
         self.adj.push(Vec::new());
-        self.alive.push(true);
+        self.alive.push_live();
         id
     }
 
@@ -143,9 +165,10 @@ impl Graph {
     }
 
     /// Marks `n` as departed and removes all its incident edges, returning
-    /// the former neighbor list. Its id remains valid.
+    /// the former neighbor list. Its id remains valid. Departing a node
+    /// that is already down changes nothing.
     pub fn depart(&mut self, n: NodeId) -> Vec<NodeId> {
-        self.alive[n.index()] = false;
+        self.alive.set(n.index(), false);
         let former = std::mem::take(&mut self.adj[n.index()]);
         for &m in &former {
             remove_sorted(&mut self.adj[m.index()], n);
@@ -155,8 +178,9 @@ impl Graph {
     }
 
     /// Marks `n` as live again (the caller wires its new edges).
+    /// Rejoining a live node changes nothing.
     pub fn rejoin(&mut self, n: NodeId) {
-        self.alive[n.index()] = true;
+        self.alive.set(n.index(), true);
     }
 
     /// Degree histogram over live nodes: `result[d]` = number of live
@@ -181,8 +205,13 @@ impl Graph {
     }
 
     /// Validates internal invariants (symmetry, sortedness, no self loops,
-    /// edge count). Used by tests and debug assertions.
+    /// edge count, live counter and rank tree). Used by tests and debug
+    /// assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.alive.len() != self.adj.len() {
+            return Err("liveness and adjacency cover different id ranges".into());
+        }
+        self.alive.check()?;
         let mut counted = 0usize;
         for n in self.nodes() {
             let adj = &self.adj[n.index()];
@@ -274,6 +303,26 @@ mod tests {
         assert!(g.is_alive(NodeId(0)));
         g.add_edge(NodeId(0), NodeId(3));
         assert_eq!(g.live_count(), 4);
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn departing_twice_and_rejoining_a_live_node_change_nothing() {
+        let mut g = Graph::new(130);
+        g.add_edge(NodeId(0), NodeId(64));
+        g.depart(NodeId(64));
+        // A crash can hit a node that churn already took offline.
+        assert!(g.depart(NodeId(64)).is_empty());
+        assert_eq!(g.live_count(), 129);
+        assert_eq!(g.select_live(64), Some(NodeId(65)));
+        g.check_invariants().unwrap();
+
+        g.rejoin(NodeId(64));
+        g.rejoin(NodeId(64));
+        g.rejoin(NodeId(3)); // never left
+        assert_eq!(g.live_count(), 130);
+        assert_eq!(g.select_live(64), Some(NodeId(64)));
+        assert_eq!(g.select_live(130), None);
         g.check_invariants().unwrap();
     }
 

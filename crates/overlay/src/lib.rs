@@ -23,6 +23,7 @@ pub mod algo;
 pub mod churn;
 pub mod generate;
 pub mod graph;
+mod live_set;
 
 pub use churn::{ChurnConfig, ChurnConfigError, ChurnEvent, ChurnProcess};
 pub use graph::{Graph, NodeId};
