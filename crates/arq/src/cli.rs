@@ -18,23 +18,20 @@
 //! ```
 
 use arq_assoc::mine_pairs;
-use arq_assoc::pairs::{mine_pairs_with_confidence, PairMiner, RuleSet};
+use arq_assoc::pairs::mine_pairs_with_confidence;
 use arq_core::engine;
-use arq_core::engine::{RunArtifact, RunSpec, TraceSource};
+use arq_core::engine::{RunSpec, TraceSource};
 use arq_core::evaluate;
 use arq_core::sweep;
-use arq_gnutella::sim::{SimConfig, Topology};
-use arq_overlay::ChurnConfig;
+use arq_gnutella::sim::SimConfig;
 use arq_simkern::chart::{render, ChartOptions};
-use arq_simkern::{Json, ToJson};
+use arq_simkern::{Histogram, Json, ToJson};
 use arq_trace::csvio;
 use arq_trace::stats::{pair_stats, raw_stats};
 use arq_trace::{SynthConfig, SynthTrace, TraceDb};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufReader;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
@@ -166,24 +163,6 @@ COMMANDS:
               link-instrumented artifacts also render query-latency
               p50/p95/p99 (sim ticks) and per-node byte budgets from the
               obs histograms
-  bench       measure the hot-path speedups and write a perf baseline
-              [--quick] [--threads N] [--iters N] [--seed S] [--out FILE]
-              [--pairs N] [--block N] [--nodes N] [--queries N]
-              [--scale-nodes N,N,...] [--scale-queries N] [--scale-policy SPEC]
-              times block mining (reference vs sharded) on an E3-shaped
-              trace, a full evaluation (sequential vs pipelined), an
-              E16-shaped live-sim sweep (1 vs N workers), and the
-              windowed sharded sim engine at --scale-nodes scale
-              (nodes x queries/sec, serial vs sharded), an E17-shaped
-              offered-load sweep under byte-accurate congested links
-              (latency percentiles + per-node byte budgets per policy),
-              and an E18-shaped routing sweep (top-k + confidence-pruned
-              policies with live topology adaptation under churn and
-              loss); every parallel artifact is checked byte-identical
-              to the serial one; also times sweep-plan orchestration
-              (journaled run_sweep vs direct execution of the same
-              jobs); the JSON lands in BENCH_10.json unless --out
-              overrides
   gen-events  render a synthetic trace as a framed event stream for serve
               [--pairs N] [--seed S] [--route-every N] --out FILE
               frames are `<len>\\n<json>\\n`; every pair becomes a
@@ -238,7 +217,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "simulate" | "live" => simulate(rest),
         "run" => cmd_run(rest),
         "report" => cmd_report(rest),
-        "bench" => cmd_bench(rest),
         "gen-events" => cmd_gen_events(rest),
         "serve" => cmd_serve(rest),
         "sweep" => cmd_sweep(rest),
@@ -670,42 +648,6 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// Linear-interpolated quantile from a serialized histogram snapshot
-/// (`{lo, hi, buckets, underflow, overflow, count}`), mirroring
-/// `Histogram::quantile` so `arq report` reproduces the in-process
-/// estimate from persisted artifact JSON alone. Underflow clamps to
-/// `lo`, overflow to `hi`; `None` before any observation.
-fn json_quantile(h: &Json, q: f64) -> Option<f64> {
-    let num = |key: &str| h.get(key).and_then(Json::as_f64);
-    let count = num("count")?;
-    if count <= 0.0 {
-        return None;
-    }
-    let (lo, hi) = (num("lo")?, num("hi")?);
-    let buckets: Vec<f64> = h
-        .get("buckets")?
-        .as_array()?
-        .iter()
-        .filter_map(Json::as_f64)
-        .collect();
-    if buckets.is_empty() {
-        return None;
-    }
-    let pos = q * (count - 1.0);
-    let mut seen = num("underflow").unwrap_or(0.0);
-    if seen > pos {
-        return Some(lo);
-    }
-    let width = (hi - lo) / buckets.len() as f64;
-    for (i, &c) in buckets.iter().enumerate() {
-        if c > 0.0 && seen + c > pos {
-            return Some(lo + width * (i as f64 + (pos - seen) / c));
-        }
-        seen += c;
-    }
-    Some(hi)
-}
-
 /// Renders one artifact's JSON object for `arq report`.
 /// Renders one `arq run` artifact. Partial or future-schema artifacts
 /// produce an error naming the missing or unknown section instead of a
@@ -761,31 +703,38 @@ fn report_artifact(a: &Json, timeline: bool, out: &mut String) -> Result<(), Str
             .get("obs")
             .and_then(|o| o.get("metrics"))
             .and_then(|m| m.get("histograms"));
-        let quantile = |name: &str, q: f64| {
+        let hist = |name: &str| {
             hists
                 .and_then(|h| h.get(name))
-                .and_then(|h| json_quantile(h, q))
+                .map(|h| {
+                    Histogram::from_json(h).map_err(|e| format!("obs histogram `{name}`: {e}"))
+                })
+                .transpose()
         };
-        if let (Some(p50), Some(p95), Some(p99)) = (
-            quantile("query_latency", 0.50),
-            quantile("query_latency", 0.95),
-            quantile("query_latency", 0.99),
-        ) {
-            let _ = writeln!(
-                out,
-                "  query latency p50/p95/p99  {p50:.0}/{p95:.0}/{p99:.0} ticks"
-            );
+        if let Some(latency) = hist("query_latency")? {
+            if let (Some(p50), Some(p95), Some(p99)) = (
+                latency.quantile(0.50),
+                latency.quantile(0.95),
+                latency.quantile(0.99),
+            ) {
+                let _ = writeln!(
+                    out,
+                    "  query latency p50/p95/p99  {p50:.0}/{p95:.0}/{p99:.0} ticks"
+                );
+            }
         }
-        if let (Some(up50), Some(up95), Some(down50), Some(down95)) = (
-            quantile("node_up_bytes", 0.50),
-            quantile("node_up_bytes", 0.95),
-            quantile("node_down_bytes", 0.50),
-            quantile("node_down_bytes", 0.95),
-        ) {
-            let _ = writeln!(
-                out,
-                "  node bytes p50/p95  up {up50:.0}/{up95:.0}  down {down50:.0}/{down95:.0}"
-            );
+        if let (Some(up), Some(down)) = (hist("node_up_bytes")?, hist("node_down_bytes")?) {
+            if let (Some(up50), Some(up95), Some(down50), Some(down95)) = (
+                up.quantile(0.50),
+                up.quantile(0.95),
+                down.quantile(0.50),
+                down.quantile(0.95),
+            ) {
+                let _ = writeln!(
+                    out,
+                    "  node bytes p50/p95  up {up50:.0}/{up95:.0}  down {down50:.0}/{down95:.0}"
+                );
+            }
         }
     } else {
         let num = |key: &str| run.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
@@ -892,820 +841,6 @@ fn cmd_report(args: &[String]) -> Result<String, CliError> {
         _ => return Err(err(format!("{path}: not an artifact array or report"))),
     }
     Ok(out)
-}
-
-/// A byte stream released at a fixed rate — the overload generator for
-/// the serve bench. Frames average a constant size, so pacing bytes
-/// paces events; reads ahead of schedule briefly park the reader.
-struct PacedReader {
-    bytes: Vec<u8>,
-    sent: usize,
-    started: Option<Instant>,
-    bytes_per_sec: f64,
-}
-
-impl PacedReader {
-    fn new(bytes: Vec<u8>, bytes_per_sec: f64) -> Self {
-        PacedReader {
-            bytes,
-            sent: 0,
-            started: None,
-            bytes_per_sec: bytes_per_sec.max(1.0),
-        }
-    }
-}
-
-impl std::io::Read for PacedReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.sent >= self.bytes.len() {
-            return Ok(0);
-        }
-        let started = *self.started.get_or_insert_with(Instant::now);
-        loop {
-            let due = (started.elapsed().as_secs_f64() * self.bytes_per_sec) as usize;
-            let ready = due.min(self.bytes.len()).saturating_sub(self.sent);
-            if ready > 0 {
-                let n = ready.min(buf.len());
-                buf[..n].copy_from_slice(&self.bytes[self.sent..self.sent + n]);
-                self.sent += n;
-                return Ok(n);
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-    }
-}
-
-/// Best-of-`iters` wall clock for `f`, in seconds.
-fn best_secs(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Rule rows in a canonical order, for before/after equality checks.
-fn sorted_rules(rules: &RuleSet) -> Vec<(u32, u32, u64)> {
-    let mut rows: Vec<_> = rules.iter().map(|(s, v, c)| (s.0, v.0, c)).collect();
-    rows.sort_unstable();
-    rows
-}
-
-fn ratio(before: f64, after: f64) -> f64 {
-    if after > 0.0 {
-        before / after
-    } else {
-        0.0
-    }
-}
-
-/// The serial wall clock of the E16-shaped sim sweep as recorded by the
-/// previous baseline (`BENCH_5.json`, full scale: 6 specs, 250 nodes ×
-/// 1200 queries, iters 3). The sweep's configuration is unchanged, so a
-/// full-scale `arq bench` can report the architectural speedup of the
-/// rebuilt engine (calendar queue + SoA node state) against it.
-const BENCH_5_SIM_SERIAL_SECS: f64 = 0.883298658;
-
-/// `arq bench` — the perf-baseline harness behind `BENCH_10.json`.
-///
-/// Eight measurements of the sharded/pipelined hot path:
-///
-/// 1. **mining** (E3-shaped): per-block rule mining over the calibrated
-///    drifting trace — reference `mine_pairs` (HashMap tally) vs the
-///    columnar sharded [`PairMiner`], with the mined rule sets compared
-///    row-for-row;
-/// 2. **pipeline**: one full trace evaluation through the engine —
-///    sequential vs intra-run pipelined mining, artifact JSON compared
-///    byte-for-byte (the `ARQ_THREADS`-independence contract);
-/// 3. **sim** (E16-shaped): a live-simulation spec sweep (policies ×
-///    loss rates) through the executor at 1 worker vs N, artifacts
-///    compared byte-for-byte; the executor's thread-budget split is
-///    recorded as obs gauges so the numbers can be attributed;
-/// 4. **sim_scale**: the windowed sharded engine
-///    (`Network::run_sharded`) at `--scale-nodes` scale — whole-run
-///    nodes × queries/sec, with the N-thread run's results compared
-///    against the single-threaded run's;
-/// 5. **links** (E17-shaped): the offered-load sweep under byte-accurate
-///    congested links — policies × query rates with bounded buffers and
-///    seeded loss — recording query-latency percentiles and per-node
-///    byte budgets from the obs histograms, with the parallel artifacts
-///    checked byte-identical to the serial ones;
-/// 6. **routing** (E18-shaped): the routing-science sweep — top-k +
-///    confidence-pruned association policies, the hybrid, and the
-///    community/super-peer router, all with live topology adaptation on
-///    a two-tier overlay under churn and loss — recording per-policy
-///    routing quality (success, traffic, pruned consequents, shortcut
-///    lifecycle counters), with the parallel artifacts checked
-///    byte-identical to the serial ones;
-/// 7. **serve**: the streaming service under overload — sustained
-///    capacity is measured with lossless backpressure, then 1x/4x/16x
-///    that rate is offered through a paced reader in `--shed` mode,
-///    recording route-lookup p50/p99, shed rates, and refresh skips
-///    (the bounded-latency-under-overload contract);
-/// 8. **sweep**: plan expansion plus the per-job orchestration overhead
-///    of the journaled sweep runner — the same jobs through `run_sweep`
-///    (fsync'd journal, report assembly) vs directly through the
-///    executor, with a resume pass asserting every job is skipped.
-fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["quick"])?;
-    let quick = flags.has("quick");
-    let seed: u64 = flags.parse_num("seed", RUN_SEED)?;
-    let threads: usize = flags.parse_num("threads", engine::thread_count())?;
-    let threads = threads.max(1);
-    let out = flags.get("out").unwrap_or("BENCH_10.json").to_string();
-    let iters: usize = flags.parse_num("iters", if quick { 1 } else { 3 })?;
-    let total_pairs: usize = flags.parse_num("pairs", if quick { 200_000 } else { 600_000 })?;
-    let block_size: usize = flags.parse_num("block", 50_000)?;
-    let nodes: usize = flags.parse_num("nodes", if quick { 120 } else { 250 })?;
-    let queries: usize = flags.parse_num("queries", if quick { 400 } else { 1_200 })?;
-    if total_pairs / block_size < 2 {
-        return Err(err(format!(
-            "--pairs {total_pairs}: need at least two blocks of {block_size}"
-        )));
-    }
-    let support = 10u64;
-    let blocks = total_pairs / block_size;
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "arq bench  threads {threads}  seed {seed}  iters {iters}"
-    );
-
-    // 1. Block mining over the E3-shaped drifting trace.
-    let pairs = SynthTrace::new(SynthConfig::paper_default(total_pairs, seed)).pairs();
-    let baseline_secs = best_secs(iters, || {
-        for block in pairs.chunks(block_size) {
-            std::hint::black_box(mine_pairs(block, support).rule_count());
-        }
-    });
-    let mut miner = PairMiner::sharded(threads);
-    let sharded_secs = best_secs(iters, || {
-        for block in pairs.chunks(block_size) {
-            std::hint::black_box(miner.mine(block, support).rule_count());
-        }
-    });
-    let rules_identical = pairs
-        .chunks(block_size)
-        .all(|b| sorted_rules(&mine_pairs(b, support)) == sorted_rules(&miner.mine(b, support)));
-    let mining_speedup = ratio(baseline_secs, sharded_secs);
-    let _ = writeln!(
-        report,
-        "mining   E3-shaped, {blocks} blocks x {block_size}: \
-         reference {baseline_secs:.3}s, sharded {sharded_secs:.3}s \
-         ({mining_speedup:.2}x, rules identical: {rules_identical})"
-    );
-
-    // 2. Full evaluation, sequential vs pipelined, artifact bytes compared.
-    let spec = RunSpec::TraceEval {
-        trace: TraceSource::Shared {
-            label: "paper-default".into(),
-            seed,
-            pairs: Arc::new(pairs),
-        },
-        strategy: "sliding(s=10)".into(),
-        block_size,
-        obs: None,
-    };
-    let run_at = |threads: usize| -> Result<String, CliError> {
-        Ok(engine::run_one_with_threads(0, &spec, threads)
-            .map_err(|e| err(e.to_string()))?
-            .to_json()
-            .to_string())
-    };
-    let sequential_json = run_at(1)?;
-    let sequential_secs = best_secs(iters, || {
-        std::hint::black_box(engine::run_one_with_threads(0, &spec, 1).expect("validated spec"));
-    });
-    let pipelined_json = run_at(threads)?;
-    let pipelined_secs = best_secs(iters, || {
-        std::hint::black_box(
-            engine::run_one_with_threads(0, &spec, threads).expect("validated spec"),
-        );
-    });
-    let eval_identical = sequential_json == pipelined_json;
-    let eval_speedup = ratio(sequential_secs, pipelined_secs);
-    let _ = writeln!(
-        report,
-        "pipeline sliding(s=10), {blocks} blocks x {block_size}: \
-         sequential {sequential_secs:.3}s, pipelined {pipelined_secs:.3}s \
-         ({eval_speedup:.2}x, artifacts identical: {eval_identical})"
-    );
-
-    // 3. E16-shaped live-sim sweep through the parallel executor.
-    let mut sim_specs = Vec::new();
-    for policy in ["flood", "assoc", "k-walk(k=4)"] {
-        for loss in [0.0, 0.05] {
-            let mut cfg = SimConfig::default_with(nodes, queries, seed);
-            if loss > 0.0 {
-                cfg.faults = Some(
-                    engine::make_fault_plan(&format!("faults(loss={loss})"))
-                        .map_err(|e| err(e.to_string()))?,
-                );
-            }
-            sim_specs.push(RunSpec::LiveSim {
-                cfg,
-                policy: policy.to_string(),
-                graph: None,
-                obs: None,
-            });
-        }
-    }
-    let arts_json =
-        |arts: &[RunArtifact]| Json::Arr(arts.iter().map(ToJson::to_json).collect()).to_string();
-    let serial_json =
-        arts_json(&engine::execute_with_threads(&sim_specs, 1).map_err(|e| err(e.to_string()))?);
-    let serial_secs = best_secs(iters, || {
-        std::hint::black_box(engine::execute_with_threads(&sim_specs, 1).expect("validated specs"));
-    });
-    let parallel_json = arts_json(
-        &engine::execute_with_threads(&sim_specs, threads).map_err(|e| err(e.to_string()))?,
-    );
-    let parallel_secs = best_secs(iters, || {
-        std::hint::black_box(
-            engine::execute_with_threads(&sim_specs, threads).expect("validated specs"),
-        );
-    });
-    let sim_identical = serial_json == parallel_json;
-    let sim_speedup = ratio(serial_secs, parallel_secs);
-    // Attribute the sweep's numbers: record the executor's chosen
-    // thread-budget split as obs gauges on a bench-local registry. Run
-    // artifacts themselves stay thread-count-invariant, so this is the
-    // one place the split is visible.
-    let (outer, intra) = engine::budget_split(&sim_specs, threads);
-    let mut budget = arq_obs::Registry::new();
-    let outer_id = budget.gauge("outer_threads");
-    let intra_id = budget.gauge("intra_threads");
-    budget.set(outer_id, outer as f64);
-    budget.set(intra_id, intra as f64);
-    let _ = writeln!(
-        report,
-        "sim      E16-shaped, {} specs, {nodes} nodes x {queries} queries: \
-         1 worker {serial_secs:.3}s, {threads} workers {parallel_secs:.3}s \
-         ({sim_speedup:.2}x, split {outer}x{intra}, artifacts identical: {sim_identical})",
-        sim_specs.len()
-    );
-    // The sweep's shape is unchanged since BENCH_5, so a full-scale run
-    // can report this PR's architectural speedup against the previous
-    // baseline's serial wall clock.
-    let bench5_comparable = !quick && nodes == 250 && queries == 1_200 && iters == 3;
-    if bench5_comparable {
-        let _ = writeln!(
-            report,
-            "         vs BENCH_5 serial {BENCH_5_SIM_SERIAL_SECS:.3}s: {:.2}x",
-            ratio(BENCH_5_SIM_SERIAL_SECS, serial_secs)
-        );
-    }
-
-    // 4. The windowed sharded engine at scale.
-    let scale_spec = flags
-        .get("scale-nodes")
-        .map(str::to_string)
-        .unwrap_or_else(|| {
-            if quick {
-                "20000".to_string()
-            } else {
-                "100000,1000000".to_string()
-            }
-        });
-    let scale_queries: usize = flags.parse_num("scale-queries", if quick { 500 } else { 5_000 })?;
-    let scale_policy = flags
-        .get("scale-policy")
-        .unwrap_or("k-walk(k=4)")
-        .to_string();
-    // On a single-core box `--threads` resolves to 1; still exercise the
-    // sharded path so the cross-thread identity check is meaningful.
-    let scale_threads = if threads > 1 { threads } else { 4 };
-    let mut scale_points = Vec::new();
-    for part in scale_spec.split(',') {
-        let scale_nodes: usize = part
-            .trim()
-            .parse()
-            .map_err(|_| err(format!("--scale-nodes: cannot parse `{part}`")))?;
-        let cfg = SimConfig::default_with(scale_nodes, scale_queries, seed);
-        let fingerprint =
-            |m: &arq_gnutella::metrics::RunMetrics, s: &[(String, f64)]| format!("{m:?}|{s:?}");
-        // Correctness first — these runs double as warmup so the timed
-        // runs below don't charge first-touch page faults to whichever
-        // variant happens to go first.
-        let (m1, s1, _, _) = engine::run_live_sharded(cfg.clone(), &scale_policy, 1)
-            .map_err(|e| err(e.to_string()))?;
-        let (mn, sn, _, _) = engine::run_live_sharded(cfg.clone(), &scale_policy, scale_threads)
-            .map_err(|e| err(e.to_string()))?;
-        let scale_identical = fingerprint(&m1, &s1) == fingerprint(&mn, &sn);
-        let scale_iters = iters.clamp(1, 2); // whole runs are seconds-long
-        let scale_serial_secs = best_secs(scale_iters, || {
-            std::hint::black_box(
-                engine::run_live_sharded(cfg.clone(), &scale_policy, 1).expect("validated spec"),
-            );
-        });
-        let scale_sharded_secs = best_secs(scale_iters, || {
-            std::hint::black_box(
-                engine::run_live_sharded(cfg.clone(), &scale_policy, scale_threads)
-                    .expect("validated spec"),
-            );
-        });
-        let scale_speedup = ratio(scale_serial_secs, scale_sharded_secs);
-        let qps = ratio(
-            scale_queries as f64,
-            scale_sharded_secs.min(scale_serial_secs),
-        );
-        let _ = writeln!(
-            report,
-            "scale    {scale_policy}, {scale_nodes} nodes x {scale_queries} queries: \
-             1 thread {scale_serial_secs:.3}s, {scale_threads} threads {scale_sharded_secs:.3}s \
-             ({scale_speedup:.2}x, {qps:.0} queries/s, success {:.3}, \
-             artifacts identical: {scale_identical})",
-            m1.success_rate
-        );
-        scale_points.push(Json::Obj(vec![
-            ("nodes".into(), Json::from(scale_nodes)),
-            ("queries".into(), Json::from(scale_queries)),
-            ("serial_secs".into(), Json::from(scale_serial_secs)),
-            ("sharded_secs".into(), Json::from(scale_sharded_secs)),
-            ("speedup".into(), Json::from(scale_speedup)),
-            ("queries_per_sec".into(), Json::from(qps)),
-            (
-                "node_queries_per_sec".into(),
-                Json::from(scale_nodes as f64 * qps),
-            ),
-            ("success_rate".into(), Json::from(m1.success_rate)),
-            ("artifacts_identical".into(), Json::from(scale_identical)),
-        ]));
-    }
-
-    // 5. E17-shaped offered-load sweep under byte-accurate links:
-    // congested asymmetric bandwidth, bounded buffers, seeded loss, and
-    // free-rider uplinks, at rising query rates. Instrumented with
-    // registry histograms only, so the persisted rows carry
-    // query-latency percentiles and per-node byte budgets.
-    const LINK_PLAN: &str =
-        "links(up=8,down=32,upbuf=2048,downbuf=8192,loss=0.02,jitter=20,riders=0.2,riderup=2)";
-    const LINK_POLICIES: [&str; 3] = ["flood", "assoc", "assoc-adaptive"];
-    const LINK_INTERVALS: [u64; 3] = [2_000, 500, 125];
-    let mut link_specs = Vec::new();
-    let mut link_labels = Vec::new();
-    for policy in LINK_POLICIES {
-        for interval in LINK_INTERVALS {
-            let mut cfg = SimConfig::default_with(nodes, queries, seed);
-            cfg.mean_query_interval = arq_simkern::time::Duration::from_ticks(interval);
-            cfg.retry = Some(
-                engine::make_retry_policy("retry(deadline=2000,attempts=3,maxttl=8)")
-                    .map_err(|e| err(e.to_string()))?,
-            );
-            cfg.links = Some(engine::make_link_plan(LINK_PLAN).map_err(|e| err(e.to_string()))?);
-            link_specs.push(RunSpec::LiveSim {
-                cfg,
-                policy: policy.to_string(),
-                graph: None,
-                obs: Some("obs(events=0,series=0)".into()),
-            });
-            link_labels.push((policy, interval));
-        }
-    }
-    let link_serial_arts =
-        engine::execute_with_threads(&link_specs, 1).map_err(|e| err(e.to_string()))?;
-    let link_arts =
-        engine::execute_with_threads(&link_specs, threads).map_err(|e| err(e.to_string()))?;
-    let link_identical = arts_json(&link_serial_arts) == arts_json(&link_arts);
-    let link_secs = best_secs(iters, || {
-        std::hint::black_box(
-            engine::execute_with_threads(&link_specs, threads).expect("validated specs"),
-        );
-    });
-    let link_quantile = |a: &RunArtifact, name: &str, q: f64| {
-        a.obs
-            .as_ref()
-            .and_then(|o| o.registry.histogram_value(name))
-            .and_then(|h| h.quantile(q))
-            .unwrap_or(0.0)
-    };
-    let mut link_rows = Vec::new();
-    for ((policy, interval), a) in link_labels.iter().zip(&link_arts) {
-        let m = a.metrics().expect("live spec");
-        link_rows.push(Json::Obj(vec![
-            ("policy".into(), Json::from(*policy)),
-            ("interval".into(), Json::from(*interval)),
-            ("success_rate".into(), Json::from(m.success_rate)),
-            ("lost_messages".into(), Json::from(m.lost_messages)),
-            ("buffer_dropped".into(), Json::from(m.buffer_dropped)),
-            (
-                "latency_ticks".into(),
-                Json::Obj(vec![
-                    (
-                        "p50".into(),
-                        Json::from(link_quantile(a, "query_latency", 0.50)),
-                    ),
-                    (
-                        "p95".into(),
-                        Json::from(link_quantile(a, "query_latency", 0.95)),
-                    ),
-                    (
-                        "p99".into(),
-                        Json::from(link_quantile(a, "query_latency", 0.99)),
-                    ),
-                ]),
-            ),
-            (
-                "node_bytes_p95".into(),
-                Json::Obj(vec![
-                    (
-                        "up".into(),
-                        Json::from(link_quantile(a, "node_up_bytes", 0.95)),
-                    ),
-                    (
-                        "down".into(),
-                        Json::from(link_quantile(a, "node_down_bytes", 0.95)),
-                    ),
-                ]),
-            ),
-        ]));
-    }
-    let _ = writeln!(
-        report,
-        "links    E17-shaped, {} specs ({} policies x {} loads), {nodes} nodes x {queries} \
-         queries: {threads} workers {link_secs:.3}s (artifacts identical: {link_identical})",
-        link_specs.len(),
-        LINK_POLICIES.len(),
-        LINK_INTERVALS.len()
-    );
-
-    // 6. E18-shaped routing-science sweep: top-k + confidence-pruned
-    //    association policies, the hybrid, and the community router, all
-    //    with live topology adaptation on a two-tier overlay under
-    //    churn and loss, through the parallel executor at 1 vs N workers
-    //    with the byte-identity check. Registry-only obs carries the
-    //    shortcut lifecycle counters into the persisted rows.
-    const ROUTING_POLICIES: [&str; 4] = [
-        "assoc(k=4,minconf=0.6)",
-        "assoc-adaptive(k=4,minconf=0.6)",
-        "hybrid(cap=5,k=4,minconf=0.6)",
-        "community(n=16,k=4,minconf=0.6)",
-    ];
-    let mut routing_specs = Vec::new();
-    for policy in ROUTING_POLICIES {
-        let mut cfg = SimConfig::default_with(nodes, queries, seed);
-        cfg.topology = Topology::SuperPeer {
-            n_super: 16,
-            super_degree: 4,
-        };
-        cfg.ttl = 8;
-        cfg.churn = Some(ChurnConfig {
-            mean_session: arq_simkern::time::Duration::from_ticks(500_000),
-            mean_downtime: arq_simkern::time::Duration::from_ticks(600_000),
-            pinned: vec![],
-        });
-        cfg.faults =
-            Some(engine::make_fault_plan("faults(loss=0.1)").map_err(|e| err(e.to_string()))?);
-        cfg.retry = Some(
-            engine::make_retry_policy("retry(deadline=2000,attempts=3,maxttl=8)")
-                .map_err(|e| err(e.to_string()))?,
-        );
-        cfg.adapt = Some(
-            engine::make_adapt_plan("adapt(every=50000,budget=8,degree=2)")
-                .map_err(|e| err(e.to_string()))?,
-        );
-        routing_specs.push(RunSpec::LiveSim {
-            cfg,
-            policy: policy.to_string(),
-            graph: None,
-            obs: Some("obs(events=0,series=0)".into()),
-        });
-    }
-    let routing_serial_arts =
-        engine::execute_with_threads(&routing_specs, 1).map_err(|e| err(e.to_string()))?;
-    let routing_arts =
-        engine::execute_with_threads(&routing_specs, threads).map_err(|e| err(e.to_string()))?;
-    let routing_identical = arts_json(&routing_serial_arts) == arts_json(&routing_arts);
-    let routing_secs = best_secs(iters, || {
-        std::hint::black_box(
-            engine::execute_with_threads(&routing_specs, threads).expect("validated specs"),
-        );
-    });
-    let obs_counter = |a: &RunArtifact, name: &str| {
-        a.obs
-            .as_ref()
-            .and_then(|o| o.registry.counter_value(name))
-            .unwrap_or(0)
-    };
-    let mut routing_rows = Vec::new();
-    for (policy, a) in ROUTING_POLICIES.iter().zip(&routing_arts) {
-        let m = a.metrics().expect("live spec");
-        routing_rows.push(Json::Obj(vec![
-            ("policy".into(), Json::from(*policy)),
-            ("success_rate".into(), Json::from(m.success_rate)),
-            (
-                "messages_per_query".into(),
-                Json::from(m.messages_per_query),
-            ),
-            (
-                "pruned_consequents".into(),
-                Json::from(a.stat("pruned_consequents").unwrap_or(0.0)),
-            ),
-            (
-                "shortcut_added".into(),
-                Json::from(obs_counter(a, "shortcut_added")),
-            ),
-            (
-                "shortcut_retired".into(),
-                Json::from(obs_counter(a, "shortcut_retired")),
-            ),
-            (
-                "shortcut_rejected".into(),
-                Json::from(obs_counter(a, "shortcut_rejected")),
-            ),
-        ]));
-    }
-    let _ = writeln!(
-        report,
-        "routing  E18-shaped, {} specs, {nodes} nodes x {queries} queries: \
-         {threads} workers {routing_secs:.3}s (artifacts identical: {routing_identical})",
-        routing_specs.len()
-    );
-
-    // 7. The streaming service under overload: measure sustained
-    //    capacity with lossless backpressure, then offer 1x/4x/16x that
-    //    rate in shed mode and record lookup p99 + shed rates. A fixed
-    //    per-pair spin gives mining a defined cost (emulating a heavier
-    //    maintainer) so "overload" is a property of the service, not of
-    //    the synthetic producer.
-    let serve_pairs: usize = if quick { 40_000 } else { 120_000 };
-    let serve_spin: u64 = 10_000;
-    let serve_block: u64 = 5_000;
-    let serve_route_every: usize = 200;
-    let serve_trace = SynthTrace::new(SynthConfig::paper_default(serve_pairs, seed)).pairs();
-    let serve_stream = crate::serve::render_event_stream(&serve_trace, serve_route_every);
-    let serve_cfg = |shed: bool| crate::serve::ServeConfig {
-        spec: "incremental(t=10,hl=20000)".to_string(),
-        block: serve_block,
-        queue: 1024,
-        shed,
-        spin: serve_spin,
-        ..crate::serve::ServeConfig::default()
-    };
-    let serve_run = |input: Box<dyn std::io::Read + Send>, shed: bool| {
-        let start = Instant::now();
-        let summary = crate::serve::run_events(serve_cfg(shed), input, &mut std::io::sink())
-            .map_err(|e| err(format!("serve bench: {e}")))?;
-        Ok::<_, CliError>((summary, start.elapsed().as_secs_f64()))
-    };
-    let (cap_summary, cap_secs) =
-        serve_run(Box::new(std::io::Cursor::new(serve_stream.clone())), false)?;
-    let capacity_eps = cap_summary.events as f64 / cap_secs.max(1e-9);
-    let _ = writeln!(
-        report,
-        "serve    capacity {} events in {cap_secs:.3}s = {capacity_eps:.0} events/s \
-         (spin {serve_spin}, block {serve_block}, lossless backpressure)",
-        cap_summary.events
-    );
-    let mut serve_rows = Vec::new();
-    for factor in [1u32, 4, 16] {
-        let offered = capacity_eps * f64::from(factor);
-        let bytes_per_sec = offered * (serve_stream.len() as f64 / cap_summary.events as f64);
-        let paced = PacedReader::new(serve_stream.clone(), bytes_per_sec);
-        let (s, secs) = serve_run(Box::new(paced), true)?;
-        let offered_pairs = s.pairs + s.shed_pairs;
-        let shed_rate = if offered_pairs == 0 {
-            0.0
-        } else {
-            s.shed_pairs as f64 / offered_pairs as f64
-        };
-        let (p50, p99) = s.route_latency_us.unwrap_or((f64::NAN, f64::NAN));
-        let _ = writeln!(
-            report,
-            "serve    {factor:>2}x offered ({offered:.0} events/s): {secs:.3}s, \
-             shed rate {shed_rate:.3} ({} pairs dropped, {} refreshes shed), \
-             route p50/p99 {p50:.0}/{p99:.0}us, {} shed lookups",
-            s.shed_pairs, s.shed_refreshes, s.outcomes.2
-        );
-        serve_rows.push(Json::Obj(vec![
-            ("offered_x".into(), Json::from(factor)),
-            ("offered_events_per_sec".into(), Json::from(offered)),
-            ("secs".into(), Json::from(secs)),
-            ("events".into(), Json::from(s.events)),
-            ("pairs".into(), Json::from(s.pairs)),
-            ("shed_pairs".into(), Json::from(s.shed_pairs)),
-            ("shed_rate".into(), Json::from(shed_rate)),
-            ("routes".into(), Json::from(s.routes)),
-            ("shed_routes".into(), Json::from(s.outcomes.2)),
-            ("route_p50_us".into(), Json::from(p50)),
-            ("route_p99_us".into(), Json::from(p99)),
-            ("refreshes".into(), Json::from(s.refreshes)),
-            ("shed_refreshes".into(), Json::from(s.shed_refreshes)),
-        ]));
-    }
-
-    // 8. Sweep orchestration overhead: the same jobs through the
-    //    journaled sweep runner (plan expansion, fsync'd journal,
-    //    report assembly) vs directly through the executor, plus a
-    //    resume pass that must skip every completed job. Measures what
-    //    `arq sweep` costs over `engine::execute` per job.
-    let sweep_pairs: usize = if quick { 8_000 } else { 24_000 };
-    let sweep_plan_text = format!(
-        "name = \"bench-sweep\"\nkind = \"trace-eval\"\nseed = {seed}\n\n\
-         [base]\npairs = {sweep_pairs}\nblock = 2000\nstrategy = \"sliding(s=10)\"\n\n\
-         [[axis]]\nkey = \"strategy.s\"\nvalues = [3, 5, 10, 20]\n"
-    );
-    let sweep_plan = sweep::SweepPlan::parse(&sweep_plan_text, "bench-sweep.toml")
-        .map_err(|e| err(format!("sweep bench: {e}")))?;
-    let expand_start = Instant::now();
-    let sweep_jobs = sweep::expand(&sweep_plan).map_err(|e| err(format!("sweep bench: {e}")))?;
-    let expand_secs = expand_start.elapsed().as_secs_f64();
-    let sweep_specs: Vec<RunSpec> = sweep_jobs.iter().map(|j| j.spec.clone()).collect();
-    let direct_start = Instant::now();
-    let direct_artifacts = engine::execute_with_threads(&sweep_specs, threads)
-        .map_err(|e| err(format!("sweep bench: {e}")))?;
-    let direct_secs = direct_start.elapsed().as_secs_f64();
-    let sweep_dir = std::env::temp_dir().join(format!("arq-bench-sweep-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&sweep_dir);
-    let sweep_start = Instant::now();
-    let outcome = sweep::run_sweep(&sweep_plan, &sweep_jobs, &sweep_dir, false, 0, threads)
-        .map_err(|e| err(format!("sweep bench: {e}")))?;
-    let sweep_secs = sweep_start.elapsed().as_secs_f64();
-    let resume_start = Instant::now();
-    let resumed = sweep::run_sweep(&sweep_plan, &sweep_jobs, &sweep_dir, true, 0, threads)
-        .map_err(|e| err(format!("sweep bench: {e}")))?;
-    let resume_secs = resume_start.elapsed().as_secs_f64();
-    let sweep_resume_clean = resumed.jobs_skipped == resumed.jobs_total
-        && resumed.report.to_string() == outcome.report.to_string();
-    // The runner must hand back the same artifacts the executor does:
-    // match each runbook row's content digest against the direct run.
-    let direct_digests: Vec<String> = direct_artifacts
-        .iter()
-        .map(|a| format!("{:016x}", sweep::artifact_content_digest(a)))
-        .collect();
-    let runbook_digests: Vec<String> = outcome
-        .runbook
-        .get("jobs")
-        .and_then(Json::as_array)
-        .map(|rows| {
-            rows.iter()
-                .filter_map(|r| r.get("artifact_digest").and_then(Json::as_str))
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    let sweep_identical = direct_digests == runbook_digests;
-    let _ = std::fs::remove_dir_all(&sweep_dir);
-    let sweep_overhead = ratio(sweep_secs, direct_secs);
-    let _ = writeln!(
-        report,
-        "sweep    {} jobs ({sweep_pairs} pairs each): expand {expand_secs:.3}s, direct \
-         {direct_secs:.3}s, journaled {sweep_secs:.3}s ({sweep_overhead:.2}x), resume \
-         {resume_secs:.3}s skipped {}/{} (artifacts identical: {sweep_identical}, resume \
-         clean: {sweep_resume_clean})",
-        sweep_jobs.len(),
-        resumed.jobs_skipped,
-        resumed.jobs_total
-    );
-
-    let mut sim_section = vec![
-        (
-            "workload".to_string(),
-            Json::from("e16-shaped policy/loss sweep"),
-        ),
-        ("specs".to_string(), Json::from(sim_specs.len())),
-        ("nodes".to_string(), Json::from(nodes)),
-        ("queries".to_string(), Json::from(queries)),
-        ("serial_secs".to_string(), Json::from(serial_secs)),
-        ("parallel_secs".to_string(), Json::from(parallel_secs)),
-        ("speedup".to_string(), Json::from(sim_speedup)),
-        ("artifacts_identical".to_string(), Json::from(sim_identical)),
-        ("budget".to_string(), budget.to_json()),
-    ];
-    if bench5_comparable {
-        sim_section.push((
-            "bench5_serial_secs".to_string(),
-            Json::from(BENCH_5_SIM_SERIAL_SECS),
-        ));
-        sim_section.push((
-            "speedup_vs_bench5".to_string(),
-            Json::from(ratio(BENCH_5_SIM_SERIAL_SECS, serial_secs)),
-        ));
-    }
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::from("BENCH_10")),
-        ("quick".into(), Json::from(quick)),
-        ("threads".into(), Json::from(threads)),
-        ("seed".into(), Json::from(seed)),
-        ("iters".into(), Json::from(iters)),
-        (
-            "mining".into(),
-            Json::Obj(vec![
-                ("workload".into(), Json::from("e3-shaped paper-default")),
-                ("blocks".into(), Json::from(blocks)),
-                ("block_size".into(), Json::from(block_size)),
-                ("support".into(), Json::from(support)),
-                ("baseline_secs".into(), Json::from(baseline_secs)),
-                ("sharded_secs".into(), Json::from(sharded_secs)),
-                (
-                    "baseline_pairs_per_sec".into(),
-                    Json::from(ratio(total_pairs as f64, baseline_secs)),
-                ),
-                (
-                    "sharded_pairs_per_sec".into(),
-                    Json::from(ratio(total_pairs as f64, sharded_secs)),
-                ),
-                ("speedup".into(), Json::from(mining_speedup)),
-                ("rules_identical".into(), Json::from(rules_identical)),
-            ]),
-        ),
-        (
-            "pipeline".into(),
-            Json::Obj(vec![
-                ("strategy".into(), Json::from("sliding(s=10)")),
-                ("blocks".into(), Json::from(blocks)),
-                ("block_size".into(), Json::from(block_size)),
-                ("sequential_secs".into(), Json::from(sequential_secs)),
-                ("pipelined_secs".into(), Json::from(pipelined_secs)),
-                ("speedup".into(), Json::from(eval_speedup)),
-                ("artifacts_identical".into(), Json::from(eval_identical)),
-            ]),
-        ),
-        ("sim".into(), Json::Obj(sim_section)),
-        (
-            "sim_scale".into(),
-            Json::Obj(vec![
-                (
-                    "engine".into(),
-                    Json::from("windowed sharded (run_sharded)"),
-                ),
-                ("policy".into(), Json::from(scale_policy.as_str())),
-                ("threads".into(), Json::from(scale_threads)),
-                ("points".into(), Json::Arr(scale_points)),
-            ]),
-        ),
-        (
-            "links".into(),
-            Json::Obj(vec![
-                (
-                    "workload".into(),
-                    Json::from("e17-shaped offered-load sweep under congested links"),
-                ),
-                ("plan".into(), Json::from(LINK_PLAN)),
-                ("specs".into(), Json::from(link_specs.len())),
-                ("nodes".into(), Json::from(nodes)),
-                ("queries".into(), Json::from(queries)),
-                ("secs".into(), Json::from(link_secs)),
-                ("artifacts_identical".into(), Json::from(link_identical)),
-                ("rows".into(), Json::Arr(link_rows)),
-            ]),
-        ),
-        (
-            "routing".into(),
-            Json::Obj(vec![
-                (
-                    "workload".into(),
-                    Json::from("e18-shaped routing-science sweep with topology adaptation"),
-                ),
-                ("specs".into(), Json::from(routing_specs.len())),
-                ("nodes".into(), Json::from(nodes)),
-                ("queries".into(), Json::from(queries)),
-                ("secs".into(), Json::from(routing_secs)),
-                ("artifacts_identical".into(), Json::from(routing_identical)),
-                ("rows".into(), Json::Arr(routing_rows)),
-            ]),
-        ),
-        (
-            "serve".into(),
-            Json::Obj(vec![
-                (
-                    "workload".into(),
-                    Json::from("paced overload of arq serve in shed mode"),
-                ),
-                ("pairs".into(), Json::from(serve_pairs)),
-                ("spin".into(), Json::from(serve_spin)),
-                ("block".into(), Json::from(serve_block)),
-                ("route_every".into(), Json::from(serve_route_every)),
-                ("capacity_events_per_sec".into(), Json::from(capacity_eps)),
-                ("capacity_secs".into(), Json::from(cap_secs)),
-                ("rows".into(), Json::Arr(serve_rows)),
-            ]),
-        ),
-        (
-            "sweep".into(),
-            Json::Obj(vec![
-                (
-                    "workload".into(),
-                    Json::from("journaled sweep runner vs direct executor"),
-                ),
-                ("jobs".into(), Json::from(sweep_jobs.len())),
-                ("pairs_per_job".into(), Json::from(sweep_pairs)),
-                ("expand_secs".into(), Json::from(expand_secs)),
-                ("direct_secs".into(), Json::from(direct_secs)),
-                ("sweep_secs".into(), Json::from(sweep_secs)),
-                ("overhead".into(), Json::from(sweep_overhead)),
-                ("resume_secs".into(), Json::from(resume_secs)),
-                ("resume_clean".into(), Json::from(sweep_resume_clean)),
-                ("artifacts_identical".into(), Json::from(sweep_identical)),
-            ]),
-        ),
-    ]);
-    arq_simkern::write_atomic_str(&out, &doc.to_string_pretty())
-        .map_err(|e| err(format!("writing {out}: {e}")))?;
-    let _ = writeln!(report, "wrote {out}");
-    Ok(report)
 }
 
 /// `arq sweep` — run, resume, or inspect a declarative sweep plan.
@@ -2313,162 +1448,21 @@ mod tests {
         let e = run(&args(&format!("report --in {path}"))).unwrap_err();
         assert!(e.0.contains("missing section `run.metrics`"), "{e}");
 
+        // A corrupt histogram snapshot is named, not skipped or panicked on.
+        std::fs::write(
+            &path,
+            r#"{"kind":"live-sim","label":"x","run":{"metrics":{}},"obs":{"metrics":{"histograms":
+               {"query_latency":{"lo":5.0,"hi":5.0,"buckets":[1],"underflow":0,"overflow":0,"count":1}}}}}"#,
+        )
+        .unwrap();
+        let e = run(&args(&format!("report --in {path}"))).unwrap_err();
+        assert!(e.0.contains("obs histogram `query_latency`"), "{e}");
+        assert!(e.0.contains("degenerate range"), "{e}");
+
         // Not an artifact at all: `kind` itself is the named gap.
         std::fs::write(&path, r#"{"label":"x"}"#).unwrap();
         let e = run(&args(&format!("report --in {path}"))).unwrap_err();
         assert!(e.0.contains("missing section `kind`"), "{e}");
-    }
-
-    #[test]
-    fn bench_writes_baseline_json() {
-        let out = tmp("bench8.json");
-        let report = run(&args(&format!(
-            "bench --quick --pairs 40000 --block 20000 --nodes 60 --queries 120 \
-             --scale-nodes 2000 --scale-queries 200 --threads 4 --seed 11 --out {out}"
-        )))
-        .unwrap();
-        assert!(report.contains("rules identical: true"), "{report}");
-        assert!(report.contains("artifacts identical: true"), "{report}");
-        let doc = arq_simkern::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("BENCH_10"));
-        for section in ["mining", "pipeline", "sim"] {
-            let s = doc
-                .get(section)
-                .unwrap_or_else(|| panic!("missing {section}"));
-            assert!(
-                s.get("speedup").and_then(Json::as_f64).is_some(),
-                "{section} lacks a speedup"
-            );
-        }
-        assert_eq!(
-            doc.get("pipeline")
-                .and_then(|p| p.get("artifacts_identical")),
-            Some(&Json::Bool(true))
-        );
-        // The executor's budget split is attributed on the sim section:
-        // a sim-only sweep never reserves an intra budget.
-        let budget = doc
-            .get("sim")
-            .and_then(|s| s.get("budget"))
-            .expect("budget");
-        let gauge = |name: &str| {
-            budget
-                .get("gauges")
-                .and_then(|g| g.get(name))
-                .and_then(Json::as_f64)
-        };
-        assert_eq!(gauge("intra_threads"), Some(1.0));
-        assert_eq!(gauge("outer_threads"), Some(4.0));
-        // The scale section reports throughput per point and the
-        // sharded run's results match the single-threaded run's.
-        let points = doc
-            .get("sim_scale")
-            .and_then(|s| s.get("points"))
-            .and_then(Json::as_array)
-            .expect("sim_scale points");
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].get("nodes").and_then(Json::as_f64), Some(2000.0));
-        assert!(points[0]
-            .get("queries_per_sec")
-            .and_then(Json::as_f64)
-            .is_some_and(|q| q > 0.0));
-        assert_eq!(
-            points[0].get("artifacts_identical"),
-            Some(&Json::Bool(true))
-        );
-        // The E17-shaped link sweep persists latency percentiles and
-        // per-node byte budgets per (policy, load) row, byte-identical
-        // across worker counts.
-        let links = doc.get("links").expect("links section");
-        assert_eq!(
-            links.get("artifacts_identical"),
-            Some(&Json::Bool(true)),
-            "link sweep diverged across thread counts"
-        );
-        let rows = links
-            .get("rows")
-            .and_then(Json::as_array)
-            .expect("link rows");
-        assert_eq!(rows.len(), 9, "3 policies x 3 load levels");
-        for row in rows {
-            assert!(row.get("policy").and_then(Json::as_str).is_some());
-            let p95 = row
-                .get("latency_ticks")
-                .and_then(|l| l.get("p95"))
-                .and_then(Json::as_f64)
-                .expect("latency p95");
-            assert!(p95 >= 0.0);
-            assert!(row
-                .get("node_bytes_p95")
-                .and_then(|n| n.get("up"))
-                .and_then(Json::as_f64)
-                .is_some());
-        }
-        // Congestion must actually bite somewhere in the sweep.
-        assert!(
-            rows.iter().any(|r| r
-                .get("buffer_dropped")
-                .and_then(Json::as_f64)
-                .is_some_and(|b| b > 0.0)),
-            "no congestive drops in the link sweep"
-        );
-        // The E18-shaped routing sweep persists per-policy routing
-        // quality with the shortcut lifecycle counters, byte-identical
-        // across worker counts.
-        let routing = doc.get("routing").expect("routing section");
-        assert_eq!(
-            routing.get("artifacts_identical"),
-            Some(&Json::Bool(true)),
-            "routing sweep diverged across thread counts"
-        );
-        let rrows = routing
-            .get("rows")
-            .and_then(Json::as_array)
-            .expect("routing rows");
-        assert_eq!(rrows.len(), 4, "4 confidence-pruned policies");
-        for row in rrows {
-            assert!(row.get("policy").and_then(Json::as_str).is_some());
-            assert!(row.get("success_rate").and_then(Json::as_f64).is_some());
-            assert!(row.get("shortcut_added").and_then(Json::as_f64).is_some());
-        }
-        // Adaptation must actually rewire somewhere in the sweep.
-        assert!(
-            rrows.iter().any(|r| r
-                .get("shortcut_added")
-                .and_then(Json::as_f64)
-                .is_some_and(|s| s > 0.0)),
-            "no shortcuts added anywhere in the routing sweep"
-        );
-        // The serve section records capacity plus one row per offered
-        // load, with lookup latency bounded (a finite p99) and the 16x
-        // overload actually shedding — counted, never silent.
-        let serve = doc.get("serve").expect("serve section");
-        assert!(serve
-            .get("capacity_events_per_sec")
-            .and_then(Json::as_f64)
-            .is_some_and(|c| c > 0.0));
-        let srows = serve
-            .get("rows")
-            .and_then(Json::as_array)
-            .expect("serve rows");
-        assert_eq!(srows.len(), 3, "1x/4x/16x offered loads");
-        for row in srows {
-            assert!(row
-                .get("route_p99_us")
-                .and_then(Json::as_f64)
-                .is_some_and(f64::is_finite));
-            assert!(row.get("shed_rate").and_then(Json::as_f64).is_some());
-        }
-        assert!(
-            srows[2]
-                .get("shed_pairs")
-                .and_then(Json::as_f64)
-                .is_some_and(|s| s > 0.0),
-            "16x offered load must shed"
-        );
-        // Too-short traces are rejected before any work happens.
-        let e = run(&args("bench --quick --pairs 1000 --block 20000")).unwrap_err();
-        assert!(e.0.contains("at least two blocks"), "{e}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | [`content`] | `arq-content` | catalogs, interests, workloads |
 //! | [`gnutella`] | `arq-gnutella` | protocol simulator + forwarding policies |
 //! | [`trace`] | `arq-trace` | trace schema, trace DB, synthetic traces |
-//! | [`assoc`] | `arq-assoc` | Apriori/FP-Growth, rule measures, pair rules |
+//! | [`assoc`] | `arq-assoc` | host-pair rule mining, rule-set measures |
 //! | [`core`] | `arq-core` | the paper's strategies, evaluator, online policy |
 //! | [`baselines`] | `arq-baselines` | flooding, k-walks, ring, shortcuts, RI |
 //! | [`obs`] | `arq-obs` | structured event tracing, metrics registry, series |

@@ -94,68 +94,6 @@ where
     for p in block {
         *counts.entry((key(p), p.via)).or_insert(0) += 1;
     }
-    build_keyed(counts, min_support, block.len())
-}
-
-/// Sharded [`mine_keyed`]: the block is split into contiguous chunks,
-/// each counted on its own thread, and the per-shard subtotals are
-/// sum-merged. Addition is commutative and the consequent ranking is a
-/// total order, so the result is identical to the single-threaded miner
-/// at any shard count. Arbitrary key types keep the general `HashMap`
-/// tables here; the host-pair specialization has a packed-key fast path
-/// in [`crate::pairs::PairMiner`].
-pub fn mine_keyed_sharded<K, F>(
-    block: &[PairRecord],
-    key: F,
-    min_support: u64,
-    shards: usize,
-) -> KeyedRuleSet<K>
-where
-    K: Eq + Hash + Copy + Send,
-    F: Fn(&PairRecord) -> K + Sync,
-{
-    assert!(min_support >= 1, "support threshold must be at least 1");
-    assert!(shards >= 1, "shard count must be at least 1");
-    let shards = shards.min(block.len().max(1));
-    if shards <= 1 {
-        return mine_keyed(block, key, min_support);
-    }
-    let chunk = block.len().div_ceil(shards);
-    let key = &key;
-    let mut partials: Vec<HashMap<(K, HostId), u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = block
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut counts: HashMap<(K, HostId), u64> = HashMap::new();
-                    for p in slice {
-                        *counts.entry((key(p), p.via)).or_insert(0) += 1;
-                    }
-                    counts
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("keyed counting shard panicked"))
-            .collect()
-    });
-    let mut merged = partials.swap_remove(0);
-    for partial in partials {
-        for (pair, count) in partial {
-            *merged.entry(pair).or_insert(0) += count;
-        }
-    }
-    build_keyed(merged, min_support, block.len())
-}
-
-/// Support pruning + deterministic consequent ranking over merged
-/// counts — shared by the single-threaded and sharded keyed miners.
-fn build_keyed<K: Eq + Hash + Copy>(
-    counts: HashMap<(K, HostId), u64>,
-    min_support: u64,
-    source_pairs: usize,
-) -> KeyedRuleSet<K> {
     let mut rules: HashMap<K, Vec<(HostId, u64)>> = HashMap::new();
     for ((k, via), count) in counts {
         if count >= min_support {
@@ -168,7 +106,7 @@ fn build_keyed<K: Eq + Hash + Copy>(
     KeyedRuleSet {
         rules,
         min_support,
-        source_pairs,
+        source_pairs: block.len(),
     }
 }
 
@@ -314,25 +252,6 @@ mod tests {
         let keyed = mine_keyed(&block, src_topic_key, 60);
         assert_eq!(plain.rule_count(), 1);
         assert!(keyed.is_empty(), "diluted keyed rules survived");
-    }
-
-    #[test]
-    fn sharded_keyed_matches_single_threaded() {
-        let block = topical_block(0, 500);
-        for shards in [1, 2, 3, 7] {
-            let sharded = mine_keyed_sharded(&block, src_topic_key, 5, shards);
-            let plain = mine_keyed(&block, src_topic_key, 5);
-            assert_eq!(sharded.rule_count(), plain.rule_count(), "{shards} shards");
-            assert_eq!(sharded.antecedent_count(), plain.antecedent_count());
-            for key in [(HostId(1), 0), (HostId(1), 1)] {
-                assert_eq!(sharded.consequents(key), plain.consequents(key));
-            }
-            assert_eq!(sharded.source_pairs(), plain.source_pairs());
-            assert_eq!(sharded.min_support(), plain.min_support());
-        }
-        // Empty block: no shard ever sees work.
-        let empty = mine_keyed_sharded(&[], src_topic_key, 1, 4);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -1,23 +1,13 @@
 //! # arq-assoc — association analysis for query routing
 //!
-//! The data-mining substrate of the workspace. Two layers:
-//!
-//! **General association analysis** (§III-A of the paper): transaction
-//! databases over interned items, frequent-itemset mining with
-//! [`apriori`], [`fpgrowth`], and [`eclat`] (property tests assert all
-//! three agree), and
-//! [`rules`] — rule generation with the classical support / confidence /
-//! lift / conviction measures and threshold pruning. The paper's routing
-//! rules only ever need singleton antecedents and consequents, but the
-//! future-work items (query-string dimensions, clustering, multi-item
-//! rules) need the general machinery, so it is built and tested.
-//!
-//! **Host-pair specialization** (§III-B): [`pairs::mine_pairs`] counts
-//! `(src, via)` host pairs in a block of query–reply pairs and
-//! support-prunes them into a [`pairs::RuleSet`] — "{host1} → {host2}"
-//! rules ranked by support. [`measures::ruleset_test`] evaluates a rule
-//! set against a test block, producing the paper's two rule-*set*
-//! measures: coverage α (Eq. 1) and success ρ (Eq. 2).
+//! The data-mining substrate of the workspace. The paper's routing rules
+//! have singleton antecedents and consequents (§III-B), so mining is
+//! pair counting: [`pairs::mine_pairs`] counts `(src, via)` host pairs
+//! in a block of query–reply pairs and support-prunes them into a
+//! [`pairs::RuleSet`] — "{host1} → {host2}" rules ranked by support.
+//! [`measures::ruleset_test`] evaluates a rule set against a test block,
+//! producing the paper's two rule-*set* measures: coverage α (Eq. 1) and
+//! success ρ (Eq. 2).
 //!
 //! [`keyed`] generalizes antecedents beyond a single host — e.g.
 //! `(source host, query topic)` — implementing the §VI "query-string
@@ -27,20 +17,14 @@
 
 #![warn(missing_docs)]
 
-pub mod apriori;
-pub mod eclat;
-pub mod fpgrowth;
 pub mod incremental;
 pub mod keyed;
 pub mod lossy;
 pub mod measures;
 pub mod pairs;
-pub mod rules;
-pub mod transaction;
 
 pub use incremental::{DecayedPairCounts, DecayedSnapshot};
-pub use keyed::{keyed_ruleset_test, mine_keyed, mine_keyed_sharded, KeyedRuleSet};
+pub use keyed::{keyed_ruleset_test, mine_keyed, KeyedRuleSet};
 pub use lossy::{LossyPairCounts, LossySnapshot};
 pub use measures::{ruleset_test, BlockMeasures};
-pub use pairs::{mine_pairs, mine_pairs_sharded, PairMiner, RuleSet};
-pub use transaction::{ItemId, TransactionDb};
+pub use pairs::{mine_pairs, PairMiner, RuleSet};

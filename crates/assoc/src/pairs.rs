@@ -14,7 +14,7 @@
 //! > messages in response to queries sent from the node that forwarded
 //! > the query."
 
-use arq_trace::columns::{pack_pair, unpack_pair, PairColumns};
+use arq_trace::columns::{pack_pair, unpack_pair};
 use arq_trace::record::{HostId, PairRecord};
 use std::collections::HashMap;
 
@@ -62,8 +62,7 @@ impl RuleSet {
     /// pruning, grouping by antecedent, and the deterministic
     /// (descending support, ascending host id) consequent ranking. The
     /// ranking is a total order, so the resulting rule set is identical
-    /// no matter which order the rows arrive in — this is what makes
-    /// shard-merge order irrelevant.
+    /// no matter which order the rows arrive in.
     fn from_count_rows(
         rows: impl Iterator<Item = (HostId, HostId, u64)>,
         min_support: u64,
@@ -238,7 +237,7 @@ fn mix(key: u64) -> u64 {
 }
 
 /// Open-addressed `(packed pair key → count)` table: the scratch arena
-/// behind the fast miners. Linear probing over power-of-two storage,
+/// behind [`PairMiner`]. Linear probing over power-of-two storage,
 /// with key and count interleaved in one slot so each probe touches a
 /// single cache line; a slot is empty iff its count is zero (counts are
 /// always ≥ 1 once a key is inserted, so the zero key needs no
@@ -309,25 +308,18 @@ impl PackedCounts {
     }
 }
 
-/// A reusable sharded pair miner.
+/// A reusable pair miner.
 ///
 /// Produces exactly the rule set [`mine_pairs`] would — same support
-/// pruning, same consequent ranking — but counts over a columnar view
-/// with open-addressed scratch tables that persist across calls, split
-/// over `shards` worker threads for large blocks. Determinism does not
-/// depend on the shard count: the input is partitioned into contiguous
-/// chunks, each shard produces exact per-key subtotals, and addition is
-/// commutative, so the merged per-key totals (and therefore the ranked
-/// rule set) are identical for any partitioning.
+/// pruning, same consequent ranking — but counts packed `(src, via)`
+/// keys in an open-addressed scratch table that persists across calls.
 ///
 /// Keep one of these alive across re-mines to avoid reallocating the
-/// count tables and columns every block — the allocation-lean path the
-/// block strategies use.
+/// count table every block — the allocation-lean path the block
+/// strategies use.
 #[derive(Debug, Clone)]
 pub struct PairMiner {
-    shards: usize,
-    columns: PairColumns,
-    tables: Vec<PackedCounts>,
+    table: PackedCounts,
     rows: Vec<(u64, u64)>,
 }
 
@@ -338,89 +330,27 @@ impl Default for PairMiner {
 }
 
 impl PairMiner {
-    /// Each shard must see enough pairs to amortize its thread spawn.
-    const MIN_PAIRS_PER_SHARD: usize = 8_192;
-
-    /// A single-threaded miner (still columnar + open-addressed).
+    /// A miner with empty scratch storage.
     pub fn new() -> Self {
-        Self::sharded(1)
-    }
-
-    /// A miner that fans counting out over up to `shards` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn sharded(shards: usize) -> Self {
-        assert!(shards >= 1, "shard count must be at least 1");
         PairMiner {
-            shards,
-            columns: PairColumns::new(),
-            tables: (0..shards).map(|_| PackedCounts::new()).collect(),
+            table: PackedCounts::new(),
             rows: Vec::new(),
         }
-    }
-
-    /// The configured shard ceiling.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Mines `block` with support pruning at `min_support`; equivalent
     /// to [`mine_pairs`] on the same input.
     pub fn mine(&mut self, block: &[PairRecord], min_support: u64) -> RuleSet {
         assert!(min_support >= 1, "support threshold must be at least 1");
-        // Small blocks are counted inline: shard fan-out only pays for
-        // itself once each worker has thousands of pairs to chew.
-        let shards = self
-            .shards
-            .min((block.len() / Self::MIN_PAIRS_PER_SHARD).max(1));
-        let n = block.len();
-        if shards <= 1 {
-            // Single shard: pack keys straight off the records — the
-            // column transpose would be a pure extra pass here.
-            let table = &mut self.tables[0];
-            table.clear();
-            for p in block {
-                table.add(pack_pair(p.src, p.via), 1);
-            }
-        } else {
-            self.columns.fill(block);
-            let columns = &self.columns;
-            let chunk = n.div_ceil(shards);
-            std::thread::scope(|scope| {
-                for (s, table) in self.tables.iter_mut().take(shards).enumerate() {
-                    let range = (s * chunk).min(n)..((s + 1) * chunk).min(n);
-                    scope.spawn(move || {
-                        table.clear();
-                        for key in columns.packed_range(range) {
-                            table.add(key, 1);
-                        }
-                    });
-                }
-            });
-            // Merge shard subtotals into shard 0's table. Sum-merge is
-            // commutative and exact, so the totals — and the ranked
-            // rule set built from them — match the single-shard run.
-            let (head, rest) = self.tables.split_at_mut(1);
-            for table in rest.iter().take(shards - 1) {
-                for (key, count) in table.iter() {
-                    head[0].add(key, count);
-                }
-            }
+        self.table.clear();
+        for p in block {
+            self.table.add(pack_pair(p.src, p.via), 1);
         }
         self.rows.clear();
         self.rows
-            .extend(self.tables[0].iter().filter(|&(_, c)| c >= min_support));
+            .extend(self.table.iter().filter(|&(_, c)| c >= min_support));
         RuleSet::from_packed_rows(&mut self.rows, min_support, block.len())
     }
-}
-
-/// One-shot sharded mining; equivalent to [`mine_pairs`] at any shard
-/// count. Re-miners that run block after block should hold a
-/// [`PairMiner`] instead to reuse its scratch tables.
-pub fn mine_pairs_sharded(block: &[PairRecord], min_support: u64, shards: usize) -> RuleSet {
-    PairMiner::sharded(shards).mine(block, min_support)
 }
 
 #[cfg(test)]
@@ -570,63 +500,32 @@ mod tests {
     }
 
     #[test]
-    fn sharded_miner_matches_reference_on_small_blocks() {
-        for threshold in 1..=5 {
-            for shards in [1, 2, 3, 8] {
-                let reference = mine_pairs(&block(), threshold);
-                let sharded = mine_pairs_sharded(&block(), threshold, shards);
-                assert_eq!(
-                    sorted_rows(&reference),
-                    sorted_rows(&sharded),
-                    "threshold {threshold}, {shards} shards"
-                );
-                assert_eq!(sharded.min_support(), reference.min_support());
-                assert_eq!(sharded.source_pairs(), reference.source_pairs());
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_miner_matches_reference_above_fanout_cutoff() {
-        // Big enough that a multi-shard run actually spawns workers.
-        let big: Vec<PairRecord> = (0..40_000u64)
-            .map(|i| pair(i, (i % 37) as u32, (i % 11) as u32 + 100))
-            .collect();
-        let reference = mine_pairs(&big, 30);
-        for shards in [1, 2, 4] {
-            let sharded = mine_pairs_sharded(&big, 30, shards);
-            assert_eq!(
-                sorted_rows(&reference),
-                sorted_rows(&sharded),
-                "{shards} shards"
-            );
-        }
-    }
-
-    #[test]
     fn miner_scratch_reuse_is_stateless_across_blocks() {
-        let mut miner = PairMiner::sharded(4);
-        // Mine a large block, then a small one, then re-mine the first:
-        // residue from earlier blocks must never leak into later ones.
+        let mut miner = PairMiner::new();
+        // Mine a large block, then an empty one, then a small one at
+        // every threshold, then re-mine the first: residue from earlier
+        // blocks must never leak into later ones.
         let a: Vec<PairRecord> = (0..20_000u64)
             .map(|i| pair(i, (i % 13) as u32, (i % 7) as u32 + 50))
             .collect();
         let b = block();
         let first = miner.mine(&a, 3);
-        assert_eq!(
-            sorted_rows(&miner.mine(&b, 2)),
-            sorted_rows(&mine_pairs(&b, 2))
-        );
+        let empty = miner.mine(&[], 1);
+        assert!(empty.is_empty());
+        assert_eq!(empty.source_pairs(), 0);
+        for threshold in 1..=5 {
+            let mined = miner.mine(&b, threshold);
+            let reference = mine_pairs(&b, threshold);
+            assert_eq!(
+                sorted_rows(&mined),
+                sorted_rows(&reference),
+                "threshold {threshold}"
+            );
+            assert_eq!(mined.min_support(), reference.min_support());
+            assert_eq!(mined.source_pairs(), reference.source_pairs());
+        }
         assert_eq!(sorted_rows(&miner.mine(&a, 3)), sorted_rows(&first));
         assert_eq!(sorted_rows(&first), sorted_rows(&mine_pairs(&a, 3)));
-    }
-
-    #[test]
-    fn sharded_miner_handles_empty_block() {
-        let mut miner = PairMiner::sharded(4);
-        let rs = miner.mine(&[], 1);
-        assert!(rs.is_empty());
-        assert_eq!(rs.source_pairs(), 0);
     }
 
     #[test]
@@ -637,12 +536,6 @@ mod tests {
         let rs = PairMiner::new().mine(&zeros, 1);
         assert!(rs.matches(HostId(0), HostId(0)));
         assert_eq!(rs.consequents(HostId(0)), &[(HostId(0), 10)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_shards_rejected() {
-        PairMiner::sharded(0);
     }
 
     #[test]

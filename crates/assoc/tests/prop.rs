@@ -4,23 +4,12 @@
 
 //! Property-based tests for association analysis.
 
-use arq_assoc::apriori::apriori;
-use arq_assoc::eclat::eclat;
-use arq_assoc::fpgrowth::fpgrowth;
 use arq_assoc::measures::ruleset_test;
 use arq_assoc::pairs::{mine_pairs, mine_pairs_with_confidence};
-use arq_assoc::rules::generate_rules;
-use arq_assoc::{DecayedPairCounts, ItemId, TransactionDb};
+use arq_assoc::DecayedPairCounts;
 use arq_simkern::SimTime;
 use arq_trace::record::{Guid, HostId, PairRecord, QueryId};
 use proptest::prelude::*;
-
-fn arb_transactions() -> impl Strategy<Value = Vec<Vec<ItemId>>> {
-    proptest::collection::vec(
-        proptest::collection::vec((0u32..12).prop_map(ItemId), 1..6),
-        1..60,
-    )
-}
 
 fn arb_pairs() -> impl Strategy<Value = Vec<PairRecord>> {
     proptest::collection::vec((0u32..10, 0u32..10), 0..300).prop_map(|hosts| {
@@ -40,69 +29,6 @@ fn arb_pairs() -> impl Strategy<Value = Vec<PairRecord>> {
 }
 
 proptest! {
-    /// Apriori, FP-Growth, and Eclat agree exactly on arbitrary
-    /// databases and thresholds.
-    #[test]
-    fn all_miners_agree(txs in arb_transactions(), min_count in 1u64..8) {
-        let mut db = TransactionDb::new();
-        for t in txs {
-            db.add(t);
-        }
-        let a = apriori(&db, min_count);
-        prop_assert_eq!(&a, &fpgrowth(&db, min_count));
-        prop_assert_eq!(&a, &eclat(&db, min_count));
-    }
-
-    /// Every reported frequent itemset has its exact support count, and
-    /// support is anti-monotone under item removal.
-    #[test]
-    fn frequent_itemsets_sound(txs in arb_transactions(), min_count in 1u64..6) {
-        let mut db = TransactionDb::new();
-        for t in txs {
-            db.add(t);
-        }
-        let sets = apriori(&db, min_count);
-        for f in &sets {
-            prop_assert!(f.count >= min_count);
-            prop_assert_eq!(db.support_count(&f.items), f.count);
-            if f.items.len() >= 2 {
-                for skip in 0..f.items.len() {
-                    let sub: Vec<ItemId> = f
-                        .items
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != skip)
-                        .map(|(_, &x)| x)
-                        .collect();
-                    prop_assert!(db.support_count(&sub) >= f.count);
-                }
-            }
-        }
-    }
-
-    /// Generated rules have measures in their legal ranges, and
-    /// confidence pruning yields a subset.
-    #[test]
-    fn rule_measures_in_range(txs in arb_transactions(), min_conf in 0.0f64..1.0) {
-        let mut db = TransactionDb::new();
-        for t in txs {
-            db.add(t);
-        }
-        let frequent = apriori(&db, 1);
-        let all = generate_rules(&frequent, db.len() as u64, 0.0);
-        let pruned = generate_rules(&frequent, db.len() as u64, min_conf);
-        for r in &all {
-            prop_assert!(r.support > 0.0 && r.support <= 1.0);
-            prop_assert!(r.confidence > 0.0 && r.confidence <= 1.0 + 1e-12);
-            prop_assert!(r.lift > 0.0);
-            prop_assert!(r.conviction >= 0.0 || r.conviction.is_infinite());
-        }
-        for r in &pruned {
-            prop_assert!(r.confidence >= min_conf);
-            prop_assert!(all.contains(r));
-        }
-    }
-
     /// Raising the support threshold mines a subset of rules.
     #[test]
     fn support_pruning_is_monotone(pairs in arb_pairs(), lo in 1u64..5, delta in 0u64..10) {
@@ -194,41 +120,28 @@ proptest! {
         }
     }
 
-    /// Sharded, column-interned counting is exactly the single-threaded
-    /// reference for arbitrary blocks (including empty ones), support
-    /// thresholds, and shard counts — the determinism contract behind
-    /// the pipelined evaluator.
+    /// Packed-table counting is exactly the `HashMap` reference for
+    /// arbitrary blocks (including empty ones) and support thresholds.
     #[test]
-    fn sharded_mining_equals_reference(
-        pairs in arb_pairs(),
-        t in 1u64..6,
-        shards in 1usize..9,
-    ) {
+    fn pair_miner_equals_reference(pairs in arb_pairs(), t in 1u64..6) {
         let reference = mine_pairs(&pairs, t);
-        let mut miner = arq_assoc::PairMiner::sharded(shards);
-        // Mine twice through the same miner: the scratch arena must be
+        let mut miner = arq_assoc::PairMiner::new();
+        // Mine twice through the same miner: the scratch table must be
         // stateless across blocks.
         let _ = miner.mine(&pairs, t);
-        let sharded = miner.mine(&pairs, t);
+        let packed = miner.mine(&pairs, t);
         let mut ra: Vec<_> = reference.iter().collect();
-        let mut rb: Vec<_> = sharded.iter().collect();
+        let mut rb: Vec<_> = packed.iter().collect();
         ra.sort_unstable();
         rb.sort_unstable();
         prop_assert_eq!(ra, rb);
-        prop_assert_eq!(reference.rule_count(), sharded.rule_count());
-        prop_assert_eq!(reference.antecedent_count(), sharded.antecedent_count());
+        prop_assert_eq!(reference.rule_count(), packed.rule_count());
+        prop_assert_eq!(reference.antecedent_count(), packed.antecedent_count());
         // The ranked consequent lists (what routing actually consults)
         // agree per antecedent, order included.
         for src in pairs.iter().map(|p| p.src).collect::<std::collections::HashSet<_>>() {
-            prop_assert_eq!(reference.consequents(src), sharded.consequents(src));
+            prop_assert_eq!(reference.consequents(src), packed.consequents(src));
         }
-        // Free-function form agrees too.
-        let free = arq_assoc::mine_pairs_sharded(&pairs, t, shards);
-        let mut rc: Vec<_> = free.iter().collect();
-        rc.sort_unstable();
-        let mut rd: Vec<_> = sharded.iter().collect();
-        rd.sort_unstable();
-        prop_assert_eq!(rc, rd);
     }
 
     /// `top_k` is monotone in `k` (top-(k+1) extends top-k) and never

@@ -4,9 +4,8 @@ use super::{ExperimentReport, Scale};
 use arq::simkern::Json;
 use arq::trace::{SynthConfig, SynthTrace};
 
-/// E8 — rule-generation cost (§IV-B/§V text). The precise distributions
-/// live in the Criterion bench `rule_generation`; this report records
-/// one-shot wall times so EXPERIMENTS.md is self-contained.
+/// E8 — rule-generation cost (§IV-B/§V text): one-shot wall times, so
+/// EXPERIMENTS.md is self-contained.
 ///
 /// Wall times are the one nondeterministic measurement in the harness,
 /// so setting `ARQ_DETERMINISTIC` drops them from the rows (leaving the

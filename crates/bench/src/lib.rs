@@ -1,8 +1,7 @@
-//! # arq-bench — experiment harness and benchmarks
+//! # arq-bench — experiment harness
 //!
-//! Shared scaffolding for the `experiments` binary (which regenerates
-//! every table and figure of the paper — see `EXPERIMENTS.md`) and the
-//! Criterion microbenchmarks.
+//! Shared scaffolding for the `experiments` binary, which regenerates
+//! every table and figure of the paper — see `EXPERIMENTS.md`.
 //!
 //! The library half provides:
 //!

@@ -53,15 +53,14 @@ fn e3_results_json_is_byte_stable() {
         "results JSON must be byte-identical at any worker count"
     );
 
-    // E3 submits 5 specs, so 20 threads splits into 5 outer workers × 4
-    // threads of intra-run pipelined block mining per spec — the sharded
-    // miner and the speculative premine path must not move a byte either.
+    // E3 submits 5 specs, so 20 threads clamps to 5 workers; the
+    // surplus must not move a byte either.
     std::env::set_var("ARQ_THREADS", "20");
-    let pipelined = regenerate();
+    let surplus = regenerate();
     std::env::remove_var("ARQ_THREADS");
     assert_eq!(
-        serial, pipelined,
-        "results JSON must be byte-identical with intra-run parallelism"
+        serial, surplus,
+        "results JSON must be byte-identical with more threads than specs"
     );
 
     let digest = fnv1a(&serial);

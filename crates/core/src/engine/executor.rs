@@ -20,7 +20,7 @@
 
 use super::registry::{self, RegistryError};
 use super::spec::{RunArtifact, RunOutput, RunSpec};
-use crate::eval::evaluate_pipelined;
+use crate::eval::evaluate_with_obs;
 use arq_gnutella::policy::ForwardingPolicy;
 use arq_gnutella::sim::Network;
 use arq_obs::{Obs, ObsReport};
@@ -75,27 +75,9 @@ pub fn execute(specs: &[RunSpec]) -> Result<Vec<RunArtifact>, RegistryError> {
     execute_with_threads(specs, thread_count())
 }
 
-/// [`execute`] with an explicit worker count.
-///
-/// The budget splits two ways: up to `specs.len()` outer workers pull
-/// whole runs, and any surplus (`threads / outer workers`) becomes
-/// *intra-run* parallelism — each trace evaluation pipelines block
-/// mining over that many threads (see
-/// [`evaluate_pipelined`]). A single spec at `threads = 8` therefore
-/// runs its own mining pipeline 8 wide, while 8 specs at `threads = 8`
-/// run sequentially side by side. Both layers preserve byte-identical
-/// artifacts at any thread count.
-///
-/// Only trace evaluations can spend an intra-run budget — live
-/// simulations run their exact (serial) engine regardless. A
-/// sim-dominated batch therefore degrades to across-spec parallelism
-/// only, instead of reserving surplus workers no run will claim and
-/// oversubscribing the machine against the sims. The chosen split is
-/// computable up front via [`budget_split`]; bench harnesses record it
-/// (as `outer_threads`/`intra_threads` gauges) so reports can attribute
-/// wins. It is deliberately *not* written into run artifacts — those
-/// are byte-identical at any thread count, and a thread-derived field
-/// would break that contract.
+/// [`execute`] with an explicit worker count: `min(threads, specs)`
+/// workers each pull whole runs, so `threads` only ever means "runs
+/// side by side" — nothing inside a run is threaded by it.
 pub fn execute_with_threads(
     specs: &[RunSpec],
     threads: usize,
@@ -103,18 +85,17 @@ pub fn execute_with_threads(
     for spec in specs {
         validate(spec)?;
     }
-    let (outer, intra) = budget_split(specs, threads);
+    let workers = threads.clamp(1, specs.len().max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<RunArtifact>>> = specs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..outer {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= specs.len() {
                     break;
                 }
-                let artifact = run_one_with_threads(i, &specs[i], intra)
-                    .expect("spec was validated before dispatch");
+                let artifact = run_one(i, &specs[i]).expect("spec was validated before dispatch");
                 *slots[i].lock().expect("result slot poisoned") = Some(artifact);
             });
         }
@@ -127,24 +108,6 @@ pub fn execute_with_threads(
                 .expect("worker exited without filling its slot")
         })
         .collect())
-}
-
-/// How [`execute_with_threads`] splits a worker budget over a batch:
-/// `(outer, intra)` — across-spec workers, and per-run intra-run
-/// parallelism for the runs that can spend it. Batches with no trace
-/// evaluation get `intra = 1` (live sims run the exact serial engine),
-/// so a sim-dominated sweep parallelizes across specs only instead of
-/// oversubscribing `outer × intra` workers.
-pub fn budget_split(specs: &[RunSpec], threads: usize) -> (usize, usize) {
-    let threads = threads.max(1);
-    let outer = threads.clamp(1, specs.len().max(1));
-    let has_trace_eval = specs.iter().any(|s| matches!(s, RunSpec::TraceEval { .. }));
-    let intra = if has_trace_eval {
-        (threads / outer).max(1)
-    } else {
-        1
-    };
-    (outer, intra)
 }
 
 /// Checks that a spec's strategy/policy string is constructible, along
@@ -174,20 +137,19 @@ fn env_obs_spec() -> Option<String> {
     }
 }
 
-/// Runs one spec to completion on the current thread (no intra-run
-/// parallelism).
-pub fn run_one(index: usize, spec: &RunSpec) -> Result<RunArtifact, RegistryError> {
-    run_one_with_threads(index, spec, 1)
-}
-
-/// [`run_one`] with `threads` of intra-run block-mining parallelism for
-/// trace evaluations (live simulations are inherently sequential and
-/// ignore the budget). Artifacts are byte-identical at any `threads`.
+/// [`run_one`]; `_threads` is unused. Kept only because `benchmark/`
+/// calls it — the next `benchmark`-archetype PR should call [`run_one`]
+/// so this can go.
 pub fn run_one_with_threads(
     index: usize,
     spec: &RunSpec,
-    threads: usize,
+    _threads: usize,
 ) -> Result<RunArtifact, RegistryError> {
+    run_one(index, spec)
+}
+
+/// Runs one spec to completion on the current thread.
+pub fn run_one(index: usize, spec: &RunSpec) -> Result<RunArtifact, RegistryError> {
     let obs_spec = spec.obs_spec().map(str::to_string).or_else(env_obs_spec);
     let mut obs = match &obs_spec {
         Some(s) => Obs::enabled(registry::make_obs_plan(s)?),
@@ -202,7 +164,7 @@ pub fn run_one_with_threads(
         } => {
             let mut strategy = registry::make_strategy(strategy)?;
             let pairs = trace.materialize();
-            let run = evaluate_pipelined(strategy.as_mut(), &pairs, *block_size, threads, &mut obs);
+            let run = evaluate_with_obs(strategy.as_mut(), &pairs, *block_size, &mut obs);
             (run.strategy.clone(), RunOutput::Trace(run), obs.report())
         }
         RunSpec::LiveSim {
@@ -331,8 +293,7 @@ mod tests {
         let specs = trace_specs();
         let one = execute_with_threads(&specs, 1).unwrap();
         let four = execute_with_threads(&specs, 4).unwrap();
-        // More threads than specs: the surplus becomes intra-run
-        // block-mining parallelism, which must not move a byte either.
+        // More threads than specs: the surplus is simply not spawned.
         let sixteen = execute_with_threads(&specs, 16).unwrap();
         let labels: Vec<&str> = one.iter().map(|a| a.label.as_str()).collect();
         assert_eq!(
@@ -351,11 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn single_spec_pipelines_identically() {
-        let spec = &trace_specs()[3]; // adaptive: premine-capable
-        let serial = run_one_with_threads(0, spec, 1).unwrap();
-        let piped = run_one_with_threads(0, spec, 8).unwrap();
-        assert_eq!(serial.to_json().to_string(), piped.to_json().to_string());
+    fn single_spec_ignores_surplus_threads() {
+        let spec = &trace_specs()[3..];
+        let one = execute_with_threads(spec, 1).unwrap();
+        let eight = execute_with_threads(spec, 8).unwrap();
+        assert_eq!(one[0].to_json().to_string(), eight[0].to_json().to_string());
     }
 
     #[test]
@@ -393,40 +354,6 @@ mod tests {
             execute_with_threads(&specs, 2),
             Err(RegistryError::UnknownStrategy(_))
         ));
-    }
-
-    #[test]
-    fn intra_budget_is_withheld_from_sim_batches() {
-        // A single trace spec with surplus workers spends it intra-run.
-        let mut specs = trace_specs();
-        specs.truncate(1);
-        assert_eq!(budget_split(&specs, 8), (1, 8));
-        assert_eq!(budget_split(&specs, 1), (1, 1));
-        // A sim-only batch degrades to across-spec parallelism: no run
-        // can spend an intra budget, so none is reserved.
-        let mut cfg = SimConfig::default_with(50, 60, 3);
-        cfg.catalog.topics = 5;
-        cfg.catalog.files_per_topic = 40;
-        let sim = RunSpec::LiveSim {
-            cfg,
-            policy: "flood".into(),
-            graph: None,
-            obs: None,
-        };
-        let sims: Vec<RunSpec> = vec![sim.clone(), sim.clone(), sim];
-        assert_eq!(budget_split(&sims, 8), (3, 1));
-        // A mixed batch keeps the trace evals' intra budget.
-        let mut mixed = sims.clone();
-        mixed.push(trace_specs().remove(0));
-        assert_eq!(budget_split(&mixed, 8), (4, 2));
-        // Artifacts of obs-enabled runs carry no thread-derived fields:
-        // the budget split never enters byte-compared reports.
-        if let RunSpec::TraceEval { obs, .. } = &mut specs[0] {
-            *obs = Some("obs".to_string());
-        }
-        let arts = execute_with_threads(&specs, 8).unwrap();
-        let report = arts[0].obs.as_ref().expect("obs was requested");
-        assert_eq!(report.registry.gauge_value("intra_threads"), None);
     }
 
     #[test]

@@ -5,16 +5,13 @@
 //! collects the per-trial coverage/success series plus run summaries.
 //! This is the function behind every row in `EXPERIMENTS.md`'s E1–E6.
 
+use crate::strategy::Strategy;
 pub use crate::strategy::Trial;
-use crate::strategy::{BlockMiner, Strategy};
-use arq_assoc::pairs::RuleSet;
 use arq_obs::{Event, Obs};
 use arq_simkern::time::Duration;
 use arq_simkern::TimeSeries;
 use arq_trace::record::PairRecord;
 use arq_trace::{Blocks, TimeBlocks};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// The results of replaying one strategy over one trace.
 #[derive(Debug, Clone)]
@@ -144,165 +141,6 @@ pub fn evaluate_with_obs<S: Strategy + ?Sized>(
     }
 }
 
-/// One premine slot: a worker parks the rule set it mined for block
-/// `i`; the evaluating thread takes it in block order.
-struct PremineSlot {
-    rules: Mutex<Option<RuleSet>>,
-    ready: Condvar,
-}
-
-/// How far ahead of the evaluator workers may mine. Small enough to
-/// bound live rule-set memory, large enough that workers never starve
-/// while the evaluator finishes a block.
-fn premine_lookahead(threads: usize) -> usize {
-    (threads * 2).max(4)
-}
-
-/// [`evaluate_with_obs`] with intra-run block parallelism.
-///
-/// Strategies whose regeneration input is the block just tested
-/// (Sliding, Lazy, Adaptive — those with a
-/// [`Strategy::block_miner`]) let mining run ahead: worker threads
-/// speculatively mine block *b* while the calling thread is still
-/// evaluating block *b − 1*, and each trial consumes the premined rule
-/// set instead of mining inline. The speculation is exact — the same
-/// miner over the same block — so every trial, series value, obs event,
-/// and therefore every artifact byte is identical to the sequential
-/// path at any `threads` value; only wall-clock time changes.
-///
-/// Falls back to the sequential evaluator when `threads <= 1` or the
-/// strategy cannot premine (streaming maintainers, static rules).
-///
-/// # Panics
-///
-/// Panics if the trace holds fewer than two complete blocks.
-pub fn evaluate_pipelined<S: Strategy + ?Sized>(
-    strategy: &mut S,
-    pairs: &[PairRecord],
-    block_size: usize,
-    threads: usize,
-    obs: &mut Obs,
-) -> EvalRun {
-    if threads <= 1 || strategy.block_miner().is_none() {
-        return evaluate_with_obs(strategy, pairs, block_size, obs);
-    }
-    let blocks = Blocks::new(pairs, block_size);
-    assert!(
-        blocks.len() >= 2,
-        "need at least 2 complete blocks, trace has {}",
-        blocks.len()
-    );
-    let n = blocks.len();
-    // The calling thread evaluates; the rest mine. Each worker gets its
-    // own miner closure (and thus its own scratch tables).
-    let workers = (threads - 1).clamp(1, n);
-    let mut miners: Vec<BlockMiner> = (0..workers)
-        .map(|_| {
-            strategy
-                .block_miner()
-                .expect("block_miner() was Some above and takes &self")
-        })
-        .collect();
-    let slots: Vec<PremineSlot> = (0..n)
-        .map(|_| PremineSlot {
-            rules: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-        .collect();
-    let next = AtomicUsize::new(0);
-    // Blocks the evaluator has consumed so far; workers stay within
-    // `lookahead` of it.
-    let consumed = Mutex::new(0usize);
-    let resume = Condvar::new();
-    let lookahead = premine_lookahead(threads);
-
-    let mut run = None;
-    std::thread::scope(|scope| {
-        for miner in &mut miners {
-            let slots = &slots;
-            let next = &next;
-            let consumed = &consumed;
-            let resume = &resume;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // Backpressure: wait until block i is within the
-                // lookahead window of the evaluator's progress.
-                {
-                    let mut done = consumed.lock().expect("premine progress poisoned");
-                    while i >= *done + lookahead {
-                        done = resume.wait(done).expect("premine progress poisoned");
-                    }
-                }
-                let rules = miner(blocks.get(i));
-                let slot = &slots[i];
-                *slot.rules.lock().expect("premine slot poisoned") = Some(rules);
-                slot.ready.notify_all();
-            });
-        }
-
-        let take = |i: usize| -> RuleSet {
-            let slot = &slots[i];
-            let mut guard = slot.rules.lock().expect("premine slot poisoned");
-            loop {
-                if let Some(rules) = guard.take() {
-                    // Free workers parked on the lookahead bound.
-                    *consumed.lock().expect("premine progress poisoned") = i + 1;
-                    resume.notify_all();
-                    return rules;
-                }
-                guard = slot.ready.wait(guard).expect("premine slot poisoned");
-            }
-        };
-
-        strategy.warm_up_with(blocks.get(0), take(0));
-        let mut coverage = TimeSeries::new("coverage");
-        let mut success = TimeSeries::new("success");
-        let mut rule_counts = Vec::with_capacity(n - 1);
-        let mut regenerations = 0usize;
-        for i in 1..n {
-            let premined = take(i);
-            let block = blocks.get(i);
-            obs.record(|| Event::BlockStart {
-                block: i,
-                pairs: block.len(),
-            });
-            let trial = strategy.test_and_update_with(block, premined);
-            obs.record(|| Event::RuleTally {
-                block: i,
-                total: trial.measures.total,
-                covered: trial.measures.covered,
-                successes: trial.measures.successes,
-            });
-            coverage.push(i as f64, trial.measures.coverage());
-            success.push(i as f64, trial.measures.success());
-            rule_counts.push(trial.rule_count);
-            if trial.regenerated {
-                obs.record(|| Event::ReMine {
-                    block: i,
-                    rules_before: trial.rule_count,
-                    rules_after: trial.rules_after,
-                });
-                regenerations += 1;
-            }
-        }
-        run = Some(EvalRun {
-            strategy: strategy.name(),
-            block_size,
-            trials: n - 1,
-            avg_coverage: coverage.mean(),
-            avg_success: success.mean(),
-            coverage,
-            success,
-            rule_counts,
-            regenerations,
-        });
-    });
-    run.expect("pipelined evaluation completed without producing a run")
-}
-
 /// Replays `pairs` through `strategy` in fixed *time windows* instead of
 /// fixed pair counts — the paper's §III-B.3 framing ("messages seen
 /// within a fixed amount of time"). Window 0 is the warm-up; empty
@@ -410,31 +248,6 @@ mod tests {
         assert!((sliding.avg_success - 8.0 / 9.0).abs() < 1e-9);
         assert_eq!(static_.regenerations, 0);
         assert!(static_.blocks_per_regen().is_none());
-    }
-
-    #[test]
-    fn pipelined_evaluation_is_identical_to_sequential() {
-        use crate::strategy::{AdaptiveSlidingWindow, LazySlidingWindow};
-        let trace = flipping_trace(12, 50);
-        let check = |mk: &dyn Fn() -> Box<dyn Strategy + Send>| {
-            let mut a = mk();
-            let mut b = mk();
-            let seq = evaluate(a.as_mut(), &trace, 50);
-            let piped = evaluate_pipelined(b.as_mut(), &trace, 50, 4, &mut Obs::disabled());
-            assert_eq!(seq.strategy, piped.strategy);
-            assert_eq!(seq.trials, piped.trials);
-            assert_eq!(seq.coverage.ys(), piped.coverage.ys());
-            assert_eq!(seq.success.ys(), piped.success.ys());
-            assert_eq!(seq.rule_counts, piped.rule_counts);
-            assert_eq!(seq.regenerations, piped.regenerations);
-            assert_eq!(seq.avg_coverage, piped.avg_coverage);
-            assert_eq!(seq.avg_success, piped.avg_success);
-        };
-        check(&|| Box::new(SlidingWindow::new(2)));
-        check(&|| Box::new(LazySlidingWindow::new(2, 3)));
-        check(&|| Box::new(AdaptiveSlidingWindow::new(2, 5, 0.7)));
-        // No premine hook: StaticRuleset must fall back, not panic.
-        check(&|| Box::new(StaticRuleset::new(2)));
     }
 
     #[test]

@@ -45,13 +45,13 @@ pub mod threshold;
 pub mod topology;
 
 pub use engine::{RunArtifact, RunSpec, TraceSource};
-pub use eval::{evaluate, evaluate_pipelined, evaluate_timed, evaluate_with_obs, EvalRun, Trial};
+pub use eval::{evaluate, evaluate_timed, evaluate_with_obs, EvalRun, Trial};
 pub use hybrid::HybridPolicy;
 pub use online::{RouteDecision, RuleHandle};
 pub use policy::{AssocPolicy, AssocPolicyConfig};
 pub use strategy::{
-    AdaptiveSlidingWindow, BlockMiner, IncrementalStream, LazySlidingWindow, LossyStream,
-    SlidingWindow, StaticRuleset, Strategy, TopicSlidingWindow,
+    AdaptiveSlidingWindow, IncrementalStream, LazySlidingWindow, LossyStream, SlidingWindow,
+    StaticRuleset, Strategy, TopicSlidingWindow,
 };
 pub use sweep::{SweepJob, SweepPlan};
 pub use threshold::ThresholdCalc;

@@ -152,13 +152,14 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_never_see_torn_state() {
+        use std::sync::atomic::{AtomicBool, AtomicU64};
         let h = RuleHandle::new();
         let reader = h.clone();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let stop = Arc::new(AtomicBool::new(false));
+        let lookups = Arc::new(AtomicU64::new(0));
+        let (stop2, lookups2) = (Arc::clone(&stop), Arc::clone(&lookups));
         let t = std::thread::spawn(move || {
-            let mut decisions = 0u64;
-            while !stop2.load(Ordering::Relaxed) {
+            while !stop2.load(Ordering::SeqCst) {
                 match reader.route(HostId(1), 2) {
                     // Either generation is fine; a torn set would panic
                     // or return an impossible consequent.
@@ -167,15 +168,22 @@ mod tests {
                     }
                     RouteDecision::Flood => {}
                 }
-                decisions += 1;
+                lookups2.fetch_add(1, Ordering::SeqCst);
             }
-            decisions
         });
-        for i in 0..200 {
-            let via = if i % 2 == 0 { 42 } else { 77 };
-            h.publish(mine_pairs(&block(1, via, 10), 5));
+        // No publish until the reader is demonstrably running, then keep
+        // swapping generations under it until it has looked up plenty
+        // (or died on its assertion, which `join` reports).
+        while lookups.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
         }
-        stop.store(true, Ordering::Relaxed);
-        assert!(t.join().unwrap() > 0);
+        let mut generation = 0usize;
+        while !t.is_finished() && (generation < 200 || lookups.load(Ordering::SeqCst) < 1_000) {
+            let via = [42, 77][generation % 2];
+            h.publish(mine_pairs(&block(1, via, 10), 5));
+            generation += 1;
+        }
+        stop.store(true, Ordering::SeqCst);
+        t.join().expect("reader saw a torn rule set");
     }
 }

@@ -17,7 +17,7 @@
 //! about half as many generations as Sliding Window at nearly the same
 //! coverage/success — experiment E5).
 
-use super::{BlockMiner, Strategy, Trial};
+use super::{Strategy, Trial};
 use crate::threshold::ThresholdCalc;
 use arq_assoc::pairs::{PairMiner, RuleSet};
 use arq_assoc::ruleset_test;
@@ -73,22 +73,24 @@ impl AdaptiveSlidingWindow {
     pub fn blocks_per_regen(&self) -> Option<f64> {
         (self.regenerations > 0).then(|| self.trials as f64 / self.regenerations as f64)
     }
+}
 
-    /// The decide/install/learn tail shared by the sequential and
-    /// premined paths. `next` is produced lazily so the sequential path
-    /// only mines when a threshold actually trips.
-    ///
+impl Strategy for AdaptiveSlidingWindow {
+    fn name(&self) -> String {
+        format!("adaptive(s={})", self.min_support)
+    }
+
+    fn warm_up(&mut self, block: &[PairRecord]) {
+        self.rules = self.miner.mine(block, self.min_support);
+    }
+
     /// ρ (Eq. 2) is undefined on a block with zero covered queries
     /// (n = 0): such a block neither trips the success threshold nor
     /// feeds the success history — an absent measurement is not a
     /// ρ = 0 observation, and letting it in would drag the threshold
     /// mean toward zero and stall later regenerations. (The block still
     /// regenerates through the *coverage* test, since α = 0 there.)
-    fn decide_and_learn(
-        &mut self,
-        block: &[PairRecord],
-        next: impl FnOnce(&mut Self) -> RuleSet,
-    ) -> Trial {
+    fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
         self.trials += 1;
         let ct = self.coverage_threshold.value();
         let st = self.success_threshold.value();
@@ -97,7 +99,7 @@ impl AdaptiveSlidingWindow {
         let regenerated =
             measures.coverage() < ct || measures.success_opt().is_some_and(|rho| rho < st);
         if regenerated {
-            self.rules = next(self);
+            self.rules = self.miner.mine(block, self.min_support);
             self.regenerations += 1;
         }
         // Thresholds learn from this trial only after deciding on it.
@@ -111,38 +113,6 @@ impl AdaptiveSlidingWindow {
             rule_count,
             rules_after: self.rules.rule_count(),
         }
-    }
-}
-
-impl Strategy for AdaptiveSlidingWindow {
-    fn name(&self) -> String {
-        format!("adaptive(s={})", self.min_support)
-    }
-
-    fn warm_up(&mut self, block: &[PairRecord]) {
-        self.rules = self.miner.mine(block, self.min_support);
-    }
-
-    fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
-        let support = self.min_support;
-        self.decide_and_learn(block, |s| s.miner.mine(block, support))
-    }
-
-    fn block_miner(&self) -> Option<BlockMiner> {
-        let support = self.min_support;
-        let mut miner = PairMiner::new();
-        Some(Box::new(move |block: &[PairRecord]| {
-            miner.mine(block, support)
-        }))
-    }
-
-    fn warm_up_with(&mut self, _block: &[PairRecord], premined: RuleSet) {
-        self.rules = premined;
-    }
-
-    fn test_and_update_with(&mut self, block: &[PairRecord], premined: RuleSet) -> Trial {
-        // Quiet trials (no threshold trip) drop the speculative set.
-        self.decide_and_learn(block, |_| premined)
     }
 }
 

@@ -7,7 +7,7 @@
 //! decay until the next scheduled regeneration, averaging ≈0.59 for both
 //! coverage and success (experiment E4).
 
-use super::{BlockMiner, Strategy, Trial};
+use super::{Strategy, Trial};
 use arq_assoc::pairs::{PairMiner, RuleSet};
 use arq_assoc::ruleset_test;
 use arq_trace::record::PairRecord;
@@ -41,28 +41,6 @@ impl LazySlidingWindow {
     pub fn regenerations(&self) -> u64 {
         self.regenerations
     }
-
-    /// Measures against `block`, then installs `next` if the period is
-    /// up (discarding it otherwise) — shared by the sequential and
-    /// premined paths. `next` is lazily produced so the sequential path
-    /// only mines on regeneration trials.
-    fn apply(&mut self, block: &[PairRecord], next: impl FnOnce(&mut Self) -> RuleSet) -> Trial {
-        let measures = ruleset_test(&self.rules, block);
-        let rule_count = self.rules.rule_count();
-        self.used_for += 1;
-        let regenerated = self.used_for >= self.period;
-        if regenerated {
-            self.rules = next(self);
-            self.used_for = 0;
-            self.regenerations += 1;
-        }
-        Trial {
-            measures,
-            regenerated,
-            rule_count,
-            rules_after: self.rules.rule_count(),
-        }
-    }
 }
 
 impl Strategy for LazySlidingWindow {
@@ -76,26 +54,21 @@ impl Strategy for LazySlidingWindow {
     }
 
     fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
-        let support = self.min_support;
-        self.apply(block, |s| s.miner.mine(block, support))
-    }
-
-    fn block_miner(&self) -> Option<BlockMiner> {
-        let support = self.min_support;
-        let mut miner = PairMiner::new();
-        Some(Box::new(move |block: &[PairRecord]| {
-            miner.mine(block, support)
-        }))
-    }
-
-    fn warm_up_with(&mut self, _block: &[PairRecord], premined: RuleSet) {
-        self.rules = premined;
-        self.used_for = 0;
-    }
-
-    fn test_and_update_with(&mut self, block: &[PairRecord], premined: RuleSet) -> Trial {
-        // Off-schedule trials simply drop the speculative rule set.
-        self.apply(block, |_| premined)
+        let measures = ruleset_test(&self.rules, block);
+        let rule_count = self.rules.rule_count();
+        self.used_for += 1;
+        let regenerated = self.used_for >= self.period;
+        if regenerated {
+            self.rules = self.miner.mine(block, self.min_support);
+            self.used_for = 0;
+            self.regenerations += 1;
+        }
+        Trial {
+            measures,
+            regenerated,
+            rule_count,
+            rules_after: self.rules.rule_count(),
+        }
     }
 }
 

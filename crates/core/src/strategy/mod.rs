@@ -25,15 +25,7 @@ pub use static_ruleset::StaticRuleset;
 pub use topic::TopicSlidingWindow;
 
 use arq_assoc::measures::BlockMeasures;
-use arq_assoc::pairs::RuleSet;
 use arq_trace::record::PairRecord;
-
-/// A standalone re-miner extracted from a strategy: given a block,
-/// produces exactly the rule set the strategy would regenerate from it.
-/// `FnMut` so the closure can own reusable scratch tables; each caller
-/// (e.g. each pipeline worker) obtains its own via
-/// [`Strategy::block_miner`].
-pub type BlockMiner = Box<dyn FnMut(&[PairRecord]) -> RuleSet + Send>;
 
 /// The outcome of one trial (one test block).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,41 +53,6 @@ pub trait Strategy {
     /// Tests the current rule set against `block`, then applies the
     /// strategy's update policy.
     fn test_and_update(&mut self, block: &[PairRecord]) -> Trial;
-
-    /// A miner that reproduces, from a block alone, the rule set this
-    /// strategy would regenerate from that block — or `None` when the
-    /// update step depends on state beyond the block (streaming
-    /// maintainers) and therefore cannot be precomputed.
-    ///
-    /// Strategies whose regeneration input is always the block just
-    /// tested (Sliding, Lazy, Adaptive) return `Some`, which lets the
-    /// pipelined evaluator mine block *b* on a worker thread while the
-    /// main thread is still evaluating block *b − 1*: the speculative
-    /// result is exact, so hand-off through
-    /// [`test_and_update_with`](Self::test_and_update_with) leaves
-    /// every trial — and the artifact bytes — identical to the
-    /// sequential path.
-    fn block_miner(&self) -> Option<BlockMiner> {
-        None
-    }
-
-    /// [`warm_up`](Self::warm_up) given the rule set a
-    /// [`block_miner`](Self::block_miner) produced for `block`. The
-    /// default ignores the premined set and re-derives everything from
-    /// the block; overriders must behave identically to `warm_up`.
-    fn warm_up_with(&mut self, block: &[PairRecord], premined: RuleSet) {
-        let _ = premined;
-        self.warm_up(block);
-    }
-
-    /// [`test_and_update`](Self::test_and_update) given the premined
-    /// rule set for `block`. Strategies that skip regeneration this
-    /// trial simply discard it. The default falls back to the
-    /// sequential path; overriders must produce an identical [`Trial`].
-    fn test_and_update_with(&mut self, block: &[PairRecord], premined: RuleSet) -> Trial {
-        let _ = premined;
-        self.test_and_update(block)
-    }
 }
 
 #[cfg(test)]

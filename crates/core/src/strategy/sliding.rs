@@ -12,7 +12,7 @@
 //! success just under 0.79 (Figure 1 / experiment E2). Its cost is one
 //! rule-set generation per block, whether needed or not.
 
-use super::{BlockMiner, Strategy, Trial};
+use super::{Strategy, Trial};
 use arq_assoc::pairs::{mine_pairs_with_confidence, PairMiner, RuleSet};
 use arq_assoc::ruleset_test;
 use arq_trace::record::PairRecord;
@@ -69,23 +69,6 @@ impl SlidingWindow {
             self.miner.mine(block, self.min_support)
         }
     }
-
-    /// Installs `next` after measuring the current set against `block`
-    /// — the shared tail of the sequential and premined paths.
-    fn apply(&mut self, block: &[PairRecord], next: RuleSet) -> Trial {
-        let measures = ruleset_test(&self.rules, block);
-        let rule_count = self.rules.rule_count();
-        // Next trial always uses rules mined from this (now previous)
-        // block.
-        self.rules = next;
-        self.regenerations += 1;
-        Trial {
-            measures,
-            regenerated: true,
-            rule_count,
-            rules_after: self.rules.rule_count(),
-        }
-    }
 }
 
 impl Strategy for SlidingWindow {
@@ -102,31 +85,18 @@ impl Strategy for SlidingWindow {
     }
 
     fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
-        let next = self.mine(block);
-        self.apply(block, next)
-    }
-
-    fn block_miner(&self) -> Option<BlockMiner> {
-        let support = self.min_support;
-        let confidence = self.min_confidence;
-        if confidence > 0.0 {
-            Some(Box::new(move |block: &[PairRecord]| {
-                mine_pairs_with_confidence(block, support, confidence)
-            }))
-        } else {
-            let mut miner = PairMiner::new();
-            Some(Box::new(move |block: &[PairRecord]| {
-                miner.mine(block, support)
-            }))
+        let measures = ruleset_test(&self.rules, block);
+        let rule_count = self.rules.rule_count();
+        // Next trial always uses rules mined from this (now previous)
+        // block.
+        self.rules = self.mine(block);
+        self.regenerations += 1;
+        Trial {
+            measures,
+            regenerated: true,
+            rule_count,
+            rules_after: self.rules.rule_count(),
         }
-    }
-
-    fn warm_up_with(&mut self, _block: &[PairRecord], premined: RuleSet) {
-        self.rules = premined;
-    }
-
-    fn test_and_update_with(&mut self, block: &[PairRecord], premined: RuleSet) -> Trial {
-        self.apply(block, premined)
     }
 }
 

@@ -18,7 +18,7 @@ use super::expand::SweepJob;
 use super::plan::SweepPlan;
 use crate::engine::registry::RegistryError;
 use crate::engine::spec::RunArtifact;
-use crate::engine::{budget_split, executor, run_one_with_threads};
+use crate::engine::{executor, run_one};
 use arq_simkern::json::{self, Json};
 use arq_simkern::rng::fnv1a;
 use arq_simkern::{write_atomic_str, Journal, ToJson};
@@ -235,8 +235,8 @@ fn read_completed(
 /// and exactly the journaled jobs are skipped; a missing journal is an
 /// empty one. `spin_ms` sleeps each worker after each job — a test hook
 /// (mirroring `arq serve --spin`) that holds the sweep open long enough
-/// to `kill -9` it mid-run. `threads` is split over the pending jobs
-/// exactly like [`crate::engine::execute_with_threads`] splits it.
+/// to `kill -9` it mid-run. `min(threads, pending jobs)` workers run
+/// jobs side by side, as in [`crate::engine::execute_with_threads`].
 pub fn run_sweep(
     plan: &SweepPlan,
     jobs: &[SweepJob],
@@ -271,14 +271,13 @@ pub fn run_sweep(
         executor::validate(&job.spec)?;
     }
 
-    let pending_specs: Vec<_> = pending.iter().map(|j| j.spec.clone()).collect();
-    let (outer, intra) = budget_split(&pending_specs, threads);
+    let workers = threads.clamp(1, pending.len().max(1));
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let journal = Mutex::new(journal);
     let first_error: Mutex<Option<SweepError>> = Mutex::new(None);
     std::thread::scope(|scope| {
-        for _ in 0..outer {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 if abort.load(Ordering::Relaxed) {
                     break;
@@ -293,7 +292,7 @@ pub fn run_sweep(
                     guard.get_or_insert(e);
                     abort.store(true, Ordering::Relaxed);
                 };
-                match run_one_with_threads(job.index, &job.spec, intra) {
+                match run_one(job.index, &job.spec) {
                     Ok(artifact) => {
                         let record = Json::obj([
                             ("job", Json::from(job.index)),
@@ -511,11 +510,11 @@ mod tests {
     fn content_digest_ignores_job_position() {
         let plan = tiny_plan();
         let jobs = expand(&plan).unwrap();
-        let a = run_one_with_threads(0, &jobs[1].spec, 1).unwrap();
-        let b = run_one_with_threads(5, &jobs[1].spec, 1).unwrap();
+        let a = run_one(0, &jobs[1].spec).unwrap();
+        let b = run_one(5, &jobs[1].spec).unwrap();
         assert_ne!(a.index, b.index);
         assert_eq!(artifact_content_digest(&a), artifact_content_digest(&b));
-        let c = run_one_with_threads(0, &jobs[2].spec, 1).unwrap();
+        let c = run_one(0, &jobs[2].spec).unwrap();
         assert_ne!(artifact_content_digest(&a), artifact_content_digest(&c));
     }
 }

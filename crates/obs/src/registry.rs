@@ -148,22 +148,7 @@ impl ToJson for Registry {
         let histograms = Json::Obj(
             self.histograms
                 .iter()
-                .map(|(n, h)| {
-                    (
-                        n.clone(),
-                        Json::obj([
-                            ("lo", Json::Float(h.lo())),
-                            ("hi", Json::Float(h.hi())),
-                            (
-                                "buckets",
-                                Json::Arr(h.buckets().iter().map(|&c| Json::from(c)).collect()),
-                            ),
-                            ("underflow", Json::from(h.underflow())),
-                            ("overflow", Json::from(h.overflow())),
-                            ("count", Json::from(h.count())),
-                        ]),
-                    )
-                })
+                .map(|(n, h)| (n.clone(), h.to_json()))
                 .collect(),
         );
         Json::obj([

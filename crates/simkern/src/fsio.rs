@@ -1,10 +1,10 @@
 //! Crash-safe file output.
 //!
 //! Every artifact the workspace persists — `results/*.json`,
-//! `BENCH_*.json`, `arq run --out` artifact arrays, CSV traces, serve
-//! checkpoints — goes through [`write_atomic`]: write the full contents
-//! to a temporary file in the destination directory, fsync it, then
-//! rename it over the target. A reader (or a restarted process) can
+//! `arq run --out` artifact arrays, CSV traces, serve checkpoints —
+//! goes through [`write_atomic`]: write the full contents to a
+//! temporary file in the destination directory, fsync it, then rename
+//! it over the target. A reader (or a restarted process) can
 //! therefore never observe a truncated file: it sees either the old
 //! contents or the new ones, even if the writer is SIGKILLed mid-write.
 //!

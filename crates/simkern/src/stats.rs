@@ -7,6 +7,8 @@
 //! exact-quantile summary, and an exponentially weighted moving average
 //! (used by the adaptive strategy's threshold calculators).
 
+use crate::json::{Json, ToJson};
+
 /// Welford's online algorithm for mean and variance.
 ///
 /// Numerically stable for long streams; O(1) per observation.
@@ -168,7 +170,7 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
 
 /// A fixed-range, fixed-bucket histogram for positive measurements
 /// (message counts, hop counts, latencies).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -269,6 +271,79 @@ impl Histogram {
             seen += c;
         }
         Some(self.hi)
+    }
+
+    /// Rebuilds a histogram from its [`ToJson`] snapshot. The snapshot
+    /// may come from a file, so every way it can be inconsistent is an
+    /// error rather than a panic: a missing or mistyped field, a range
+    /// that is not finite with `hi > lo`, no buckets, a count that is
+    /// not a non-negative integer, or `count` ≠ underflow + overflow +
+    /// Σbuckets.
+    pub fn from_json(snapshot: &Json) -> Result<Histogram, String> {
+        let bound = |key: &str| {
+            snapshot
+                .get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("histogram: missing or non-numeric `{key}`"))
+        };
+        let tally = |key: &str, value: Option<&Json>| match value {
+            Some(Json::Int(n)) => {
+                u64::try_from(*n).map_err(|_| format!("histogram: `{key}` {n} is not a count"))
+            }
+            _ => Err(format!("histogram: missing or non-integer `{key}`")),
+        };
+        let (lo, hi) = (bound("lo")?, bound("hi")?);
+        if !(lo.is_finite() && hi.is_finite() && hi > lo) {
+            return Err(format!("histogram: degenerate range [{lo}, {hi})"));
+        }
+        let buckets = snapshot
+            .get("buckets")
+            .and_then(Json::as_array)
+            .ok_or("histogram: missing `buckets` array")?
+            .iter()
+            .map(|b| tally("buckets", Some(b)))
+            .collect::<Result<Vec<u64>, String>>()?;
+        if buckets.is_empty() {
+            return Err("histogram: empty `buckets`".to_string());
+        }
+        let underflow = tally("underflow", snapshot.get("underflow"))?;
+        let overflow = tally("overflow", snapshot.get("overflow"))?;
+        let count = tally("count", snapshot.get("count"))?;
+        let recorded = buckets
+            .iter()
+            .chain([&underflow, &overflow])
+            .try_fold(0u64, |sum, &n| sum.checked_add(n));
+        if recorded != Some(count) {
+            return Err(format!(
+                "histogram: `count` {count} is not underflow + overflow + the bucket counts"
+            ));
+        }
+        Ok(Histogram {
+            lo,
+            hi,
+            buckets,
+            underflow,
+            overflow,
+            count,
+        })
+    }
+}
+
+/// The snapshot persisted in obs registries and read back by
+/// [`Histogram::from_json`].
+impl ToJson for Histogram {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("lo", Json::Float(self.lo)),
+            ("hi", Json::Float(self.hi)),
+            (
+                "buckets",
+                Json::Arr(self.buckets.iter().map(|&c| Json::from(c)).collect()),
+            ),
+            ("underflow", Json::from(self.underflow)),
+            ("overflow", Json::from(self.overflow)),
+            ("count", Json::from(self.count)),
+        ])
     }
 }
 
@@ -413,6 +488,63 @@ mod tests {
         h.record(99.0); // overflow
         assert_eq!(h.quantile(0.0), Some(10.0), "underflow clamps to lo");
         assert_eq!(h.quantile(1.0), Some(20.0), "overflow clamps to hi");
+    }
+
+    #[test]
+    fn histogram_snapshot_round_trips() {
+        let mut saturated = Histogram::new(10.0, 20.0, 5);
+        for x in [-5.0, 3.0, 10.0, 11.5, 11.9, 14.0, 19.99, 20.0, 99.0] {
+            saturated.record(x);
+        }
+        for h in [saturated, Histogram::new(0.0, 1.0, 3)] {
+            // Through text, as `arq report` reads it back from a file.
+            let text = h.to_json().to_string();
+            let back = Histogram::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, h);
+            for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+                assert_eq!(back.quantile(q), h.quantile(q), "q = {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_histogram_snapshots_are_typed_errors() {
+        let parse = |text: &str| Histogram::from_json(&crate::json::parse(text).unwrap());
+        let good = r#"{"lo":0.0,"hi":4.0,"buckets":[1,2],"underflow":1,"overflow":0,"count":4}"#;
+        assert!(parse(good).is_ok());
+        for (bad, why) in [
+            (
+                good.replace(r#""hi":4.0"#, r#""hi":0.0"#),
+                "degenerate range",
+            ),
+            (
+                good.replace(r#""hi":4.0"#, r#""hi":-1.0"#),
+                "degenerate range",
+            ),
+            (good.replace("[1,2]", "[]"), "empty `buckets`"),
+            (good.replace("[1,2]", "[1,2.5]"), "non-integer `buckets`"),
+            (
+                good.replace(r#""count":4"#, r#""count":4.0"#),
+                "non-integer `count`",
+            ),
+            (
+                good.replace(r#""underflow":1"#, r#""underflow":-1"#),
+                "not a count",
+            ),
+            (
+                good.replace(r#""count":4"#, r#""count":5"#),
+                "`count` 5 is not",
+            ),
+            (good.replace(r#""lo":0.0,"#, ""), "non-numeric `lo`"),
+            (
+                good.replace(r#","overflow":0"#, ""),
+                "non-integer `overflow`",
+            ),
+            ("[]".to_string(), "non-numeric `lo`"),
+        ] {
+            let e = parse(&bad).unwrap_err();
+            assert!(e.contains(why), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! The mining hot path only ever reads two of [`PairRecord`]'s six
 //! fields: the interned source host and the interned reply neighbor.
 //! Iterating 48-byte records to fetch 8 bytes wastes five sixths of
-//! every cache line, so the sharded miner consumes a [`PairColumns`]
-//! view instead — the `(src, via)` host-id columns of a block packed
-//! into dense `Vec<HostId>`s. Columns are plain data: building them is
-//! one linear pass, and a view can be reused across re-mines because it
-//! owns its storage (cleared, not reallocated, on refill).
+//! every cache line; a [`PairColumns`] view holds just the `(src, via)`
+//! host-id columns of a block in dense `Vec<HostId>`s. Columns are
+//! plain data: building them is one linear pass, and a view can be
+//! reused across blocks because it owns its storage (cleared, not
+//! reallocated, on refill).
 //!
-//! [`PairColumns::packed`] exposes the `(src << 32) | via` key the
-//! open-addressed count tables in `arq-assoc` hash on; packing two
-//! interned 32-bit ids into one `u64` makes the pair key a single
-//! machine word — no tuple hashing, no field shuffling.
+//! [`pack_pair`] builds the `(src << 32) | via` key the open-addressed
+//! count table in `arq-assoc` hashes on; packing two interned 32-bit
+//! ids into one `u64` makes the pair key a single machine word — no
+//! tuple hashing, no field shuffling.
 
 use crate::record::{HostId, PairRecord};
 
@@ -34,8 +34,8 @@ pub fn unpack_pair(key: u64) -> (HostId, HostId) {
 /// The `(src, via)` columns of one block of pair records.
 ///
 /// Construction copies the two host-id fields out of the record slice;
-/// every later pass over the block (counting, sharding) then touches
-/// only these dense columns.
+/// every later pass over the block then touches only these dense
+/// columns.
 #[derive(Debug, Clone, Default)]
 pub struct PairColumns {
     src: Vec<HostId>,
@@ -94,8 +94,7 @@ impl PairColumns {
         pack_pair(self.src[i], self.via[i])
     }
 
-    /// Iterates over the packed keys of a sub-range of the block —
-    /// the unit of work one counting shard consumes.
+    /// Iterates over the packed keys of a sub-range of the block.
     ///
     /// # Panics
     ///
