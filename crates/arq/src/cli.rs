@@ -138,11 +138,12 @@ COMMANDS:
               schedule, e.g. 'every=50000,budget=8,degree=2' (rewires
               the overlay toward learned rules, retiring shortcuts on
               rule decay or endpoint crash)
-              --faults injects deterministic failures, e.g. 'loss=0.05'
-              or 'faults(loss=0.05,crash=0.01,silent=0.02)'; --retry adds
-              the bounded-retry lifecycle, e.g. 'deadline=2000,attempts=3';
-              --links models byte-accurate per-node bandwidth with bounded
-              buffers, e.g. 'up=8,down=32,upbuf=2048,downbuf=8192' or
+              --faults injects node faults, e.g. 'crash=0.01,silent=0.02'
+              (its loss=/jitter= are sugar for the same --links keys);
+              --retry adds the bounded-retry lifecycle, e.g.
+              'deadline=2000,attempts=3'; --links is the one per-message
+              impairment: loss, jitter and byte-accurate per-node
+              bandwidth with bounded buffers, e.g. 'loss=0.05' or
               'links(up=8,down=32,upbuf=2048,downbuf=8192,loss=0.02,
               jitter=20,riders=0.2,riderup=2)'
   run         execute instrumented engine runs and stream their traces
@@ -419,33 +420,34 @@ fn wrap_spec(name: &str, spec: &str) -> String {
     }
 }
 
-fn simulate(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["sharded"])?;
+/// The live-simulation config `simulate` and `run --policy` share:
+/// `--nodes`/`--queries` plus the four plan flags, each a registry spec
+/// (bare `k=v` lists wrap into `name(...)`).
+fn live_cfg(flags: &Flags, seed: u64) -> Result<SimConfig, CliError> {
     let nodes: usize = flags.parse_num("nodes", 400)?;
     let queries: usize = flags.parse_num("queries", 2_000)?;
-    let seed: u64 = flags.parse_num("seed", 1)?;
-    let policy = flags.get("policy").unwrap_or("flood");
     let mut cfg = SimConfig::default_with(nodes, queries, seed);
+    let bad = |e: engine::RegistryError| err(e.to_string());
     if let Some(spec) = flags.get("faults") {
-        cfg.faults = Some(
-            engine::make_fault_plan(&wrap_spec("faults", spec)).map_err(|e| err(e.to_string()))?,
-        );
+        cfg.faults = Some(engine::make_fault_plan(&wrap_spec("faults", spec)).map_err(bad)?);
     }
     if let Some(spec) = flags.get("retry") {
-        cfg.retry = Some(
-            engine::make_retry_policy(&wrap_spec("retry", spec)).map_err(|e| err(e.to_string()))?,
-        );
+        cfg.retry = Some(engine::make_retry_policy(&wrap_spec("retry", spec)).map_err(bad)?);
     }
     if let Some(spec) = flags.get("links") {
-        cfg.links = Some(
-            engine::make_link_plan(&wrap_spec("links", spec)).map_err(|e| err(e.to_string()))?,
-        );
+        cfg.links = Some(engine::make_link_plan(&wrap_spec("links", spec)).map_err(bad)?);
     }
     if let Some(spec) = flags.get("adapt") {
-        cfg.adapt = Some(
-            engine::make_adapt_plan(&wrap_spec("adapt", spec)).map_err(|e| err(e.to_string()))?,
-        );
+        cfg.adapt = Some(engine::make_adapt_plan(&wrap_spec("adapt", spec)).map_err(bad)?);
     }
+    Ok(cfg)
+}
+
+fn simulate(args: &[String]) -> Result<String, CliError> {
+    let flags = Flags::parse(args, &["sharded"])?;
+    let seed: u64 = flags.parse_num("seed", 1)?;
+    let policy = flags.get("policy").unwrap_or("flood");
+    let cfg = live_cfg(&flags, seed)?;
     let linked = cfg.links.is_some();
     let faulted = cfg.faults.is_some() || cfg.retry.is_some() || linked;
     let (metrics, stats, _, _) = if flags.has("sharded") {
@@ -537,33 +539,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             }
         }
     } else if let Some(policy) = flags.get("policy") {
-        let nodes: usize = flags.parse_num("nodes", 400)?;
-        let queries: usize = flags.parse_num("queries", 2_000)?;
-        let mut cfg = SimConfig::default_with(nodes, queries, seed);
-        if let Some(spec) = flags.get("faults") {
-            cfg.faults = Some(
-                engine::make_fault_plan(&wrap_spec("faults", spec))
-                    .map_err(|e| err(e.to_string()))?,
-            );
-        }
-        if let Some(spec) = flags.get("retry") {
-            cfg.retry = Some(
-                engine::make_retry_policy(&wrap_spec("retry", spec))
-                    .map_err(|e| err(e.to_string()))?,
-            );
-        }
-        if let Some(spec) = flags.get("links") {
-            cfg.links = Some(
-                engine::make_link_plan(&wrap_spec("links", spec))
-                    .map_err(|e| err(e.to_string()))?,
-            );
-        }
-        if let Some(spec) = flags.get("adapt") {
-            cfg.adapt = Some(
-                engine::make_adapt_plan(&wrap_spec("adapt", spec))
-                    .map_err(|e| err(e.to_string()))?,
-            );
-        }
+        let cfg = live_cfg(&flags, seed)?;
         vec![RunSpec::LiveSim {
             cfg,
             policy: policy.to_string(),

@@ -879,6 +879,13 @@ mod tests {
         }
         // Omitting the key entirely still means "unconstrained".
         assert_eq!(make_link_plan("links(loss=0.1)").unwrap().up, 0.0);
+        // A positive rate below the 0.001 B/tick resolution would round
+        // to "unconstrained" too; it is rejected by field name.
+        let e = make_link_plan("links(up=0.0004,upbuf=100)")
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("`up`") && e.contains("0.001"), "{e}");
+        assert!(make_link_plan("links(up=0.001,upbuf=100)").is_ok());
     }
 
     #[test]

@@ -1,21 +1,27 @@
-//! Deterministic fault injection for the live simulator.
+//! Deterministic node-level fault injection for the live simulator.
 //!
 //! The paper's premise is that rule sets age as the network changes, but
 //! clean session churn is only one aging force. Real overlays also lose
-//! messages in flight, jitter on congested links, lose peers permanently
-//! (crash without rejoin), and carry free-riders that accept traffic
-//! without relaying it. [`FaultPlan`] describes those four failure modes
-//! declaratively; [`FaultState`] is the seeded runtime the simulator
-//! consults on every delivery.
+//! peers permanently (crash without rejoin) and carry free-riders that
+//! accept traffic without relaying it. [`FaultPlan`] describes those two
+//! failure modes declaratively; [`FaultState`] is their seeded
+//! materialization — a silent set and a crash schedule, both drawn up
+//! front — which the simulator consults on every delivery.
+//!
+//! What happens to a *message* in flight is not decided here. The
+//! plan's `loss` and `jitter` are spec sugar for the link plan's:
+//! `Network::build` lowers them into the one per-message impairment
+//! process, [`crate::net::LinkState`], and this module never sees them
+//! again.
 //!
 //! Determinism: all fault randomness flows from one labelled
 //! [`arq_simkern::StreamFactory`] stream (`"faults"`), independent of the
-//! simulator's other streams. A plan with every rate at zero therefore
-//! draws nothing and perturbs nothing — a zero plan is byte-identical to
-//! no plan at all, which the property suite asserts.
+//! simulator's other streams, and is spent before the run starts. A plan
+//! with every rate at zero draws nothing and perturbs nothing — a zero
+//! plan is byte-identical to no plan at all, which the simulator's
+//! seeded-loop tests assert.
 
 use arq_overlay::NodeId;
-use arq_simkern::time::Duration;
 use arq_simkern::{Rng64, SimTime};
 
 /// Declarative description of the faults injected into one run.
@@ -28,10 +34,13 @@ use arq_simkern::{Rng64, SimTime};
 pub struct FaultPlan {
     /// Per-link message loss probability: each transmission (query or
     /// hit, per hop) is independently dropped with this probability.
+    /// Sugar for [`crate::net::LinkPlan::loss`]; the two compose as
+    /// `1 − (1−a)(1−b)`.
     pub loss: f64,
     /// Extra per-hop latency jitter: each delivery is delayed by a
     /// uniform draw from `[0, jitter)` ticks on top of the configured hop
-    /// latency. Zero disables.
+    /// latency. Zero disables. Sugar for
+    /// [`crate::net::LinkPlan::jitter`]; the two add.
     pub jitter: u64,
     /// Fraction of nodes that crash permanently (depart without ever
     /// rejoining) at a uniformly random instant inside the run horizon.
@@ -109,15 +118,12 @@ impl FaultPlan {
     }
 }
 
-/// Seeded runtime state of one run's fault injection, plus the failure
-/// counters that feed [`crate::metrics::RunMetrics`].
+/// One run's node-level faults, drawn up front from the plan: who is
+/// silent and who crashes when.
 #[derive(Debug)]
 pub struct FaultState {
-    plan: FaultPlan,
     silent: Vec<bool>,
     crashes: Vec<(SimTime, NodeId)>,
-    rng: Rng64,
-    lost: u64,
 }
 
 impl FaultState {
@@ -126,7 +132,8 @@ impl FaultState {
     /// Crash instants are drawn uniformly over `[0, horizon)`; `exempt`
     /// nodes (e.g. a trace collector that must stay online) neither crash
     /// nor fall silent. All draws come from `rng`, and zero-rate modes
-    /// draw nothing at all.
+    /// draw nothing at all. The plan's `loss` and `jitter` are not read
+    /// here.
     pub fn new(
         plan: FaultPlan,
         n: usize,
@@ -156,18 +163,7 @@ impl FaultState {
             // them in one deterministic pass.
             crashes.sort_by_key(|&(at, node)| (at, node.0));
         }
-        FaultState {
-            plan,
-            silent,
-            crashes,
-            rng,
-            lost: 0,
-        }
-    }
-
-    /// The plan this state was built from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+        FaultState { silent, crashes }
     }
 
     /// Whether `node` is a silent free-rider.
@@ -183,35 +179,6 @@ impl FaultState {
     /// The crash schedule, time-ordered.
     pub fn crash_schedule(&self) -> &[(SimTime, NodeId)] {
         &self.crashes
-    }
-
-    /// Rolls per-link loss for one transmission; returns `true` (and
-    /// counts it) when the message is dropped in flight.
-    ///
-    /// This is the degenerate (zero-bandwidth) corner of the link
-    /// layer's loss process: both delegate to [`crate::net::loss_roll`]
-    /// so the two models stay draw-for-draw compatible. When a
-    /// [`crate::net::LinkPlan`] is active the simulator folds this loss
-    /// into the link and stops consulting the fault layer per message.
-    pub fn drops_message(&mut self) -> bool {
-        if crate::net::loss_roll(&mut self.rng, self.plan.loss) {
-            self.lost += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Extra delivery delay for one transmission — the unbuffered
-    /// corner of the link layer's jitter (see
-    /// [`crate::net::jitter_draw`]).
-    pub fn jitter(&mut self) -> Duration {
-        Duration::from_ticks(crate::net::jitter_draw(&mut self.rng, self.plan.jitter))
-    }
-
-    /// Messages dropped so far.
-    pub fn lost(&self) -> u64 {
-        self.lost
     }
 }
 
@@ -237,26 +204,24 @@ mod tests {
 
     #[test]
     fn zero_plan_draws_nothing() {
-        let rng = Rng64::seed_from(7);
-        let mut state = FaultState::new(
-            FaultPlan::default(),
-            50,
-            SimTime::from_ticks(1_000),
-            &[],
-            rng,
-        );
-        assert_eq!(state.silent_count(), 0);
-        assert!(state.crash_schedule().is_empty());
-        for _ in 0..100 {
-            assert!(!state.drops_message());
-            assert_eq!(state.jitter(), Duration::ZERO);
+        // Message-level sugar is not a node-level fault: a plan with only
+        // `loss`/`jitter` materializes to the same empty state as none.
+        let sugar = FaultPlan {
+            loss: 0.5,
+            jitter: 40,
+            ..Default::default()
+        };
+        for plan in [FaultPlan::default(), sugar] {
+            let state = FaultState::new(
+                plan,
+                50,
+                SimTime::from_ticks(1_000),
+                &[],
+                Rng64::seed_from(7),
+            );
+            assert_eq!(state.silent_count(), 0);
+            assert!(state.crash_schedule().is_empty());
         }
-        assert_eq!(state.lost(), 0);
-        // The stream was never advanced: a fresh clone produces the same
-        // next value as an untouched one.
-        let mut a = state.rng;
-        let mut b = Rng64::seed_from(7);
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -296,23 +261,6 @@ mod tests {
         assert!(!state.is_silent(NodeId(0)), "exempt node fell silent");
         let frac = state.silent_count() as f64 / 1_000.0;
         assert!((frac - 0.3).abs() < 0.08, "silent fraction {frac}");
-    }
-
-    #[test]
-    fn loss_counter_tracks_drops() {
-        let plan = FaultPlan {
-            loss: 0.5,
-            ..Default::default()
-        };
-        let mut state = FaultState::new(plan, 10, SimTime::from_ticks(1), &[], Rng64::seed_from(3));
-        let mut dropped = 0u64;
-        for _ in 0..1_000 {
-            if state.drops_message() {
-                dropped += 1;
-            }
-        }
-        assert_eq!(state.lost(), dropped);
-        assert!((400..600).contains(&dropped), "dropped {dropped}");
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! [`collector::Collector`]), producing `arq-trace` records that feed the
 //! offline mining pipeline.
 //!
-//! The [`faults`] module layers deterministic fault injection over the
-//! simulator — per-link loss, latency jitter, crash-without-rejoin nodes,
-//! and silent free-riders — and [`sim::RetryPolicy`] gives queries a
-//! deadline/retry lifecycle so robustness under those faults is
-//! measurable per policy. The [`net`] module generalizes the fault layer
-//! into a byte-accurate link model: per-node asymmetric bandwidth,
-//! bounded byte buffers with congestive drops, and per-link loss/jitter
-//! that subsumes the `FaultPlan` loss/jitter knobs.
+//! The [`faults`] module layers deterministic node-level faults over the
+//! simulator — crash-without-rejoin nodes and silent free-riders — and
+//! [`sim::RetryPolicy`] gives queries a deadline/retry lifecycle so
+//! robustness under those faults is measurable per policy. The [`net`]
+//! module is the one process that loses or delays a message: a
+//! byte-accurate link model with per-node asymmetric bandwidth, bounded
+//! byte buffers with congestive drops, and per-link loss/jitter (the
+//! `FaultPlan` loss/jitter knobs are sugar for the link plan's).
 
 #![warn(missing_docs)]
 

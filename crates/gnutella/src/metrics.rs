@@ -69,7 +69,7 @@ pub struct RunMetrics {
     pub expired: u64,
     /// Suppressed duplicate hit deliveries.
     pub duplicate_hits: u64,
-    /// Messages dropped in flight by the fault layer.
+    /// Messages dropped in flight by the link layer's seeded loss process.
     pub lost_messages: u64,
     /// Messages dropped by a full link-layer byte buffer. Disjoint from
     /// `lost_messages` by construction: a message meets at most one of

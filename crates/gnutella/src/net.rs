@@ -26,39 +26,19 @@
 //!
 //! ## Relationship to [`crate::faults::FaultPlan`]
 //!
-//! The fault plan's per-message loss and latency jitter are the
-//! degenerate (zero-bandwidth, unbuffered) corner of this model; see
-//! [`loss_roll`] and [`jitter_draw`], which both layers share. When a
-//! link plan is active the simulator folds the fault plan's loss and
-//! jitter into the link (loss composes as `1 − (1−a)(1−b)`, jitter
-//! adds) so a message is rolled exactly once; crash and silent
-//! free-rider behavior stay with [`crate::faults::FaultState`]. A
-//! zero-valued [`LinkPlan`] is a no-op: the simulator constructs no
-//! [`LinkState`] and draws no RNG, so the run is byte-identical to one
-//! with no plan at all.
+//! [`LinkState`] is the only process that loses or delays a message.
+//! The fault plan's `loss` and `jitter` are spec sugar for this plan's:
+//! `Network::build` passes them to [`LinkState::new`], where loss
+//! composes as `1 − (1−a)(1−b)` and jitter adds, so a message is rolled
+//! exactly once, at send, on the `"links"` stream — whichever spec
+//! asked for it. Crash and silent free-rider behavior are node-level
+//! and stay with [`crate::faults::FaultState`]. When neither plan
+//! impairs anything the simulator constructs no [`LinkState`] and draws
+//! no RNG, so the run is byte-identical to one with no plan at all.
 
 use arq_content::FileId;
 use arq_overlay::NodeId;
 use arq_simkern::Rng64;
-
-/// Shared primitive: Bernoulli loss roll. Draws from `rng` only when
-/// `p > 0`, so a zero-loss plan consumes no randomness.
-#[inline]
-pub fn loss_roll(rng: &mut Rng64, p: f64) -> bool {
-    p > 0.0 && rng.chance(p)
-}
-
-/// Shared primitive: uniform jitter draw in `[0, max)` ticks. Draws
-/// from `rng` only when `max > 0`, so a zero-jitter plan consumes no
-/// randomness.
-#[inline]
-pub fn jitter_draw(rng: &mut Rng64, max: u64) -> u64 {
-    if max == 0 {
-        0
-    } else {
-        rng.below(max)
-    }
-}
 
 /// Declarative link-layer configuration (the `links(...)` spec).
 ///
@@ -114,7 +94,8 @@ pub enum LinkPlanError {
         /// The offending value.
         value: f64,
     },
-    /// A bandwidth field was negative or not finite.
+    /// A bandwidth field was negative, not finite, or positive but
+    /// below the 0.001 bytes/tick resolution rates are kept to.
     BadBandwidth {
         /// Which field.
         field: &'static str,
@@ -139,7 +120,8 @@ impl std::fmt::Display for LinkPlanError {
             LinkPlanError::BadBandwidth { field, value } => {
                 write!(
                     f,
-                    "link bandwidth `{field}` must be finite and non-negative, got {value}"
+                    "link bandwidth `{field}` must be finite and either 0 (unconstrained) or \
+                     large enough not to round to 0 at the 0.001 bytes/tick resolution, got {value}"
                 )
             }
             LinkPlanError::BufferWithoutBandwidth { field } => {
@@ -170,7 +152,9 @@ impl LinkPlan {
             ("down", self.down),
             ("riderup", self.rider_up),
         ] {
-            if !value.is_finite() || value < 0.0 {
+            // A positive rate that rounds to 0 milli-bytes/tick would
+            // read as "unconstrained" everywhere below.
+            if !value.is_finite() || value < 0.0 || (value > 0.0 && milli(value) == 0) {
                 return Err(LinkPlanError::BadBandwidth { field, value });
             }
         }
@@ -285,8 +269,8 @@ pub struct LinkState {
 
 impl LinkState {
     /// Builds link state for `nodes` nodes. `extra_loss`/`extra_jitter`
-    /// fold a coexisting [`crate::faults::FaultPlan`]'s loss and jitter
-    /// into the link so each message is rolled exactly once.
+    /// are a coexisting [`crate::faults::FaultPlan`]'s loss and jitter,
+    /// lowered into the link so each message is rolled exactly once.
     /// `query_sizes`/`hit_sizes` are per-file wire sizes derived from
     /// the content model; `exempt` nodes (the trace collector) are
     /// never assigned the free-rider profile. `rng` must be a dedicated
@@ -304,7 +288,7 @@ impl LinkState {
     ) -> Self {
         plan.validate().expect("invalid link plan");
         let loss = 1.0 - (1.0 - plan.loss) * (1.0 - extra_loss);
-        let jitter = plan.jitter + extra_jitter;
+        let jitter = plan.jitter.saturating_add(extra_jitter);
         let rider = if plan.riders > 0.0 {
             (0..nodes)
                 .map(|i| !exempt.contains(&NodeId(i as u32)) && rng.chance(plan.riders))
@@ -382,7 +366,8 @@ impl LinkState {
     /// with `prop` ticks of caller-drawn propagation latency. Advances
     /// channel clocks, rolls loss/jitter, checks both buffers, and
     /// returns the outcome. All RNG draws happen here, in a fixed
-    /// order, on the dedicated link stream.
+    /// order, on the dedicated link stream — and only for a non-zero
+    /// rate, so a zero loss or jitter consumes no randomness.
     pub fn transmit(
         &mut self,
         now: u64,
@@ -408,14 +393,16 @@ impl LinkState {
         }
         self.up_bytes[from.index()] += bytes;
         self.send_done = self.send_done.max(tx_done);
-        if loss_roll(&mut self.rng, self.loss) {
+        if self.loss > 0.0 && self.rng.chance(self.loss) {
             self.lost += 1;
             self.bytes_lost += bytes;
             return Transmission::Lost;
         }
-        let arrival = tx_done
-            .saturating_add(prop)
-            .saturating_add(jitter_draw(&mut self.rng, self.jitter));
+        let jitter = match self.jitter {
+            0 => 0,
+            max => self.rng.below(max),
+        };
+        let arrival = tx_done.saturating_add(prop).saturating_add(jitter);
         if self.down_buf > 0
             && self.down_mbpt > 0
             && queued_bytes(self.down_free[to.index()], arrival, self.down_mbpt) + bytes
@@ -490,7 +477,7 @@ impl LinkState {
     /// the windowed sharded engine rejects such plans; the exact engine
     /// does not need a bound).
     pub fn max_delay(&self, prop_hi: u64) -> Option<u64> {
-        let mut total = prop_hi + self.jitter;
+        let mut total = prop_hi.saturating_add(self.jitter);
         let up_slow = match (self.up_mbpt, self.rider.is_empty()) {
             (0, true) => 0,
             (0, false) => self.rider_mbpt,
@@ -501,15 +488,15 @@ impl LinkState {
             if self.up_buf == 0 {
                 return None;
             }
-            total += tx_ticks(self.up_buf + self.max_msg, up_slow);
+            total = total.saturating_add(tx_ticks(self.up_buf + self.max_msg, up_slow));
         }
         if self.down_mbpt > 0 {
             if self.down_buf == 0 {
                 return None;
             }
-            total += tx_ticks(self.down_buf + self.max_msg, self.down_mbpt);
+            total = total.saturating_add(tx_ticks(self.down_buf + self.max_msg, self.down_mbpt));
         }
-        Some(total + 1)
+        Some(total.saturating_add(1))
     }
 }
 
@@ -560,6 +547,16 @@ mod tests {
             }
             .validate(),
             Err(LinkPlanError::BadBandwidth { field: "up", .. })
+        ));
+        // Positive but below the 0.001 B/tick resolution: would round
+        // to "unconstrained".
+        assert!(matches!(
+            LinkPlan {
+                down: 0.0004,
+                ..Default::default()
+            }
+            .validate(),
+            Err(LinkPlanError::BadBandwidth { field: "down", .. })
         ));
         assert!(matches!(
             LinkPlan {
@@ -642,6 +639,9 @@ mod tests {
         let (sent, del, lost, buffered) = s.byte_ledger();
         assert_eq!(sent, del + lost + buffered);
         assert_eq!(sent, 200 * 45);
+        // The loss counter tracks the drops, and at 30% it saw plenty.
+        assert_eq!(lost, s.lost() * 45);
+        assert!((30..90).contains(&s.lost()), "lost {}", s.lost());
     }
 
     #[test]
@@ -659,6 +659,19 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(state(&latency_only).max_delay(50), Some(59));
+        // Jitter from both plans saturates instead of overflowing.
+        let (q, h) = sizes();
+        let s = LinkState::new(
+            &latency_only,
+            4,
+            0.0,
+            u64::MAX,
+            q,
+            h,
+            &[],
+            Rng64::seed_from(7),
+        );
+        assert_eq!(s.max_delay(50), Some(u64::MAX));
     }
 
     #[test]

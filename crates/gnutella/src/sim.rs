@@ -224,19 +224,17 @@ pub struct SimConfig {
     /// Expanding-ring schedule; `None` means single-shot queries.
     /// Mutually exclusive with `retry`.
     pub ring: Option<RingSchedule>,
-    /// Probability that any transmitted message is silently lost in
-    /// flight (UDP-style failure injection; 0.0 disables).
-    pub loss_rate: f64,
-    /// Fault-injection plan (loss, jitter, crashes, silent free-riders);
-    /// `None` — or a plan with every rate zero — injects nothing.
+    /// Fault-injection plan (crashes, silent free-riders, and `loss` /
+    /// `jitter` as sugar for the link plan's); `None` — or a plan with
+    /// every rate zero — injects nothing.
     pub faults: Option<FaultPlan>,
     /// Per-query deadline/retry lifecycle; `None` means queries are
     /// fire-and-forget. Mutually exclusive with `ring`.
     pub retry: Option<RetryPolicy>,
     /// Byte-accurate link layer (bandwidth, bounded buffers, loss,
-    /// jitter); `None` — or an all-zero plan — models infinite-capacity
-    /// links and is byte-identical to the pre-link simulator. When
-    /// active it subsumes the fault plan's loss and jitter.
+    /// jitter) — the only process that loses or delays a message;
+    /// `None` — or an all-zero plan — models infinite-capacity links
+    /// and is byte-identical to the pre-link simulator.
     pub links: Option<LinkPlan>,
     /// Age limit for seen-GUID table entries; `None` keeps entries until
     /// LRU capacity eviction.
@@ -272,7 +270,6 @@ impl SimConfig {
             catalog: CatalogConfig::default(),
             workload: WorkloadConfig::default(),
             ring: None,
-            loss_rate: 0.0,
             faults: None,
             retry: None,
             links: None,
@@ -334,7 +331,8 @@ pub struct SimResult {
     /// attached via [`Network::with_obs`]. `None` otherwise.
     pub obs: Option<ObsReport>,
     /// Link-layer byte ledger `(sent, delivered, lost, buffer_dropped)`
-    /// when a link plan was active. A drained run conserves bytes:
+    /// of any run that impaired messages — through a link plan or a
+    /// fault plan's `loss`/`jitter`. A drained run conserves bytes:
     /// `sent == delivered + lost + buffer_dropped`.
     pub link_bytes: Option<(u64, u64, u64, u64)>,
 }
@@ -483,10 +481,6 @@ impl<P: ForwardingPolicy> Network<P> {
         assert!(cfg.queries > 0, "no queries to run");
         assert!(cfg.hop_latency.1 > cfg.hop_latency.0, "empty latency range");
         assert!(
-            (0.0..1.0).contains(&cfg.loss_rate),
-            "loss rate must be in [0, 1)"
-        );
-        assert!(
             cfg.ring.is_none() || cfg.retry.is_none(),
             "ring and retry schedules are mutually exclusive"
         );
@@ -569,9 +563,10 @@ impl<P: ForwardingPolicy> Network<P> {
             queue.schedule(t, Event::Issue { qidx });
         }
 
-        // The fault layer draws from its own stream, so a zero-rate plan
-        // (or no plan) leaves every other stream untouched. Crash times
-        // span the issue horizon — the last scheduled query.
+        // Node-level faults are drawn up front from their own stream, so
+        // a zero-rate plan (or no plan) leaves every other stream
+        // untouched. Crash times span the issue horizon — the last
+        // scheduled query.
         let faults = cfg.faults.clone().map(|plan| {
             let exempt: Vec<NodeId> = cfg.collector.into_iter().collect();
             FaultState::new(plan, cfg.nodes, t, &exempt, streams.stream("faults"))
@@ -582,36 +577,35 @@ impl<P: ForwardingPolicy> Network<P> {
             }
         }
 
-        // The link layer only exists for non-noop plans and draws from
-        // its own labelled stream, so a zero-capacity plan (or none)
-        // leaves the run byte-identical to the pre-link simulator. An
-        // active link layer subsumes the fault plan's per-message loss
-        // and jitter: they are folded in here and the per-delivery
-        // fault rolls are skipped for the rest of the run.
-        let links = match &cfg.links {
-            Some(plan) if !plan.is_noop() => {
-                let exempt: Vec<NodeId> = cfg.collector.into_iter().collect();
-                let (extra_loss, extra_jitter) =
-                    cfg.faults.as_ref().map_or((0.0, 0), |f| (f.loss, f.jitter));
-                let query_sizes: Vec<u32> = (0..catalog.len())
-                    .map(|i| QueryMsg::wire_size_for(catalog.query_len(FileId(i as u32))) as u32)
-                    .collect();
-                let hit_sizes: Vec<u32> = (0..catalog.len())
-                    .map(|i| HitMsg::wire_size_for(catalog.query_len(FileId(i as u32))) as u32)
-                    .collect();
-                Some(LinkState::new(
-                    plan,
-                    cfg.nodes,
-                    extra_loss,
-                    extra_jitter,
-                    query_sizes,
-                    hit_sizes,
-                    &exempt,
-                    streams.stream("links"),
-                ))
-            }
-            _ => None,
-        };
+        // The link layer is the only process that loses or delays a
+        // message. The fault plan's `loss`/`jitter` are sugar for the
+        // link plan's and are lowered into it here, so a message is
+        // rolled once, at send, on the `"links"` stream whichever spec
+        // asked for it. Nothing is built when nothing is impaired: a
+        // zero plan (or none) leaves the run byte-identical to the
+        // pre-link simulator.
+        let plan = cfg.links.unwrap_or_default();
+        let (extra_loss, extra_jitter) =
+            cfg.faults.as_ref().map_or((0.0, 0), |f| (f.loss, f.jitter));
+        let links = (!plan.is_noop() || extra_loss > 0.0 || extra_jitter > 0).then(|| {
+            let exempt: Vec<NodeId> = cfg.collector.into_iter().collect();
+            let query_sizes: Vec<u32> = (0..catalog.len())
+                .map(|i| QueryMsg::wire_size_for(catalog.query_len(FileId(i as u32))) as u32)
+                .collect();
+            let hit_sizes: Vec<u32> = (0..catalog.len())
+                .map(|i| HitMsg::wire_size_for(catalog.query_len(FileId(i as u32))) as u32)
+                .collect();
+            LinkState::new(
+                &plan,
+                cfg.nodes,
+                extra_loss,
+                extra_jitter,
+                query_sizes,
+                hit_sizes,
+                &exempt,
+                streams.stream("links"),
+            )
+        });
 
         policy.init(&graph, &workload, &catalog);
 
@@ -832,6 +826,19 @@ impl<P: ForwardingPolicy> Network<P> {
         assert_eq!(self.live_holders.0, rebuilt.0, "live-holder counts drifted");
     }
 
+    /// Picks a live issuer uniformly: the k-th live node in id order,
+    /// one `issue`-stream draw. With everyone down, node 0 skips its
+    /// turn (recorded as an unanswerable, zero-message query).
+    fn pick_issuer(&mut self) -> NodeId {
+        match self.graph.live_count() {
+            0 => NodeId(0),
+            live => self
+                .graph
+                .select_live(self.issue_rng.index(live))
+                .expect("draw is below the live count"),
+        }
+    }
+
     /// Draws `node`'s next query and opens its record, deciding
     /// answerability — does any *other* live node hold the file — from
     /// the live-holder count.
@@ -954,52 +961,39 @@ impl<P: ForwardingPolicy> Network<P> {
             let outcome = &mut self.queries[qidx].outcome;
             outcome.query_messages += 1;
             outcome.bytes += bytes;
-            let prop = self.hop_latency();
-            if self.links.is_some() {
-                self.transmit(now, node, target, bytes, prop, DropKind::Query, || {
-                    Event::Query {
-                        to: target,
-                        from: node,
-                        msg: next,
-                        qidx,
-                    }
-                });
-            } else {
-                let mut at = now.saturating_add(prop);
-                if let Some(f) = self.faults.as_mut() {
-                    at = at.saturating_add(f.jitter());
-                }
-                self.queue.schedule(
-                    at,
-                    Event::Query {
-                        to: target,
-                        from: node,
-                        msg: next,
-                        qidx,
-                    },
-                );
-            }
+            let event = Event::Query {
+                to: target,
+                from: node,
+                msg: next,
+                qidx,
+            };
+            self.send(now, node, target, bytes, DropKind::Query, event);
         }
         self.selected_scratch = selected;
     }
 
-    /// Offers one message to the active link layer and schedules its
-    /// delivery (or records the loss / buffer drop).
-    #[allow(clippy::too_many_arguments)]
-    fn transmit(
+    /// The one place a message leaves a node: draws the hop latency,
+    /// then either offers the message to the link layer — which may
+    /// lose it, drop it at a full buffer, or delay it — or, with no
+    /// link layer, schedules its delivery one hop later.
+    #[inline]
+    fn send(
         &mut self,
         now: SimTime,
         from: NodeId,
         to: NodeId,
         bytes: u64,
-        prop: Duration,
         kind: DropKind,
-        make_event: impl FnOnce() -> Event,
+        event: Event,
     ) {
-        let links = self.links.as_mut().expect("transmit without link layer");
+        let prop = self.hop_latency();
+        let Some(links) = self.links.as_mut() else {
+            self.queue.schedule(now.saturating_add(prop), event);
+            return;
+        };
         match links.transmit(now.ticks(), from, to, bytes, prop.ticks()) {
             Transmission::Delivered { at } => {
-                self.queue.schedule(SimTime::from_ticks(at), make_event());
+                self.queue.schedule(SimTime::from_ticks(at), event);
             }
             Transmission::Lost => {
                 self.obs.record(|| ObsEvent::FaultDrop { at: now, kind });
@@ -1018,55 +1012,19 @@ impl<P: ForwardingPolicy> Network<P> {
         let outcome = &mut self.queries[qidx].outcome;
         outcome.hit_messages += 1;
         outcome.bytes += bytes;
-        let prop = self.hop_latency();
-        if self.links.is_some() {
-            self.transmit(now, from, to, bytes, prop, DropKind::Hit, || Event::Hit {
-                to,
-                from,
-                msg,
-                qidx,
-            });
-        } else {
-            let mut at = now.saturating_add(prop);
-            if let Some(f) = self.faults.as_mut() {
-                at = at.saturating_add(f.jitter());
-            }
-            self.queue.schedule(
-                at,
-                Event::Hit {
-                    to,
-                    from,
-                    msg,
-                    qidx,
-                },
-            );
-        }
-    }
-
-    /// Rolls the fault layer's per-link loss for one delivery. With an
-    /// active link layer this is always `false`: loss is folded into
-    /// the link and rolled once, at send time.
-    fn fault_dropped(&mut self) -> bool {
-        if self.links.is_some() {
-            return false;
-        }
-        self.faults.as_mut().is_some_and(|f| f.drops_message())
+        let event = Event::Hit {
+            to,
+            from,
+            msg,
+            qidx,
+        };
+        self.send(now, from, to, bytes, DropKind::Hit, event);
     }
 
     fn handle_query(&mut self, to: NodeId, from: NodeId, msg: QueryMsg, qidx: usize, now: SimTime) {
         if let Some(l) = self.links.as_mut() {
             let bytes = l.query_size(msg.key.file);
             l.on_delivered(to, bytes);
-        }
-        if self.cfg.loss_rate > 0.0 && self.net_rng.chance(self.cfg.loss_rate) {
-            return; // lost in flight
-        }
-        if self.fault_dropped() {
-            self.obs.record(|| ObsEvent::FaultDrop {
-                at: now,
-                kind: DropKind::Query,
-            });
-            return; // lost in flight (fault layer)
         }
         if !self.graph.is_alive(to) {
             return; // delivered into the void
@@ -1125,16 +1083,6 @@ impl<P: ForwardingPolicy> Network<P> {
         if let Some(l) = self.links.as_mut() {
             let bytes = l.hit_size(msg.key.file);
             l.on_delivered(to, bytes);
-        }
-        if self.cfg.loss_rate > 0.0 && self.net_rng.chance(self.cfg.loss_rate) {
-            return; // lost in flight
-        }
-        if self.fault_dropped() {
-            self.obs.record(|| ObsEvent::FaultDrop {
-                at: now,
-                kind: DropKind::Hit,
-            });
-            return; // lost in flight (fault layer)
         }
         if !self.graph.is_alive(to) {
             return;
@@ -1277,16 +1225,7 @@ impl<P: ForwardingPolicy> Network<P> {
             match event {
                 Event::Issue { qidx } => {
                     debug_assert_eq!(qidx, self.queries.len());
-                    // Pick a live issuer uniformly: the k-th live node in
-                    // id order. With everyone down, node 0 skips its turn
-                    // (recorded as unanswerable, zero-message query).
-                    let node = match self.graph.live_count() {
-                        0 => NodeId(0),
-                        live => self
-                            .graph
-                            .select_live(self.issue_rng.index(live))
-                            .expect("draw is below the live count"),
-                    };
+                    let node = self.pick_issuer();
                     self.open_query(node, now);
                     if self.graph.is_alive(node) {
                         self.issue_attempt(qidx, first_ttl, now);
@@ -1363,11 +1302,9 @@ impl<P: ForwardingPolicy> Network<P> {
             total_attempts += u64::from(q.outcome.attempts);
         }
         let mut metrics = builder.finish(self.policy.name());
-        // With an active link layer, loss is rolled there (the fault
-        // plan's rate is folded in, so its own counter stays zero);
-        // buffer drops are a disjoint outcome and never double-count.
-        metrics.lost_messages = self.faults.as_ref().map_or(0, FaultState::lost)
-            + self.links.as_ref().map_or(0, LinkState::lost);
+        // Loss and buffer drops are disjoint link outcomes and never
+        // double-count a message.
+        metrics.lost_messages = self.links.as_ref().map_or(0, LinkState::lost);
         metrics.buffer_dropped = self.links.as_ref().map_or(0, LinkState::buffer_dropped);
         if let Some(l) = &self.links {
             let (ups, downs) = (l.node_up_bytes(), l.node_down_bytes());
@@ -1585,28 +1522,6 @@ mod tests {
     }
 
     #[test]
-    fn message_loss_degrades_search_gracefully() {
-        let clean = Network::new(tiny_cfg(21), FloodPolicy).run().metrics;
-        let mut lossy_cfg = tiny_cfg(21);
-        lossy_cfg.loss_rate = 0.30;
-        let lossy = Network::new(lossy_cfg, FloodPolicy).run().metrics;
-        // Flooding is redundant, so moderate loss costs some but not all
-        // success; it must never *help*.
-        assert!(lossy.success_rate < clean.success_rate);
-        assert!(
-            lossy.success_rate > clean.success_rate * 0.3,
-            "flooding redundancy should absorb moderate loss: {} vs {}",
-            lossy.success_rate,
-            clean.success_rate
-        );
-        // Heavy loss is devastating.
-        let mut heavy_cfg = tiny_cfg(21);
-        heavy_cfg.loss_rate = 0.90;
-        let heavy = Network::new(heavy_cfg, FloodPolicy).run().metrics;
-        assert!(heavy.success_rate < lossy.success_rate);
-    }
-
-    #[test]
     fn zero_fault_plan_is_byte_identical_to_no_plan() {
         let clean = Network::new(tiny_cfg(13), FloodPolicy).run();
         let mut cfg = tiny_cfg(13);
@@ -1624,19 +1539,28 @@ mod tests {
 
     #[test]
     fn fault_loss_degrades_and_is_counted() {
+        let with_loss = |loss: f64| {
+            let mut cfg = tiny_cfg(23);
+            cfg.faults = Some(FaultPlan {
+                loss,
+                ..Default::default()
+            });
+            Network::new(cfg, FloodPolicy).run().metrics
+        };
         let clean = Network::new(tiny_cfg(23), FloodPolicy).run().metrics;
-        let mut cfg = tiny_cfg(23);
-        cfg.faults = Some(FaultPlan {
-            loss: 0.30,
-            ..Default::default()
-        });
-        let lossy = Network::new(cfg, FloodPolicy).run().metrics;
+        let lossy = with_loss(0.30);
         assert!(lossy.lost_messages > 0, "loss plan dropped nothing");
+        // Flooding is redundant, so moderate loss costs some but not all
+        // success; it must never *help*.
         assert!(lossy.success_rate < clean.success_rate);
         assert!(
             lossy.success_rate > clean.success_rate * 0.3,
-            "flooding redundancy should absorb moderate fault loss"
+            "flooding redundancy should absorb moderate loss: {} vs {}",
+            lossy.success_rate,
+            clean.success_rate
         );
+        // Heavy loss is devastating.
+        assert!(with_loss(0.90).success_rate < lossy.success_rate);
     }
 
     #[test]
@@ -1823,6 +1747,116 @@ mod tests {
         assert!(noop.link_bytes.is_none(), "noop plan built link state");
     }
 
+    /// A small random world per seed: the shapes the property suite
+    /// used to draw, from a seeded stream instead.
+    fn random_cfg(seed: u64, shape: &mut Rng64) -> SimConfig {
+        let mut cfg = SimConfig::default_with(10 + shape.index(40), 10 + shape.index(70), seed);
+        cfg.catalog = CatalogConfig {
+            topics: 4,
+            files_per_topic: 30,
+            ..Default::default()
+        };
+        cfg
+    }
+
+    /// An all-zero fault plan and an all-zero link plan are each
+    /// behaviorally invisible, for any seed and shape: byte-identical
+    /// to no plan at all, and neither builds link state.
+    #[test]
+    fn zero_plans_are_identity_across_seeds() {
+        for seed in 0..12 {
+            let cfg = random_cfg(seed, &mut Rng64::seed_from(seed));
+            let clean = Network::new(cfg.clone(), FloodPolicy).run();
+            let mut zero_faults = cfg.clone();
+            zero_faults.faults = Some(FaultPlan::default());
+            let mut zero_links = cfg;
+            zero_links.links = Some(LinkPlan::default());
+            for noop_cfg in [zero_faults, zero_links] {
+                let noop = Network::new(noop_cfg, FloodPolicy).run();
+                assert_eq!(clean.metrics.digest(), noop.metrics.digest(), "seed {seed}");
+                assert_eq!(clean.end_time, noop.end_time, "seed {seed}");
+                assert_eq!(clean.total_attempts, noop.total_attempts, "seed {seed}");
+                assert!(noop.link_bytes.is_none(), "seed {seed}: built link state");
+            }
+        }
+    }
+
+    /// Byte conservation across random bandwidth, buffer, loss, jitter
+    /// and free-rider settings, with the loss split at random between
+    /// the two plans that can ask for it: every byte offered to the link
+    /// layer is delivered, loss-dropped or buffer-dropped once the run
+    /// drains.
+    #[test]
+    fn byte_ledger_conserves_across_seeds() {
+        for seed in 0..12 {
+            let mut shape = Rng64::seed_from(seed);
+            let mut cfg = random_cfg(seed, &mut shape);
+            let up = 4 + shape.below(60);
+            let loss = shape.below(300) as f64 / 1000.0;
+            let from_faults = shape.chance(0.5);
+            cfg.links = Some(LinkPlan {
+                up: up as f64,
+                down: (up * (1 + shape.below(7))) as f64,
+                up_buf: 256 + shape.below(3_840),
+                down_buf: 1_024 + shape.below(15_360),
+                loss: if from_faults { 0.0 } else { loss },
+                jitter: shape.below(30),
+                riders: shape.below(500) as f64 / 1000.0,
+                rider_up: (up as f64 / 4.0).max(1.0),
+            });
+            if from_faults {
+                cfg.faults = Some(FaultPlan {
+                    loss,
+                    ..Default::default()
+                });
+            }
+            let r = Network::new(cfg, FloodPolicy).run();
+            let (sent, delivered, lost, buffered) = r.link_bytes.expect("link ledger");
+            assert_eq!(sent, delivered + lost + buffered, "seed {seed}: leak");
+            assert_eq!(sent, r.metrics.bytes, "seed {seed}: ledger vs metrics");
+            assert_eq!(r.metrics.buffer_dropped > 0, buffered > 0, "seed {seed}");
+            assert_eq!(r.metrics.lost_messages > 0, lost > 0, "seed {seed}");
+            if loss == 0.0 {
+                assert_eq!(lost, 0, "seed {seed}");
+            }
+        }
+    }
+
+    /// Whole-simulation sanity across random small configurations under
+    /// fault-plan loss: answered ≤ answerable ≤ queries, message counts
+    /// are consistent, and everything is finite.
+    #[test]
+    fn simulation_invariants_hold_across_seeds() {
+        for seed in 0..12 {
+            let mut shape = Rng64::seed_from(seed);
+            let mut cfg = random_cfg(seed, &mut shape);
+            let (nodes, queries) = (cfg.nodes as u64, cfg.queries as u64);
+            cfg.ttl = 2 + shape.below(5) as u32;
+            cfg.topology = Topology::BarabasiAlbert { m: 2 };
+            cfg.faults = Some(FaultPlan {
+                loss: shape.below(400) as f64 / 1000.0,
+                ..Default::default()
+            });
+            let ttl = cfg.ttl;
+            let m = Network::new(cfg, FloodPolicy).run().metrics;
+            assert_eq!(m.queries, queries, "seed {seed}");
+            assert!(m.answered <= m.answerable, "seed {seed}");
+            assert!(m.answerable <= m.queries, "seed {seed}");
+            assert!((0.0..=1.0).contains(&m.success_rate), "seed {seed}");
+            assert!(m.messages_per_query >= 0.0, "seed {seed}");
+            // A TTL-limited flood sends at most degree^ttl-ish messages;
+            // a generous global bound catches runaway relaying.
+            assert!(
+                m.query_messages < queries * nodes * 10,
+                "seed {seed}: query messages exploded: {}",
+                m.query_messages
+            );
+            if let Some(h) = &m.first_hit_hops {
+                assert!(h.max <= f64::from(ttl), "seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn bandwidth_queueing_delays_delivery_and_conserves_bytes() {
         let clean = Network::new(tiny_cfg(59), FloodPolicy).run();
@@ -1865,38 +1899,67 @@ mod tests {
         assert!(m.success_rate < 1.0);
     }
 
+    /// `faults(loss=,jitter=)` is sugar for `links(loss=,jitter=)`: one
+    /// process, one stream, one draw order, rolled once at send — so
+    /// the two spellings are the same run, in both engines, and a fault
+    /// plan beside a link plan composes as `1 − (1−a)(1−b)`.
     #[test]
     fn link_layer_subsumes_fault_loss_and_jitter() {
-        let mut cfg = tiny_cfg(67);
-        cfg.faults = Some(FaultPlan {
-            loss: 0.30,
-            jitter: 100,
+        type Engine = fn(SimConfig) -> SimResult;
+        let engines: [(&str, Engine); 3] = [
+            ("run", |c| Network::new(c, FloodPolicy).run()),
+            ("run_sharded(1)", |c| {
+                Network::new(c, FloodPolicy).run_sharded(1)
+            }),
+            ("run_sharded(4)", |c| {
+                Network::new(c, FloodPolicy).run_sharded(4)
+            }),
+        ];
+        let fingerprint = |r: &SimResult| (r.metrics.digest(), r.end_time, r.link_bytes);
+        let faults = |loss, jitter| FaultPlan {
+            loss,
+            jitter,
             ..Default::default()
-        });
-        let faults_only = Network::new(cfg.clone(), FloodPolicy).run();
-        // An active link layer folds the same loss/jitter into itself.
-        cfg.links = Some(LinkPlan {
-            jitter: 1, // minimal non-noop plan
+        };
+        let links = |loss, jitter| LinkPlan {
+            loss,
+            jitter,
             ..Default::default()
-        });
-        let folded = Network::new(cfg, FloodPolicy).run();
-        assert!(
-            folded.metrics.lost_messages > 0,
-            "folded loss dropped nothing"
-        );
-        let loss_frac = folded.metrics.lost_messages as f64
-            / (folded.metrics.query_messages + folded.metrics.hit_messages) as f64;
-        assert!(
-            (loss_frac - 0.30).abs() < 0.05,
-            "folded loss rate off: {loss_frac}"
-        );
-        // Comparable degradation to the fault layer's own loss.
-        assert!(
-            (folded.metrics.success_rate - faults_only.metrics.success_rate).abs() < 0.15,
-            "subsumed loss behaves differently: {} vs {}",
-            folded.metrics.success_rate,
-            faults_only.metrics.success_rate
-        );
+        };
+        let (a, b) = (0.2, 0.1);
+        for seed in 1..=6 {
+            for (name, engine) in engines {
+                let with = |faults: Option<FaultPlan>, links: Option<LinkPlan>| {
+                    let mut cfg = tiny_cfg(seed);
+                    cfg.faults = faults;
+                    cfg.links = links;
+                    engine(cfg)
+                };
+                let sugar = with(Some(faults(0.3, 100)), None);
+                let plain = with(None, Some(links(0.3, 100)));
+                assert_eq!(
+                    fingerprint(&sugar),
+                    fingerprint(&plain),
+                    "seed {seed}, {name}: faults(loss,jitter) is not links(loss,jitter)"
+                );
+                // The byte ledger covers a run whose only impairment
+                // came from the fault plan.
+                assert!(sugar.metrics.lost_messages > 0, "seed {seed}, {name}");
+                let (sent, delivered, lost, buffered) =
+                    sugar.link_bytes.expect("a lossy run keeps the ledger");
+                assert_eq!(sent, delivered + lost + buffered, "seed {seed}, {name}");
+                assert_eq!(sent, sugar.metrics.bytes, "seed {seed}, {name}");
+                assert!(lost > 0 && buffered == 0, "seed {seed}, {name}");
+
+                let both = with(Some(faults(a, 0)), Some(links(b, 0)));
+                let folded = with(None, Some(links(1.0 - (1.0 - a) * (1.0 - b), 0)));
+                assert_eq!(
+                    fingerprint(&both),
+                    fingerprint(&folded),
+                    "seed {seed}, {name}: loss does not compose as 1-(1-a)(1-b)"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1976,14 +2039,6 @@ mod tests {
             up_buf: 100, // buffer without bandwidth
             ..Default::default()
         });
-        Network::new(cfg, FloodPolicy);
-    }
-
-    #[test]
-    #[should_panic(expected = "loss rate")]
-    fn rejects_total_loss() {
-        let mut cfg = tiny_cfg(1);
-        cfg.loss_rate = 1.0;
         Network::new(cfg, FloodPolicy);
     }
 

@@ -25,8 +25,8 @@
 //!    touches only its own nodes, computing per-delivery *verdicts*
 //!    (dead/duplicate/accepted, local-match hit route, relay candidate
 //!    list) against its own [`GuidStore`] range and the frozen graph,
-//!    library, and silent-node sets. No RNG is consumed here: loss is
-//!    rolled at *send* time, and every draw-consuming action is deferred.
+//!    library, and silent-node sets. No RNG is consumed here: every
+//!    draw-consuming action is deferred.
 //! 3. **Replay (serial):** the same global `(time, seq)` order replays
 //!    the verdicts, performing everything order-sensitive: policy
 //!    `select`/`on_reply`, metrics, hit delivery, and all RNG draws
@@ -47,27 +47,24 @@
 //! Runs are deterministic and plausible but **not** byte-comparable to
 //! [`Network::run_full`]:
 //!
-//! * loss/latency draws happen at send (lost messages draw no latency),
-//!   and drop traces carry the send time, not the delivery time;
 //! * churn, crashes, and control events apply at window granularity:
 //!   deadlines see hits delivered up to the previous window boundary,
 //!   and a node crashing mid-window is dead for that whole window;
-//! * issuers are drawn by rejection sampling over all node ids instead
-//!   of one rank-select draw over the live ones (same distribution,
-//!   different issue-stream draw count);
 //! * GUID age expiry may observe send times up to one window out of
 //!   order (bounded by `W` ticks).
 //!
 //! # Link layer
 //!
-//! When a [`crate::net::LinkPlan`] is active, every link-layer
-//! interaction — channel clocks, byte buffers, loss and jitter draws —
-//! happens at *send* time in the serial phases, in global `(time, seq)`
-//! order, so link-enabled runs keep the any-thread-count byte-identity
-//! guarantee. The delivery ring is sized from
+//! Every message leaves its node through `send_windowed`, as it does
+//! through `send` in the exact engine: every link-layer interaction —
+//! channel clocks, byte buffers, loss and jitter draws — happens at
+//! *send* time in the serial phases, in global `(time, seq)` order, so
+//! impaired runs keep the any-thread-count byte-identity guarantee.
+//! The delivery ring is sized from
 //! [`crate::net::LinkState::max_delay`]; because the ring has no
-//! overflow path, rate-limited channels must be buffered (the engine
-//! rejects unbounded-queueing plans up front).
+//! overflow path, rate-limited channels must be buffered and the
+//! horizon must fit `MAX_RING_CELLS` windows (the engine rejects other
+//! plans up front).
 //!
 //! Trace collectors are not supported here; instrument runs use the
 //! exact engine.
@@ -92,6 +89,28 @@ use std::collections::VecDeque;
 /// the inline path runs the identical per-shard code in shard order, so
 /// results never depend on it.
 const PARALLEL_THRESHOLD: usize = 512;
+
+/// Most windows the delivery ring may span: 2^20 empty cells are about
+/// 24 MiB, and no plan with a meaningful delay comes near it (the
+/// congested E17 profile needs under a hundred).
+const MAX_RING_CELLS: u64 = 1 << 20;
+
+/// Cells the delivery ring needs to cover `max_delay` ticks in windows
+/// of `w` ticks.
+///
+/// # Panics
+///
+/// When the horizon — which a spec's `jitter` or buffer sizes set —
+/// needs more than [`MAX_RING_CELLS`] windows.
+fn ring_cells(max_delay: u64, w: u64) -> usize {
+    let cells = (max_delay / w).saturating_add(2);
+    assert!(
+        cells <= MAX_RING_CELLS,
+        "sharded engine needs a shorter link delay: a horizon of {max_delay} ticks in windows \
+         of {w} needs {cells} ring cells (at most {MAX_RING_CELLS}); lower jitter or the buffers"
+    );
+    cells as usize
+}
 
 /// One in-flight message, parked in the delivery ring until its window
 /// opens. `seq` is the global send order, the tie-breaker that keeps
@@ -305,19 +324,19 @@ impl<P: ForwardingPolicy> Network<P> {
         let w = self.cfg.hop_latency.0;
         assert!(w >= 1, "sharded engine needs hop_latency.0 >= 1");
 
-        let jitter_max = self.faults.as_ref().map_or(0, |f| f.plan().jitter);
-        // With a link plan, fault jitter is already folded into the link
-        // and the delivery horizon is the link model's worst case (upload
-        // queueing + transmit + propagation + jitter + download queueing).
-        // The ring has no overflow path, so rate-limited-but-unbuffered
-        // plans — whose queueing delay is unbounded — are rejected here.
+        // The delivery horizon is the link model's worst case (upload
+        // queueing + transmit + propagation + jitter + download
+        // queueing), or one hop without a link layer. The ring has no
+        // overflow path, so rate-limited-but-unbuffered plans — whose
+        // queueing delay is unbounded — are rejected here, and so is a
+        // horizon that would need more than `MAX_RING_CELLS` windows.
         let max_delay = match &self.links {
             Some(l) => l.max_delay(self.cfg.hop_latency.1).expect(
                 "sharded engine needs a bounded link delay: give rate-limited channels a buffer",
             ),
-            None => self.cfg.hop_latency.1 + jitter_max,
+            None => self.cfg.hop_latency.1,
         };
-        let cells = (max_delay / w + 2) as usize;
+        let cells = ring_cells(max_delay, w);
         let nshards = threads.min(self.cfg.nodes).max(1);
         let chunk = self.cfg.nodes.div_ceil(nshards);
         let mut shards: Vec<Shard> = (0..nshards)
@@ -563,8 +582,7 @@ impl<P: ForwardingPolicy> Network<P> {
             total_attempts += u64::from(q.outcome.attempts);
         }
         let mut metrics = builder.finish(self.policy.name());
-        metrics.lost_messages = self.faults.as_ref().map_or(0, FaultState::lost)
-            + self.links.as_ref().map_or(0, LinkState::lost);
+        metrics.lost_messages = self.links.as_ref().map_or(0, LinkState::lost);
         metrics.buffer_dropped = self.links.as_ref().map_or(0, LinkState::buffer_dropped);
         if let Some(l) = &self.links {
             let ups = l.node_up_bytes().to_vec();
@@ -608,8 +626,7 @@ impl<P: ForwardingPolicy> Network<P> {
         }
     }
 
-    /// Issue-event handler: picks a live issuer by rejection sampling
-    /// (uniform over live nodes without materializing them).
+    /// Issue-event handler.
     fn handle_issue_windowed(
         &mut self,
         qidx: usize,
@@ -620,26 +637,7 @@ impl<P: ForwardingPolicy> Network<P> {
         dring: &mut DeliveryRing,
     ) {
         debug_assert_eq!(qidx, self.queries.len());
-        let live = self.graph.live_count();
-        let node = if live == 0 {
-            NodeId(0) // everyone is down; recorded as a dead zero-message query
-        } else {
-            let mut tries = 0usize;
-            loop {
-                let cand = NodeId(self.issue_rng.below(self.cfg.nodes as u64) as u32);
-                if self.graph.is_alive(cand) {
-                    break cand;
-                }
-                tries += 1;
-                if tries > self.cfg.nodes * 4 {
-                    // Pathologically sparse network: one rank-select draw.
-                    break self
-                        .graph
-                        .select_live(self.issue_rng.index(live))
-                        .expect("draw is below the live count");
-                }
-            }
-        };
+        let node = self.pick_issuer();
         self.open_query(node, now);
         if self.graph.is_alive(node) {
             self.issue_attempt_windowed(qidx, first_ttl, now, shards, chunk, dring);
@@ -708,9 +706,8 @@ impl<P: ForwardingPolicy> Network<P> {
     }
 
     /// Windowed counterpart of `relay`: candidates are supplied by the
-    /// caller (arena slice at replay, fresh gather at issue), and each
-    /// selected transmission rolls loss at send — dropped messages are
-    /// never parked. Leaves the selection in `selected_scratch`.
+    /// caller (arena slice at replay, fresh gather at issue). Leaves
+    /// the selection in `selected_scratch`.
     #[allow(clippy::too_many_arguments)]
     fn relay_windowed(
         &mut self,
@@ -761,34 +758,21 @@ impl<P: ForwardingPolicy> Network<P> {
             let outcome = &mut self.queries[qidx].outcome;
             outcome.query_messages += 1;
             outcome.bytes += bytes;
-            if self.transmission_lost(now, DropKind::Query) {
-                continue;
-            }
-            let prop = self.hop_latency();
-            if self.links.is_some() {
-                self.transmit_windowed(
-                    now,
-                    node,
-                    target,
-                    bytes,
-                    prop,
-                    qidx,
-                    Payload::Query(next),
-                    DropKind::Query,
-                    dring,
-                );
-                continue;
-            }
-            let mut at = now.saturating_add(prop);
-            if let Some(f) = self.faults.as_mut() {
-                at = at.saturating_add(f.jitter());
-            }
-            dring.push(at, target, node, qidx, Payload::Query(next));
+            self.send_windowed(
+                now,
+                node,
+                target,
+                bytes,
+                qidx,
+                Payload::Query(next),
+                DropKind::Query,
+                dring,
+            );
         }
         self.selected_scratch = selected;
     }
 
-    /// Windowed counterpart of `send_hit` with loss rolled at send.
+    /// Windowed counterpart of `send_hit`.
     fn send_hit_windowed(
         &mut self,
         to: NodeId,
@@ -805,51 +789,40 @@ impl<P: ForwardingPolicy> Network<P> {
         let outcome = &mut self.queries[qidx].outcome;
         outcome.hit_messages += 1;
         outcome.bytes += bytes;
-        if self.transmission_lost(now, DropKind::Hit) {
-            return;
-        }
-        let prop = self.hop_latency();
-        if self.links.is_some() {
-            self.transmit_windowed(
-                now,
-                from,
-                to,
-                bytes,
-                prop,
-                qidx,
-                Payload::Hit(msg),
-                DropKind::Hit,
-                dring,
-            );
-            return;
-        }
-        let mut at = now.saturating_add(prop);
-        if let Some(f) = self.faults.as_mut() {
-            at = at.saturating_add(f.jitter());
-        }
-        dring.push(at, to, from, qidx, Payload::Hit(msg));
+        self.send_windowed(
+            now,
+            from,
+            to,
+            bytes,
+            qidx,
+            Payload::Hit(msg),
+            DropKind::Hit,
+            dring,
+        );
     }
 
-    /// Windowed counterpart of the exact engine's link `transmit`:
-    /// offers the message to the link layer at send time and parks
-    /// survivors in the delivery ring at their computed delivery tick.
+    /// Windowed counterpart of the exact engine's `send`, the one place
+    /// a message leaves a node: draws the hop latency, then offers the
+    /// message to the link layer — parking survivors in the delivery
+    /// ring at their computed delivery tick — or, with no link layer,
+    /// parks it one hop later.
     #[allow(clippy::too_many_arguments)]
-    fn transmit_windowed(
+    fn send_windowed(
         &mut self,
         now: SimTime,
         from: NodeId,
         to: NodeId,
         bytes: u64,
-        prop: arq_simkern::time::Duration,
         qidx: usize,
         payload: Payload,
         kind: DropKind,
         dring: &mut DeliveryRing,
     ) {
-        let links = self
-            .links
-            .as_mut()
-            .expect("link transmit without link layer");
+        let prop = self.hop_latency();
+        let Some(links) = self.links.as_mut() else {
+            dring.push(now.saturating_add(prop), to, from, qidx, payload);
+            return;
+        };
         match links.transmit(now.ticks(), from, to, bytes, prop.ticks()) {
             Transmission::Delivered { at } => {
                 dring.push(SimTime::from_ticks(at), to, from, qidx, payload);
@@ -861,20 +834,6 @@ impl<P: ForwardingPolicy> Network<P> {
                 self.obs.record(|| ObsEvent::BufferDrop { at: now, kind });
             }
         }
-    }
-
-    /// Rolls both loss layers for one transmission, at send time. The
-    /// fault-drop trace event carries the send instant (the exact engine
-    /// stamps the delivery instant — one of the documented deltas).
-    fn transmission_lost(&mut self, now: SimTime, kind: DropKind) -> bool {
-        if self.cfg.loss_rate > 0.0 && self.net_rng.chance(self.cfg.loss_rate) {
-            return true;
-        }
-        if self.fault_dropped() {
-            self.obs.record(|| ObsEvent::FaultDrop { at: now, kind });
-            return true;
-        }
-        false
     }
 
     /// Windowed counterpart of `handle_deadline`.
@@ -1145,6 +1104,26 @@ mod tests {
         let mut cfg = small_cfg(1);
         cfg.links = Some(crate::net::LinkPlan {
             up: 4.0,
+            ..Default::default()
+        });
+        let _ = Network::new(cfg, FloodPolicy).run_sharded(2);
+    }
+
+    /// A spec value sets the ring's horizon, so it is bounded before it
+    /// is allocated: the congested plan (also `sim-links`' plan) sits far
+    /// inside the bound, a runaway jitter is refused by name.
+    #[test]
+    #[should_panic(expected = "horizon of 1000000000081 ticks in windows of 20")]
+    fn oversized_ring_horizon_is_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.links = Some(congested_links());
+        let net = Network::new(cfg.clone(), FloodPolicy);
+        let horizon = net.links.as_ref().and_then(|l| l.max_delay(80));
+        let cells = ring_cells(horizon.expect("buffered plan"), 20);
+        assert!((50..200).contains(&cells), "congested plan needs {cells}");
+        cfg.links = None;
+        cfg.faults = Some(FaultPlan {
+            jitter: 1_000_000_000_000,
             ..Default::default()
         });
         let _ = Network::new(cfg, FloodPolicy).run_sharded(2);

@@ -7,8 +7,8 @@
 use arq_content::{CatalogConfig, FileId, QueryKey, Topic};
 use arq_gnutella::guid::GuidGen;
 use arq_gnutella::node::{NodeState, Upstream};
-use arq_gnutella::sim::{Network, RetryPolicy, SimConfig, Topology};
-use arq_gnutella::{FaultPlan, FloodPolicy, LinkPlan, QueryMsg};
+use arq_gnutella::sim::{Network, RetryPolicy, SimConfig};
+use arq_gnutella::{FaultPlan, FloodPolicy, QueryMsg};
 use arq_overlay::NodeId;
 use arq_simkern::time::Duration;
 use arq_simkern::{Rng64, SimTime};
@@ -72,143 +72,6 @@ proptest! {
         }
         prop_assert!(seen.len() <= pool);
         prop_assert!(seen.len() <= draws);
-    }
-
-    /// Whole-simulation sanity across random small configurations:
-    /// answered ≤ answerable ≤ queries, message counts are consistent,
-    /// and everything is finite.
-    #[test]
-    fn simulation_invariants(
-        seed in any::<u64>(),
-        nodes in 10usize..60,
-        queries in 10usize..120,
-        ttl in 2u32..7,
-        loss_milli in 0u32..400,
-    ) {
-        let mut cfg = SimConfig::default_with(nodes, queries, seed);
-        cfg.ttl = ttl;
-        cfg.loss_rate = f64::from(loss_milli) / 1000.0;
-        cfg.topology = Topology::BarabasiAlbert { m: 2 };
-        cfg.catalog = CatalogConfig {
-            topics: 4,
-            files_per_topic: 30,
-            ..Default::default()
-        };
-        let m = Network::new(cfg, FloodPolicy).run().metrics;
-        prop_assert_eq!(m.queries, queries as u64);
-        prop_assert!(m.answered <= m.answerable);
-        prop_assert!(m.answerable <= m.queries);
-        prop_assert!((0.0..=1.0).contains(&m.success_rate));
-        prop_assert!(m.messages_per_query >= 0.0);
-        // A TTL-limited flood sends at most degree^ttl-ish messages; use
-        // a generous global bound to catch runaway relaying.
-        prop_assert!(
-            m.query_messages < (queries * nodes * 10) as u64,
-            "query messages exploded: {}",
-            m.query_messages
-        );
-        if let Some(h) = &m.first_hit_hops {
-            prop_assert!(h.max <= f64::from(ttl));
-        }
-    }
-
-    /// An all-zero fault plan is behaviorally invisible: the run is
-    /// byte-identical to one with no plan at all, for any seed/shape.
-    #[test]
-    fn zero_fault_plan_is_identity(
-        seed in any::<u64>(),
-        nodes in 10usize..50,
-        queries in 10usize..80,
-    ) {
-        let mut cfg = SimConfig::default_with(nodes, queries, seed);
-        cfg.catalog = CatalogConfig {
-            topics: 4,
-            files_per_topic: 30,
-            ..Default::default()
-        };
-        let clean = Network::new(cfg.clone(), FloodPolicy).run();
-        cfg.faults = Some(FaultPlan::default());
-        let noop = Network::new(cfg, FloodPolicy).run();
-        prop_assert_eq!(clean.metrics.query_messages, noop.metrics.query_messages);
-        prop_assert_eq!(clean.metrics.hit_messages, noop.metrics.hit_messages);
-        prop_assert_eq!(clean.metrics.bytes, noop.metrics.bytes);
-        prop_assert_eq!(clean.metrics.answered, noop.metrics.answered);
-        prop_assert_eq!(clean.metrics.answerable, noop.metrics.answerable);
-        prop_assert_eq!(clean.end_time, noop.end_time);
-        prop_assert_eq!(clean.total_attempts, noop.total_attempts);
-        prop_assert_eq!(noop.metrics.lost_messages, 0);
-    }
-
-    /// An all-zero link plan (no bandwidth caps, no buffers, no loss, no
-    /// jitter, no free-riders) is behaviorally invisible: byte-identical
-    /// to running with no link layer at all, for any seed/shape.
-    #[test]
-    fn zero_capacity_links_are_identity(
-        seed in any::<u64>(),
-        nodes in 10usize..50,
-        queries in 10usize..80,
-    ) {
-        let mut cfg = SimConfig::default_with(nodes, queries, seed);
-        cfg.catalog = CatalogConfig {
-            topics: 4,
-            files_per_topic: 30,
-            ..Default::default()
-        };
-        let clean = Network::new(cfg.clone(), FloodPolicy).run();
-        cfg.links = Some(LinkPlan::default());
-        let noop = Network::new(cfg, FloodPolicy).run();
-        prop_assert_eq!(clean.metrics.digest(), noop.metrics.digest());
-        prop_assert_eq!(clean.metrics.query_messages, noop.metrics.query_messages);
-        prop_assert_eq!(clean.metrics.hit_messages, noop.metrics.hit_messages);
-        prop_assert_eq!(clean.metrics.bytes, noop.metrics.bytes);
-        prop_assert_eq!(clean.metrics.answered, noop.metrics.answered);
-        prop_assert_eq!(clean.end_time, noop.end_time);
-        prop_assert_eq!(clean.total_attempts, noop.total_attempts);
-        prop_assert_eq!(noop.metrics.buffer_dropped, 0);
-        prop_assert!(noop.link_bytes.is_none(), "noop plan built link state");
-    }
-
-    /// Link-layer byte conservation: across random bandwidth, buffer,
-    /// loss, jitter, and free-rider settings, every byte offered to the
-    /// link layer is accounted for — delivered, loss-dropped, or
-    /// buffer-dropped — once the run drains (nothing left in flight).
-    #[test]
-    fn link_byte_ledger_conserves(
-        seed in any::<u64>(),
-        nodes in 10usize..40,
-        queries in 10usize..60,
-        up in 4u64..64,
-        down_mult in 1u64..8,
-        up_buf in 256u64..4_096,
-        down_buf in 1_024u64..16_384,
-        loss_milli in 0u32..300,
-        jitter in 0u64..30,
-        riders_milli in 0u32..500,
-    ) {
-        let mut cfg = SimConfig::default_with(nodes, queries, seed);
-        cfg.catalog = CatalogConfig {
-            topics: 4,
-            files_per_topic: 30,
-            ..Default::default()
-        };
-        cfg.links = Some(LinkPlan {
-            up: up as f64,
-            down: (up * down_mult) as f64,
-            up_buf,
-            down_buf,
-            loss: f64::from(loss_milli) / 1000.0,
-            jitter,
-            riders: f64::from(riders_milli) / 1000.0,
-            rider_up: (up as f64 / 4.0).max(1.0),
-        });
-        let r = Network::new(cfg, FloodPolicy).run();
-        let (sent, delivered, lost, buffered) = r.link_bytes.expect("link ledger");
-        prop_assert_eq!(sent, delivered + lost + buffered, "bytes leaked in flight");
-        prop_assert_eq!(sent, r.metrics.bytes, "ledger disagrees with metrics");
-        prop_assert_eq!(r.metrics.buffer_dropped > 0, buffered > 0);
-        if loss_milli == 0 {
-            prop_assert_eq!(lost, 0);
-        }
     }
 
     /// The retry lifecycle never exceeds its attempt budget and every

@@ -9,7 +9,7 @@
 
 use arq_simkern::{Json, SimTime, ToJson};
 
-/// Which message class the fault layer dropped.
+/// Which message class the link layer dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropKind {
     /// A query in flight.
@@ -99,9 +99,10 @@ pub enum Event {
         /// Attempts spent in total.
         attempts: u32,
     },
-    /// The fault layer dropped a message in flight.
+    /// The link layer's seeded loss process dropped a message in flight
+    /// (whether a `links(loss=)` or a `faults(loss=)` spec asked for it).
     FaultDrop {
-        /// Simulated delivery time of the lost message.
+        /// Simulated send time of the lost message.
         at: SimTime,
         /// What was lost.
         kind: DropKind,
