@@ -426,6 +426,19 @@ fn wrap_spec(name: &str, spec: &str) -> String {
 fn live_cfg(flags: &Flags, seed: u64) -> Result<SimConfig, CliError> {
     let nodes: usize = flags.parse_num("nodes", 400)?;
     let queries: usize = flags.parse_num("queries", 2_000)?;
+    // `Network::build` asserts the first two; node ids are `u32`.
+    if nodes < 4 {
+        return Err(err(format!("--nodes must be at least 4, got {nodes}")));
+    }
+    if u32::try_from(nodes).is_err() {
+        return Err(err(format!(
+            "--nodes must fit a 32-bit node id (at most {}), got {nodes}",
+            u32::MAX
+        )));
+    }
+    if queries == 0 {
+        return Err(err("--queries must be at least 1, got 0"));
+    }
     let mut cfg = SimConfig::default_with(nodes, queries, seed);
     let bad = |e: engine::RegistryError| err(e.to_string());
     if let Some(spec) = flags.get("faults") {
@@ -1193,6 +1206,26 @@ mod tests {
         }
         let e = run(&args("simulate --policy bogus")).unwrap_err();
         assert!(e.0.contains("unknown policy"));
+    }
+
+    // `Network::build` asserts on each of these; `simulate` and
+    // `run --policy` share the check in `live_cfg`.
+    #[test]
+    fn simulate_rejects_a_network_too_small_to_build() {
+        let e = run(&args("simulate --nodes 1 --queries 10")).unwrap_err();
+        assert!(e.0.contains("--nodes must be at least 4, got 1"), "{e}");
+    }
+
+    #[test]
+    fn simulate_rejects_node_counts_past_the_node_id() {
+        let e = run(&args("run --policy flood --nodes 4294967296")).unwrap_err();
+        assert!(e.0.contains("--nodes must fit a 32-bit node id"), "{e}");
+    }
+
+    #[test]
+    fn simulate_rejects_zero_queries() {
+        let e = run(&args("simulate --nodes 50 --queries 0")).unwrap_err();
+        assert!(e.0.contains("--queries must be at least 1"), "{e}");
     }
 
     #[test]

@@ -179,9 +179,14 @@ impl<'a> ParamTable<'a> {
                 .unwrap_or(given.as_str());
             let Some(idx) = keys.iter().position(|&(k, _)| k == canonical) else {
                 let valid: Vec<&str> = keys.iter().map(|&(k, _)| k).collect();
+                let valid = if valid.is_empty() {
+                    "none".to_string()
+                } else {
+                    valid.join(", ")
+                };
                 return Err(RegistryError::BadSpec {
                     spec: spec.to_string(),
-                    reason: format!("unknown parameter `{given}` (valid: {})", valid.join(", ")),
+                    reason: format!("unknown parameter `{given}` (valid: {valid})"),
                 });
             };
             values[idx] = *value;
@@ -211,6 +216,17 @@ impl<'a> ParamTable<'a> {
 
     fn usize(&self, key: &str) -> Result<usize, RegistryError> {
         Ok(self.u64(key)? as usize)
+    }
+
+    /// A count the policy constructors assert to be `>= 1`.
+    fn positive(&self, key: &str) -> Result<usize, RegistryError> {
+        match self.usize(key)? {
+            0 => Err(RegistryError::BadSpec {
+                spec: self.spec.to_string(),
+                reason: format!("parameter `{key}` must be at least 1, got 0"),
+            }),
+            v => Ok(v),
+        }
     }
 }
 
@@ -321,9 +337,10 @@ impl BuiltPolicy {
 /// | `hybrid` | `cap` (5), `k` (2), `s` (3), `hl` (500), `minconf` (0) |
 /// | `community` | `n` core size (16), `k` (2), `s` (3), `hl` (500), `minconf` (0) |
 ///
-/// `minconf` is validated here, at spec-parse time, so a bad value comes
-/// back as a [`RegistryError::BadSpec`] rather than a panic from the
-/// policy constructor deep inside a run.
+/// `minconf` and the counts a constructor asserts to be at least 1 (`k`,
+/// `cap`, `n`, `horizon`) are validated here, at spec-parse time, so a
+/// bad value comes back as a [`RegistryError::BadSpec`] rather than a
+/// panic from the policy constructor deep inside a run.
 pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
     let parsed = parse_spec(spec)?;
     let minconf = |p: &ParamTable| -> Result<f64, RegistryError> {
@@ -346,7 +363,10 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
         }
     };
     Ok(match parsed.name.as_str() {
-        "flood" => plain(Box::new(FloodPolicy)),
+        "flood" => {
+            ParamTable::resolve(spec, &parsed, &[], &[])?;
+            plain(Box::new(FloodPolicy))
+        }
         "expanding-ring" => {
             let p = ParamTable::resolve(
                 spec,
@@ -375,7 +395,7 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
         "k-walk" => {
             let p = ParamTable::resolve(spec, &parsed, &[("k", 4.0), ("ttl", 48.0)], &[])?;
             BuiltPolicy {
-                policy: Box::new(KRandomWalk::new(p.usize("k")?)),
+                policy: Box::new(KRandomWalk::new(p.positive("k")?)),
                 ring: None,
                 ttl: Some(p.u64("ttl")? as u32),
                 label: "k-walk".to_string(),
@@ -384,8 +404,8 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
         "shortcuts" => {
             let p = ParamTable::resolve(spec, &parsed, &[("cap", 5.0), ("k", 2.0)], &[])?;
             plain(Box::new(InterestShortcuts::new(
-                p.usize("cap")?,
-                p.usize("k")?,
+                p.positive("cap")?,
+                p.positive("k")?,
             )))
         }
         "routing-index" => {
@@ -396,14 +416,14 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
                 &[],
             )?;
             plain(Box::new(RoutingIndices::new(
-                p.u64("horizon")? as u32,
+                p.positive("horizon")? as u32,
                 p.f64("atten"),
-                p.usize("k")?,
+                p.positive("k")?,
             )))
         }
         "superpeer" => {
             let p = ParamTable::resolve(spec, &parsed, &[("n", 16.0)], &[])?;
-            plain(Box::new(SuperPeerPolicy::new(p.usize("n")?)))
+            plain(Box::new(SuperPeerPolicy::new(p.positive("n")?)))
         }
         "assoc" => {
             let p = ParamTable::resolve(
@@ -419,7 +439,7 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
                 &[],
             )?;
             plain(Box::new(AssocPolicy::new(AssocPolicyConfig {
-                k: p.usize("k")?,
+                k: p.positive("k")?,
                 min_support: p.f64("s"),
                 min_confidence: minconf(&p)?,
                 half_life: p.f64("hl"),
@@ -444,7 +464,7 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
                 &[],
             )?;
             plain(Box::new(AssocPolicy::new(AssocPolicyConfig {
-                k: p.usize("k")?,
+                k: p.positive("k")?,
                 min_support: p.f64("s"),
                 min_confidence: minconf(&p)?,
                 half_life: p.f64("hl"),
@@ -468,10 +488,10 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
                 &[],
             )?;
             plain(Box::new(HybridPolicy::new(
-                p.usize("cap")?,
-                p.usize("k")?,
+                p.positive("cap")?,
+                p.positive("k")?,
                 AssocPolicyConfig {
-                    k: p.usize("k")?,
+                    k: p.positive("k")?,
                     min_support: p.f64("s"),
                     min_confidence: minconf(&p)?,
                     half_life: p.f64("hl"),
@@ -494,8 +514,8 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
                 &[],
             )?;
             plain(Box::new(CommunityPolicy::new(
-                p.usize("n")?,
-                p.usize("k")?,
+                p.positive("n")?,
+                p.positive("k")?,
                 p.f64("s"),
                 minconf(&p)?,
                 p.f64("hl"),
@@ -948,6 +968,48 @@ mod tests {
             "community(n=8,minconf=0.25)",
         ] {
             make_policy(spec).unwrap();
+        }
+    }
+
+    fn policy_err(spec: &str) -> String {
+        match make_policy(spec) {
+            Err(e @ RegistryError::BadSpec { .. }) => e.to_string(),
+            Err(e) => panic!("`{spec}` gave {e:?}"),
+            Ok(p) => panic!("`{spec}` unexpectedly built {}", p.label),
+        }
+    }
+
+    #[test]
+    fn flood_rejects_parameters_like_every_other_policy() {
+        // `flood(ttl=0)` used to run as plain `flood`.
+        for spec in ["flood(ttl=0)", "flood(bogus=3)"] {
+            let msg = policy_err(spec);
+            assert!(msg.contains("unknown parameter"), "{msg}");
+            assert!(msg.contains("(valid: none)"), "{msg}");
+        }
+        assert_eq!(make_policy("flood()").unwrap().label, "flood");
+    }
+
+    #[test]
+    fn zero_counts_are_rejected_at_spec_parse_time() {
+        // Each of these was a panic from the policy constructor.
+        for (spec, key) in [
+            ("k-walk(k=0)", "k"),
+            ("assoc(k=0)", "k"),
+            ("assoc-adaptive(k=0)", "k"),
+            ("shortcuts(cap=0)", "cap"),
+            ("shortcuts(k=0)", "k"),
+            ("hybrid(cap=0)", "cap"),
+            ("hybrid(k=0)", "k"),
+            ("superpeer(n=0)", "n"),
+            ("community(n=0)", "n"),
+            ("community(k=0)", "k"),
+            ("routing-index(k=0)", "k"),
+            ("routing-index(horizon=0)", "horizon"),
+        ] {
+            let msg = policy_err(spec);
+            let want = format!("parameter `{key}` must be at least 1, got 0");
+            assert!(msg.contains(&want), "{msg}");
         }
     }
 

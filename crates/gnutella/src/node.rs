@@ -202,6 +202,31 @@ mod tests {
         assert!(s.record(Guid(1), Upstream::Origin, T0));
     }
 
+    /// The cache accepts each GUID exactly once while it is resident,
+    /// and never holds more than its capacity: a seeded check against a
+    /// plain FIFO list.
+    #[test]
+    fn node_state_dedup_and_capacity() {
+        for seed in 0..16 {
+            let mut rng = arq_simkern::Rng64::seed_from(seed);
+            let cap = 1 + rng.index(63);
+            let mut state = NodeState::new(cap);
+            let mut resident = VecDeque::new();
+            for _ in 0..1 + rng.index(300) {
+                let g = u128::from(rng.below(40));
+                let accepted = state.record(Guid(g), Upstream::Origin, T0);
+                assert_eq!(accepted, !resident.contains(&g), "seed {seed} guid {g}");
+                if accepted {
+                    if resident.len() == cap {
+                        resident.pop_front();
+                    }
+                    resident.push_back(g);
+                }
+                assert!(state.len() <= cap);
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {

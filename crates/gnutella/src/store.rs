@@ -1,13 +1,16 @@
-//! Struct-of-arrays GUID/reverse-path storage for the whole network.
+//! GUID-major GUID/reverse-path storage for the whole network.
 //!
 //! [`crate::node::NodeState`] keeps one `HashMap` + `VecDeque` per node —
 //! perfectly fine at hundreds of nodes, but at 100k–1M nodes the
 //! simulator's hottest operation (GUID dedup + upstream lookup, done for
 //! every delivered message) becomes a pointer chase through a million
-//! separately-allocated maps. [`GuidStore`] replaces the per-node maps
-//! with **one** open-addressed table over `(node, guid)` keys, laid out
-//! as parallel arrays (nodes / guids / upstreams), plus per-node FIFO
-//! rings for capacity eviction and age expiry.
+//! separately-allocated maps. [`GuidStore`] turns the layout around: one
+//! small `node → upstream` map **per GUID**, plus per-node FIFO rings
+//! (of table ids, not GUIDs: 16 bytes an entry) for capacity eviction
+//! and age expiry. A query touches only its own GUID's map while it is
+//! in flight, so the store's working set is proportional to the GUIDs in
+//! flight times the nodes each has reached (one cache-resident table per
+//! flood) — not to everything the network remembers.
 //!
 //! The semantics are exactly [`crate::node::NodeState`]'s, per node:
 //!
@@ -25,7 +28,7 @@
 //! so swapping `NodeState` for `GuidStore` is byte-identical to the
 //! digest goldens. A differential test against `NodeState` pins that.
 //!
-//! The table supports a `base` node offset so the sharded simulator can
+//! The store supports a `base` node offset so the sharded simulator can
 //! give each worker its own store covering one contiguous node range.
 
 use crate::node::Upstream;
@@ -33,33 +36,76 @@ use arq_overlay::NodeId;
 use arq_simkern::time::Duration;
 use arq_simkern::SimTime;
 use arq_trace::record::Guid;
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Slot marker for "empty" in the node array. Real node ids are table
-/// indices (≤ tens of millions), so the max value is safely out of band.
-const EMPTY: u32 = u32::MAX;
 /// Upstream encoding for [`Upstream::Origin`]; real neighbors use their
-/// node id.
+/// node id (table indices, ≤ tens of millions, so the max value is
+/// safely out of band).
 const ORIGIN: u32 = u32::MAX;
 
-/// Network-wide GUID memory in struct-of-arrays layout: one
-/// open-addressed `(node, guid) → upstream` table plus per-node FIFO
-/// insertion rings.
+/// Entries a new table is sized for (32 buckets, about 300 bytes). A
+/// walk's or a pruned search's GUID reaches a dozen or two nodes, and
+/// holding them without a regrowth keeps the relay path at one
+/// allocation per GUID, well under one per message (`tests/scale.rs`).
+const FIRST_TABLE: usize = 16;
+
+/// One multiply-fold over an integer key. Keys are node ids and GUIDs
+/// minted by the simulator itself, never outside input, and the result
+/// only feeds slot choice; observable behavior never depends on it.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl IntHasher {
+    #[inline]
+    fn fold(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
+impl Hasher for IntHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("GuidStore keys are u32 and u128");
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.fold(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u128(&mut self, x: u128) {
+        self.fold((x as u64) ^ ((x >> 64) as u64).rotate_left(32));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// Network-wide GUID memory, GUID-major: one `node → upstream` table
+/// per remembered GUID plus per-node FIFO insertion rings.
 #[derive(Debug)]
 pub struct GuidStore {
-    /// Owning node per slot (`EMPTY` marks a free slot).
-    slot_nodes: Vec<u32>,
-    /// GUID per slot; only meaningful where `slot_nodes` is occupied.
-    slot_guids: Vec<u128>,
-    /// Encoded upstream per slot (`ORIGIN` or a neighbor id).
-    slot_ups: Vec<u32>,
-    /// Power-of-two table size minus one.
-    mask: usize,
-    /// Occupied slots.
+    /// Slot in `tables` of every GUID some node remembers.
+    index: IntMap<u128, u32>,
+    /// Per GUID, the encoded upstream (`ORIGIN` or a neighbor id) of
+    /// every node that remembers it. A table whose last holder forgets
+    /// the GUID leaves `index`, keeps its allocation and waits in `free`
+    /// for the next new GUID.
+    tables: Vec<(u128, IntMap<u32, u32>)>,
+    free: Vec<u32>,
+    /// Entries over all tables.
     live: usize,
-    /// Per-node FIFO of `(guid, inserted_at_tick)`, indexed by
-    /// `node - base`. Drives capacity eviction and age expiry.
-    rings: Vec<VecDeque<(u128, u64)>>,
+    /// Per-node FIFO of `(slot in tables, inserted_at_tick)`, indexed by
+    /// `node - base`. Drives capacity eviction and age expiry. A slot
+    /// stays its GUID's for as long as any ring names it.
+    rings: Vec<VecDeque<(u32, u64)>>,
     /// First node id covered by this store.
     base: u32,
     capacity: usize,
@@ -80,12 +126,10 @@ impl GuidStore {
         if let Some(ttl) = expiry {
             assert!(ttl > Duration::ZERO, "GUID expiry must be positive");
         }
-        let table = 1024usize;
         GuidStore {
-            slot_nodes: vec![EMPTY; table],
-            slot_guids: vec![0; table],
-            slot_ups: vec![0; table],
-            mask: table - 1,
+            index: IntMap::default(),
+            tables: Vec::new(),
+            free: Vec::new(),
             live: 0,
             rings: (0..count).map(|_| VecDeque::new()).collect(),
             base,
@@ -103,81 +147,32 @@ impl GuidStore {
         (node.0 - self.base) as usize
     }
 
-    /// SplitMix64-style finalizer over the combined key. The result only
-    /// feeds slot choice; observable behavior never depends on it.
-    #[inline]
-    fn hash(node: u32, guid: u128) -> u64 {
-        let mut x = (guid as u64)
-            ^ ((guid >> 64) as u64).rotate_left(32)
-            ^ (u64::from(node)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-
-    /// Linear probe: `Ok(slot)` when the key is present, `Err(slot)` with
-    /// the insertion point otherwise.
-    #[inline]
-    fn probe(&self, node: u32, guid: u128) -> Result<usize, usize> {
-        let mut i = (Self::hash(node, guid) as usize) & self.mask;
-        loop {
-            let n = self.slot_nodes[i];
-            if n == EMPTY {
-                return Err(i);
-            }
-            if n == node && self.slot_guids[i] == guid {
-                return Ok(i);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Doubles the table, re-inserting every occupied slot.
-    fn grow(&mut self) {
-        let new_len = (self.mask + 1) * 2;
-        let old_nodes = std::mem::replace(&mut self.slot_nodes, vec![EMPTY; new_len]);
-        let old_guids = std::mem::replace(&mut self.slot_guids, vec![0; new_len]);
-        let old_ups = std::mem::replace(&mut self.slot_ups, vec![0; new_len]);
-        self.mask = new_len - 1;
-        for (i, &n) in old_nodes.iter().enumerate() {
-            if n == EMPTY {
-                continue;
-            }
-            let slot = self
-                .probe(n, old_guids[i])
-                .expect_err("duplicate key during rehash");
-            self.slot_nodes[slot] = n;
-            self.slot_guids[slot] = old_guids[i];
-            self.slot_ups[slot] = old_ups[i];
-        }
-    }
-
-    /// Removes the slot holding `(node, guid)` with backward-shift
-    /// deletion, keeping probe chains intact without tombstones.
-    fn remove(&mut self, node: u32, guid: u128) {
-        let Ok(mut pos) = self.probe(node, guid) else {
-            debug_assert!(false, "removing absent key");
-            return;
-        };
-        let mask = self.mask;
-        let mut next = (pos + 1) & mask;
-        while self.slot_nodes[next] != EMPTY {
-            let ideal = (Self::hash(self.slot_nodes[next], self.slot_guids[next]) as usize) & mask;
-            // `next` may fill the hole iff the hole lies on its probe
-            // path, i.e. cyclic-distance(ideal → pos) < distance(ideal →
-            // next).
-            if (next.wrapping_sub(ideal) & mask) >= (next.wrapping_sub(pos) & mask) {
-                self.slot_nodes[pos] = self.slot_nodes[next];
-                self.slot_guids[pos] = self.slot_guids[next];
-                self.slot_ups[pos] = self.slot_ups[next];
-                pos = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.slot_nodes[pos] = EMPTY;
+    /// Forgets at `node` the GUID of table `slot`, which a ring entry says
+    /// is remembered.
+    fn remove(&mut self, node: u32, slot: u32) {
+        let (guid, table) = &mut self.tables[slot as usize];
+        let removed = table.remove(&node);
+        debug_assert!(removed.is_some(), "ring names an absent entry");
         self.live -= 1;
+        if table.is_empty() {
+            let indexed = self.index.remove(guid);
+            debug_assert_eq!(indexed, Some(slot), "table emptied twice");
+            self.free.push(slot);
+        }
+    }
+
+    /// The table of `guid`, made (from a retired one when there is one)
+    /// if no node remembers the GUID yet. The caller inserts into it.
+    fn slot_of(&mut self, guid: u128) -> u32 {
+        *self.index.entry(guid).or_insert_with(|| {
+            if let Some(slot) = self.free.pop() {
+                self.tables[slot as usize].0 = guid;
+                return slot;
+            }
+            let table = IntMap::with_capacity_and_hasher(FIRST_TABLE, Default::default());
+            self.tables.push((guid, table));
+            u32::try_from(self.tables.len() - 1).expect("over u32::MAX GUIDs remembered at once")
+        })
     }
 
     /// Drops `node`'s entries recorded more than the expiry TTL before
@@ -186,12 +181,12 @@ impl GuidStore {
     fn expire(&mut self, node: NodeId, now: SimTime) {
         let Some(ttl) = self.expiry else { return };
         let r = self.ring_index(node);
-        while let Some(&(guid, at)) = self.rings[r].front() {
+        while let Some(&(slot, at)) = self.rings[r].front() {
             if now.ticks().saturating_sub(at) <= ttl {
                 break;
             }
             self.rings[r].pop_front();
-            self.remove(node.0, guid);
+            self.remove(node.0, slot);
         }
     }
 
@@ -201,47 +196,41 @@ impl GuidStore {
     /// duplicates never refresh it.
     pub fn record(&mut self, node: NodeId, guid: Guid, upstream: Upstream, now: SimTime) -> bool {
         self.expire(node, now);
-        if self.probe(node.0, guid.0).is_ok() {
+        let slot = self.slot_of(guid.0);
+        let Entry::Vacant(entry) = self.tables[slot as usize].1.entry(node.0) else {
             return false;
-        }
+        };
+        entry.insert(match upstream {
+            Upstream::Origin => ORIGIN,
+            Upstream::Neighbor(n) => n.0,
+        });
+        self.live += 1;
+        // The evicted GUID is not `guid` (that was absent), so evicting
+        // after the insert is the same as `NodeState`'s evict-then-insert.
         let r = self.ring_index(node);
         if self.rings[r].len() == self.capacity {
             if let Some((old, _)) = self.rings[r].pop_front() {
                 self.remove(node.0, old);
             }
         }
-        if (self.live + 1) * 2 > self.mask + 1 {
-            self.grow();
-        }
-        let slot = self
-            .probe(node.0, guid.0)
-            .expect_err("key appeared during insert");
-        self.slot_nodes[slot] = node.0;
-        self.slot_guids[slot] = guid.0;
-        self.slot_ups[slot] = match upstream {
-            Upstream::Origin => ORIGIN,
-            Upstream::Neighbor(n) => n.0,
-        };
-        self.live += 1;
-        self.rings[r].push_back((guid.0, now.ticks()));
+        self.rings[r].push_back((slot, now.ticks()));
         true
     }
 
     /// The reverse-path hop for `guid` at `node`, if still remembered.
     pub fn upstream(&self, node: NodeId, guid: Guid) -> Option<Upstream> {
-        self.probe(node.0, guid.0).ok().map(|slot| {
-            let up = self.slot_ups[slot];
-            if up == ORIGIN {
-                Upstream::Origin
-            } else {
-                Upstream::Neighbor(NodeId(up))
-            }
+        let slot = *self.index.get(&guid.0)?;
+        let up = *self.tables[slot as usize].1.get(&node.0)?;
+        Some(if up == ORIGIN {
+            Upstream::Origin
+        } else {
+            Upstream::Neighbor(NodeId(up))
         })
     }
 
     /// Whether `node` has seen `guid`.
     pub fn has_seen(&self, node: NodeId, guid: Guid) -> bool {
-        self.probe(node.0, guid.0).is_ok()
+        self.upstream(node, guid).is_some()
     }
 
     /// Number of GUIDs `node` currently remembers.
@@ -264,8 +253,8 @@ impl GuidStore {
     pub fn reset(&mut self, node: NodeId) {
         let r = self.ring_index(node);
         let mut ring = std::mem::take(&mut self.rings[r]);
-        for (guid, _) in ring.drain(..) {
-            self.remove(node.0, guid);
+        for (slot, _) in ring.drain(..) {
+            self.remove(node.0, slot);
         }
         self.rings[r] = ring;
     }
@@ -275,6 +264,7 @@ impl GuidStore {
 mod tests {
     use super::*;
     use crate::node::NodeState;
+    use arq_simkern::Rng64;
 
     const T0: SimTime = SimTime::ZERO;
 
@@ -363,61 +353,88 @@ mod tests {
         }
     }
 
-    /// The load-bearing test: a pseudo-random op mix must behave exactly
-    /// like one `NodeState` per node — same accept/reject decisions, same
-    /// upstream answers — including eviction, expiry, and resets.
-    #[test]
-    fn differential_against_node_state() {
-        let nodes = 8usize;
-        let capacity = 5usize;
-        let expiry = Some(Duration::from_ticks(300));
-        let mut store = GuidStore::new(nodes, capacity, expiry);
+    /// Layout invariants the public surface cannot see: every ring entry
+    /// has its table entry and nothing else does, and a table is indexed
+    /// under its GUID exactly while it is non-empty, else free.
+    fn check_layout(s: &GuidStore) {
+        assert_eq!(s.live, s.rings.iter().map(VecDeque::len).sum::<usize>());
+        assert_eq!(s.live, s.tables.iter().map(|(_, t)| t.len()).sum::<usize>());
+        for (slot, (guid, table)) in s.tables.iter().enumerate() {
+            let slot = slot as u32;
+            assert_eq!(table.is_empty(), s.free.contains(&slot));
+            assert_eq!(!table.is_empty(), s.index.get(guid) == Some(&slot));
+        }
+        assert_eq!(s.index.len() + s.free.len(), s.tables.len());
+        for (r, ring) in s.rings.iter().enumerate() {
+            let node = s.base + r as u32;
+            for &(slot, _) in ring {
+                assert!(s.tables[slot as usize].1.contains_key(&node));
+            }
+        }
+    }
+
+    /// A seeded op mix must behave exactly like one `NodeState` per node
+    /// — same accept/reject decisions, same upstream answers — through
+    /// eviction, expiry and resets, for nodes `base..base + nodes`
+    /// drawing from `guids` distinct GUIDs.
+    fn differential(base: u32, nodes: usize, capacity: usize, expiry: Option<u64>, guids: u64) {
+        let expiry = expiry.map(Duration::from_ticks);
+        let mut store = GuidStore::with_range(base, nodes, capacity, expiry);
         let mut refs: Vec<NodeState> = (0..nodes)
             .map(|_| NodeState::with_expiry(capacity, expiry))
             .collect();
-        let mut x = 0x0123_4567_89AB_CDEF_u64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut rng = Rng64::seed_from(guids ^ nodes as u64);
         let mut now = 0u64;
-        for _ in 0..20_000 {
-            now += step() % 8;
+        for op in 0..20_000 {
+            now += rng.below(8);
             let t = SimTime::from_ticks(now);
-            let node = NodeId((step() % nodes as u64) as u32);
-            match step() % 10 {
+            let i = rng.index(nodes);
+            let node = NodeId(base + i as u32);
+            let guid = Guid(u128::from(rng.below(guids)) << 60 | 7);
+            match rng.below(40) {
                 0 => {
                     store.reset(node);
-                    refs[node.index()].reset();
+                    refs[i].reset();
                 }
-                1..=6 => {
-                    // Small GUID space to provoke duplicates.
-                    let guid = Guid(u128::from(step() % 40));
-                    let up = if step() % 4 == 0 {
+                1..=27 => {
+                    let up = if rng.below(4) == 0 {
                         Upstream::Origin
                     } else {
-                        Upstream::Neighbor(NodeId((step() % 8) as u32))
+                        Upstream::Neighbor(NodeId(rng.below(8) as u32))
                     };
                     let a = store.record(node, guid, up, t);
-                    let b = refs[node.index()].record(guid, up, t);
+                    let b = refs[i].record(guid, up, t);
                     assert_eq!(a, b, "record diverged at t={now} node={node}");
                 }
                 _ => {
-                    let guid = Guid(u128::from(step() % 40));
                     assert_eq!(
                         store.upstream(node, guid),
-                        refs[node.index()].upstream(guid),
+                        refs[i].upstream(guid),
                         "upstream diverged at t={now} node={node}"
                     );
-                    assert_eq!(
-                        store.has_seen(node, guid),
-                        refs[node.index()].has_seen(guid)
-                    );
+                    assert_eq!(store.has_seen(node, guid), refs[i].has_seen(guid));
                 }
             }
+            assert_eq!(store.node_len(node), refs[i].len());
+            if op % 1_000 == 0 {
+                check_layout(&store);
+            }
         }
+        check_layout(&store);
+        assert_eq!(store.len(), refs.iter().map(NodeState::len).sum::<usize>());
+    }
+
+    /// The load-bearing test, in the regimes the GUID-major layout tells
+    /// apart: a small mixed one, a few GUIDs that most nodes have seen
+    /// (large tables, shrinking by expiry), and thousands of GUIDs seen
+    /// by one or two nodes each under a capacity of 3, where tables empty,
+    /// retire and are reused for other GUIDs all the time. The last two
+    /// sit at a `with_range` offset.
+    #[test]
+    fn differential_against_node_state() {
+        differential(0, 8, 5, Some(300), 40);
+        differential(5_000, 400, 4, Some(20_000), 6);
+        differential(70_000, 64, 3, None, 4_000);
     }
 
     #[test]

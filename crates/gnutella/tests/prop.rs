@@ -6,12 +6,11 @@
 
 use arq_content::{CatalogConfig, FileId, QueryKey, Topic};
 use arq_gnutella::guid::GuidGen;
-use arq_gnutella::node::{NodeState, Upstream};
 use arq_gnutella::sim::{Network, RetryPolicy, SimConfig};
 use arq_gnutella::{FaultPlan, FloodPolicy, QueryMsg};
 use arq_overlay::NodeId;
 use arq_simkern::time::Duration;
-use arq_simkern::{Rng64, SimTime};
+use arq_simkern::Rng64;
 use arq_trace::record::Guid;
 use proptest::prelude::*;
 
@@ -36,29 +35,6 @@ proptest! {
         }
         prop_assert_eq!(hops, ttl.saturating_sub(1));
         prop_assert_eq!(msg.hops, ttl.saturating_sub(1));
-    }
-
-    /// The GUID cache accepts each GUID exactly once while it is
-    /// resident, and its size never exceeds the capacity.
-    #[test]
-    fn node_state_dedup_and_capacity(
-        cap in 1usize..64,
-        guids in proptest::collection::vec(0u128..40, 1..300),
-    ) {
-        let mut state = NodeState::new(cap);
-        let mut resident: std::collections::VecDeque<u128> = Default::default();
-        for g in guids {
-            let accepted = state.record(Guid(g), Upstream::Origin, SimTime::ZERO);
-            let was_resident = resident.contains(&g);
-            prop_assert_eq!(accepted, !was_resident, "guid {}", g);
-            if accepted {
-                if resident.len() == cap {
-                    resident.pop_front();
-                }
-                resident.push_back(g);
-            }
-            prop_assert!(state.len() <= cap);
-        }
     }
 
     /// Faulty GUID generators only ever emit GUIDs from their pool.

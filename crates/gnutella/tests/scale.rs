@@ -1,4 +1,5 @@
-//! Release-profile scale smoke tests at 100k nodes, one per engine.
+//! Release-profile scale smoke tests: 100k nodes, one per engine, and
+//! one 20k-node flood.
 //!
 //! The windowed sharded engine runs under loss, jitter, crashes, silent
 //! free-riders, session churn, and deadline-driven retries, and checks
@@ -21,12 +22,16 @@
 //! list per issue alone would be 400 KB) and doubling the queries does
 //! not double the peak heap.
 //!
+//! A third case runs the exact engine on a 20k-node flood, where the
+//! message path's two structures (GUID store, event queue) are nearly
+//! all of the heap, and bounds peak heap per message.
+//!
 //! The tests are `#[ignore]`d: they are capacity runs, meant for
 //! `cargo test --release -p arq-gnutella --test scale -- --ignored`.
 
 use arq_gnutella::policy::{ForwardCtx, ForwardingPolicy};
 use arq_gnutella::sim::{Network, RetryPolicy, SimConfig, SimResult};
-use arq_gnutella::FaultPlan;
+use arq_gnutella::{FaultPlan, FloodPolicy};
 use arq_overlay::{ChurnConfig, NodeId};
 use arq_simkern::time::Duration;
 use arq_simkern::Rng64;
@@ -137,15 +142,12 @@ struct Counted {
     peak_growth: u64,
 }
 
-/// Runs `queries` queries at `nodes` scale through `run`, counting the
-/// allocations of the run itself.
-fn run_counted(
-    nodes: usize,
-    queries: usize,
-    seed: u64,
-    run: fn(Network<WalkPolicy>) -> SimResult,
+/// Runs `network` through `run`, counting the allocations of the run
+/// itself.
+fn run_counted<P: ForwardingPolicy>(
+    network: Network<P>,
+    run: fn(Network<P>) -> SimResult,
 ) -> Counted {
-    let network = Network::new(scale_cfg(nodes, queries, seed), WalkPolicy { k: 3 });
     let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
     let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
@@ -161,6 +163,11 @@ fn run_counted(
     }
 }
 
+/// The 100k-node walk network both engine tests run.
+fn walk_network(queries: usize) -> Network<WalkPolicy> {
+    Network::new(scale_cfg(100_000, queries, 29), WalkPolicy { k: 3 })
+}
+
 fn messages(r: &SimResult) -> f64 {
     r.metrics.messages_per_query * r.metrics.queries as f64
 }
@@ -168,14 +175,12 @@ fn messages(r: &SimResult) -> f64 {
 #[test]
 #[ignore = "capacity run: release profile, ~100k nodes"]
 fn hundred_k_nodes_bounded_memory_and_thread_invariant() {
-    const NODES: usize = 100_000;
     const QUERIES: usize = 5_000;
-    const SEED: u64 = 29;
     let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
 
     let sharded_1 = |n: Network<WalkPolicy>| n.run_sharded(1);
-    let base = run_counted(NODES, QUERIES, SEED, sharded_1);
-    let double = run_counted(NODES, 2 * QUERIES, SEED, sharded_1);
+    let base = run_counted(walk_network(QUERIES), sharded_1);
+    let double = run_counted(walk_network(2 * QUERIES), sharded_1);
     let base_msgs = messages(&base.result);
     let double_msgs = messages(&double.result);
     assert!(
@@ -209,7 +214,7 @@ fn hundred_k_nodes_bounded_memory_and_thread_invariant() {
     );
 
     // Byte-identical results at a different worker count.
-    let sharded = Network::new(scale_cfg(NODES, QUERIES, SEED), WalkPolicy { k: 3 }).run_sharded(4);
+    let sharded = walk_network(QUERIES).run_sharded(4);
     let fp = |r: &SimResult| {
         format!(
             "{:?}|{:?}|{}|{}",
@@ -237,13 +242,11 @@ fn hundred_k_nodes_bounded_memory_and_thread_invariant() {
 #[test]
 #[ignore = "capacity run: release profile, ~100k nodes"]
 fn hundred_k_nodes_exact_engine_allocates_per_query_not_per_node() {
-    const NODES: usize = 100_000;
     const QUERIES: usize = 5_000;
-    const SEED: u64 = 29;
     let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
 
-    let base = run_counted(NODES, QUERIES, SEED, Network::run);
-    let double = run_counted(NODES, 2 * QUERIES, SEED, Network::run);
+    let base = run_counted(walk_network(QUERIES), Network::run);
+    let double = run_counted(walk_network(2 * QUERIES), Network::run);
     assert_eq!(base.result.metrics.queries, QUERIES as u64);
     assert_eq!(double.result.metrics.queries, 2 * QUERIES as u64);
     assert!(base.result.metrics.retried > 0, "retry lifecycle inert");
@@ -269,9 +272,9 @@ fn hundred_k_nodes_exact_engine_allocates_per_query_not_per_node() {
 
     // Peak heap is the GUID memory of the messages delivered so far
     // (nothing expires inside this horizon) plus the event queue: a
-    // fixed price per message (measured: 190 bytes), so twice the
+    // fixed price per message (measured: 65 bytes), so twice the
     // queries need less than twice the heap.
-    const PEAK_BYTES_PER_MESSAGE_BUDGET: f64 = 400.0;
+    const PEAK_BYTES_PER_MESSAGE_BUDGET: f64 = 200.0;
     for run in [&base, &double] {
         let per_message = run.peak_growth as f64 / messages(&run.result);
         assert!(
@@ -284,5 +287,29 @@ fn hundred_k_nodes_exact_engine_allocates_per_query_not_per_node() {
         "peak heap growth went from {} to {} bytes when queries doubled",
         base.peak_growth,
         double.peak_growth
+    );
+}
+
+/// The `sim-flood` shape: every query reaches most of the network, so
+/// peak heap is what 20 000 nodes remember of 250 floods (a ring entry
+/// and a table slot per first sighting) plus the events of the floods
+/// in flight — not a table sized for the whole network, nor a buffer
+/// per calendar bucket sized for the busiest tick.
+#[test]
+#[ignore = "capacity run: release profile, 20k-node flood"]
+fn twenty_k_node_flood_peak_heap_follows_what_nodes_remember() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = SimConfig::default_with(20_000, 250, 7);
+    let run = run_counted(Network::new(cfg, FloodPolicy), Network::run);
+    let msgs = messages(&run.result);
+    assert!(msgs > 2_000_000.0, "run too small to measure: {msgs}");
+    // Measured: 26 bytes per message (71 MB); the network-wide
+    // `(node, guid)` table and per-bucket buffers this replaced: 100.
+    const PEAK_BYTES_PER_MESSAGE_BUDGET: f64 = 50.0;
+    let per_message = run.peak_growth as f64 / msgs;
+    assert!(
+        per_message < PEAK_BYTES_PER_MESSAGE_BUDGET,
+        "peak heap grew {per_message:.0} bytes per message ({} bytes)",
+        run.peak_growth
     );
 }

@@ -7,9 +7,11 @@
 //! * [`queue::EventQueue`] — a calendar/bucket event queue with
 //!   **deterministic tie-breaking** (events scheduled at the same instant
 //!   fire in insertion order), which is what makes whole-simulation runs
-//!   reproducible; the original binary-heap implementation survives as
-//!   [`queue::HeapQueue`], the reference the calendar queue is
-//!   property-tested against;
+//!   reproducible, holding memory in proportion to the events pending
+//!   (drained bucket buffers are pooled and reused); the original
+//!   binary-heap implementation survives as [`queue::HeapQueue`], the
+//!   reference the calendar queue's seeded differential tests compare
+//!   against;
 //! * [`rng`] — self-contained SplitMix64 / Xoshiro256** generators with
 //!   inherent draw methods (no external RNG crate), plus a
 //!   [`rng::StreamFactory`] that derives independent, stable sub-streams

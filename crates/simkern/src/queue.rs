@@ -11,13 +11,16 @@
 //!   ticks, plus a binary-heap overflow for events scheduled beyond the
 //!   window. Near-future scheduling (the hot path of a network flood,
 //!   where every delivery lands within a few hundred ticks) is O(1) per
-//!   event with zero steady-state allocation: bucket rings retain their
-//!   capacity across reuse, so a long run recycles the same arenas
-//!   instead of churning a heap.
+//!   event. A drained bucket hands its buffer to a LIFO pool and an
+//!   empty bucket takes one back on its first push, so queue memory is
+//!   proportional to the peak number of *pending* events — not to the
+//!   window span times the busiest tick — and the buffer a push writes
+//!   is the one a pop just left in cache.
 //! * [`HeapQueue`] — the original binary-heap queue, kept as the
-//!   reference implementation. The property suite drives both with the
-//!   same schedule and asserts identical pop sequences; anything the
-//!   calendar queue does differently from the heap is a bug.
+//!   reference implementation. The seeded differential tests below
+//!   drive both with the same schedule / pop / `clear` mix and assert
+//!   identical pop sequences; anything the calendar queue does
+//!   differently from the heap is a bug.
 //!
 //! ## Deterministic FIFO tie-breaking
 //!
@@ -118,8 +121,11 @@ pub struct EventQueue<E> {
     /// One-tick buckets; slot `t % CALENDAR_SPAN` holds events firing at
     /// tick `t` for `t` in the window `[now, now + CALENDAR_SPAN)`.
     /// Within a bucket, entries are `(seq, event)` in insertion order —
-    /// which is FIFO order, since a bucket covers a single instant.
+    /// which is FIFO order, since a bucket covers a single instant. An
+    /// empty bucket owns no buffer: it is in `pool`.
     buckets: Vec<VecDeque<(u64, E)>>,
+    /// Buffers of drained buckets, most recently drained last.
+    pool: Vec<VecDeque<(u64, E)>>,
     /// Occupancy bitmap over bucket slots (one bit per slot). A set bit
     /// always means the bucket is non-empty.
     occ: Vec<u64>,
@@ -145,6 +151,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             buckets: (0..CALENDAR_SPAN).map(|_| VecDeque::new()).collect(),
+            pool: Vec::new(),
             occ: vec![0u64; (CALENDAR_SPAN as usize).div_ceil(64)],
             overflow: BinaryHeap::new(),
             next_bucket: None,
@@ -156,7 +163,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue with pre-reserved overflow capacity (the
-    /// calendar buckets grow on demand and keep their capacity).
+    /// calendar buckets draw their buffers from the pool on demand).
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
         q.overflow.reserve(cap);
@@ -190,7 +197,11 @@ impl<E> EventQueue<E> {
         let t = at.ticks();
         if t < self.now.ticks().saturating_add(CALENDAR_SPAN) {
             let slot = Self::slot(t);
-            self.buckets[slot].push_back((seq, event));
+            let bucket = &mut self.buckets[slot];
+            if bucket.is_empty() {
+                *bucket = self.pool.pop().unwrap_or_default();
+            }
+            bucket.push_back((seq, event));
             self.set_occ(slot);
             if self.next_bucket.is_none_or(|nb| t < nb) {
                 self.next_bucket = Some(t);
@@ -278,6 +289,7 @@ impl<E> EventQueue<E> {
             let slot = Self::slot(t);
             let (_, event) = self.buckets[slot].pop_front().expect("bucket emptied");
             if self.buckets[slot].is_empty() {
+                self.pool.push(std::mem::take(&mut self.buckets[slot]));
                 self.clear_occ(slot);
                 self.next_bucket = None; // re-established below
             }
@@ -326,7 +338,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Discards all pending events without advancing the clock. Bucket
-    /// capacity is retained so a cleared queue re-fills without
+    /// buffers go back to the pool, so a cleared queue re-fills without
     /// allocating.
     pub fn clear(&mut self) {
         for w in 0..self.occ.len() {
@@ -334,6 +346,7 @@ impl<E> EventQueue<E> {
             while bits != 0 {
                 let slot = w * 64 + bits.trailing_zeros() as usize;
                 self.buckets[slot].clear();
+                self.pool.push(std::mem::take(&mut self.buckets[slot]));
                 bits &= bits - 1;
             }
             self.occ[w] = 0;
@@ -344,11 +357,10 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original binary-heap event queue, kept as the reference
-/// implementation for the calendar queue's property suite (and for
-/// callers that prefer a heap's memory profile over bucket arrays).
-/// Delivers the exact same `(time, event)` sequence as [`EventQueue`]
-/// for any schedule.
+/// The original binary-heap event queue: the reference implementation
+/// the calendar queue's differential tests compare against, with no
+/// caller outside them. Delivers the exact same `(time, event)` sequence
+/// as [`EventQueue`] for any schedule.
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
@@ -451,6 +463,13 @@ impl<E> HeapQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng64;
+
+    /// Element capacity the queue holds on to: bucket buffers plus pool.
+    fn retained_capacity<E>(q: &EventQueue<E>) -> usize {
+        let held = |bufs: &[VecDeque<(u64, E)>]| bufs.iter().map(VecDeque::capacity).sum::<usize>();
+        held(&q.buckets) + held(&q.pool)
+    }
 
     #[test]
     fn delivers_in_time_order() {
@@ -628,10 +647,110 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// A burst of K same-tick events swept over more than one full
+    /// window visits every bucket; the queue must end up holding buffers
+    /// for the bursts that were pending at once (two here), not one
+    /// burst-sized buffer per bucket it ever used.
+    #[test]
+    fn retained_capacity_follows_pending_events_not_the_window() {
+        const K: usize = 500;
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::ZERO, 0usize);
+        for tick in 0..CALENDAR_SPAN + CALENDAR_SPAN / 2 {
+            // Every event of this tick's burst schedules one event of the
+            // next tick's, so two buckets are live at any time.
+            for i in 0..K {
+                q.schedule(SimTime::from_ticks(tick + 1), i);
+            }
+            while q.peek_time() == Some(SimTime::from_ticks(tick)) {
+                q.pop();
+            }
+            assert_eq!(q.len(), K);
+        }
+        assert!(
+            retained_capacity(&q) <= 4 * K,
+            "queue retains capacity for {} events after bursts of {K}",
+            retained_capacity(&q)
+        );
+        q.clear();
+        assert!(retained_capacity(&q) <= 4 * K, "clear() lost the pool");
+        assert!(q.buckets.iter().all(|b| b.capacity() == 0));
+    }
+
+    /// The calendar queue pops the exact same `(SimTime, event)` sequence
+    /// as the reference heap under seeded interleavings of schedules
+    /// (same-instant ties, in-window, far-future overflow), pops, and
+    /// `clear()` followed by re-use.
+    #[test]
+    fn calendar_queue_matches_heap_reference() {
+        for seed in 0..16 {
+            let mut rng = Rng64::seed_from(seed);
+            let mut cal = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            for i in 0..2_000usize {
+                match rng.below(10) {
+                    0..=4 => {
+                        let dt = match rng.below(4) {
+                            0 => 0,
+                            1 => rng.below(8),
+                            2 => rng.below(CALENDAR_SPAN),
+                            _ => rng.below(3 * CALENDAR_SPAN),
+                        };
+                        let at = SimTime::from_ticks(cal.now().ticks() + dt);
+                        cal.schedule(at, i);
+                        heap.schedule(at, i);
+                    }
+                    5..=8 => {
+                        assert_eq!(cal.peek_time(), heap.peek_time(), "seed {seed} op {i}");
+                        assert_eq!(cal.pop(), heap.pop(), "seed {seed} op {i}");
+                        assert_eq!(cal.now(), heap.now(), "seed {seed} op {i}");
+                    }
+                    // Rare, so the queues build up depth between clears.
+                    _ if rng.below(20) == 0 => {
+                        cal.clear();
+                        heap.clear();
+                        assert!(cal.is_empty());
+                        assert_eq!(cal.now(), heap.now(), "clear must keep the clock");
+                    }
+                    _ => {}
+                }
+                assert_eq!(cal.len(), heap.len(), "seed {seed} op {i}");
+            }
+            loop {
+                let (a, b) = (cal.pop(), heap.pop());
+                assert_eq!(a, b, "seed {seed}: drain diverged");
+                if a.is_none() {
+                    break;
+                }
+            }
+            assert!(cal.buckets.iter().all(|b| b.capacity() == 0));
+        }
+    }
+
+    /// Events always pop in (time, insertion) order, whatever the
+    /// schedule pattern.
+    #[test]
+    fn event_queue_is_totally_ordered() {
+        for seed in 0..16 {
+            let mut rng = Rng64::seed_from(seed);
+            let count = 1 + rng.index(200);
+            let mut q = EventQueue::new();
+            for i in 0..count {
+                q.schedule(SimTime::from_ticks(rng.below(1_000)), i);
+            }
+            let mut last: Option<(SimTime, usize)> = None;
+            while let Some(next) = q.pop() {
+                assert!(last < Some(next), "seed {seed}: {last:?} then {next:?}");
+                last = Some(next);
+            }
+            assert_eq!(q.delivered(), count as u64);
+        }
+    }
+
     #[test]
     fn matches_heap_reference_on_mixed_workload() {
-        // Differential smoke test (the exhaustive property suite lives in
-        // tests/prop.rs): a deterministic pseudo-random schedule with
+        // One long seed without `clear`, so thousands of events are
+        // pending at once: a deterministic pseudo-random schedule with
         // ties, far-future events, and interleaved pops.
         let mut cal = EventQueue::new();
         let mut heap = HeapQueue::new();

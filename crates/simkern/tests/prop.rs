@@ -5,87 +5,10 @@
 //! Property-based tests for the simulation kernel.
 
 use arq_simkern::time::Duration;
-use arq_simkern::{EventQueue, HeapQueue, Rng64, SimTime, Summary, Welford};
+use arq_simkern::{Rng64, SimTime, Summary, Welford};
 use proptest::prelude::*;
 
-/// One step of a differential queue workload.
-#[derive(Debug, Clone)]
-enum QueueOp {
-    /// Schedule an event `dt` ticks after the current clock (0 produces
-    /// same-instant ties; large values exercise the overflow heap).
-    Schedule(u64),
-    /// Pop one event from both queues and compare.
-    Pop,
-    /// Drop all pending events from both queues (clock is kept).
-    Clear,
-}
-
-fn queue_op() -> impl Strategy<Value = QueueOp> {
-    prop_oneof![
-        5 => (0u64..12_000).prop_map(QueueOp::Schedule),
-        4 => Just(QueueOp::Pop),
-        1 => Just(QueueOp::Clear),
-    ]
-}
-
 proptest! {
-    /// The calendar queue pops the exact same `(SimTime, event)` sequence
-    /// as the reference binary-heap queue under arbitrary interleavings of
-    /// schedules (including same-timestamp ties and far-future overflow),
-    /// pops, and `clear()`/re-use.
-    #[test]
-    fn calendar_queue_matches_heap_reference(ops in proptest::collection::vec(queue_op(), 1..400)) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                QueueOp::Schedule(dt) => {
-                    let at = SimTime::from_ticks(cal.now().ticks() + dt);
-                    cal.schedule(at, i);
-                    heap.schedule(at, i);
-                }
-                QueueOp::Pop => {
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time(), "peek diverged at op {}", i);
-                    prop_assert_eq!(cal.pop(), heap.pop(), "pop diverged at op {}", i);
-                    prop_assert_eq!(cal.now(), heap.now());
-                }
-                QueueOp::Clear => {
-                    cal.clear();
-                    heap.clear();
-                    prop_assert!(cal.is_empty());
-                    prop_assert_eq!(cal.now(), heap.now(), "clear must keep the clock");
-                }
-            }
-            prop_assert_eq!(cal.len(), heap.len(), "len diverged at op {}", i);
-        }
-        // Drain whatever is left and compare the tails.
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(&a, &b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Events always pop in (time, insertion) order, regardless of the
-    /// schedule pattern.
-    #[test]
-    fn event_queue_is_totally_ordered(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_ticks(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, idx)) = q.pop() {
-            if let Some((lt, lidx)) = last {
-                prop_assert!(t > lt || (t == lt && idx > lidx), "ordering violated");
-            }
-            last = Some((t, idx));
-        }
-        prop_assert_eq!(q.delivered(), times.len() as u64);
-    }
-
     /// Welford's merge is equivalent to sequential accumulation at any
     /// split point.
     #[test]
