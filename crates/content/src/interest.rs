@@ -35,11 +35,19 @@ impl InterestProfile {
     }
 
     /// Builds a profile from explicit topic/weight pairs (weights need not
-    /// be normalized).
+    /// be normalized, but must be non-negative with a positive, finite
+    /// sum).
     pub fn from_pairs(pairs: &[(Topic, f64)]) -> Self {
         assert!(!pairs.is_empty(), "empty interest profile");
+        assert!(
+            pairs.iter().all(|(_, w)| *w >= 0.0),
+            "negative profile weight"
+        );
         let total: f64 = pairs.iter().map(|(_, w)| *w).sum();
-        assert!(total > 0.0, "profile weights sum to zero");
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "profile weights must have a positive, finite sum"
+        );
         InterestProfile {
             topics: pairs.iter().map(|(t, _)| *t).collect(),
             weights: pairs.iter().map(|(_, w)| w / total).collect(),
@@ -58,15 +66,21 @@ impl InterestProfile {
 
     /// Draws a topic according to the profile weights.
     pub fn sample_topic(&self, rng: &mut Rng64) -> Topic {
-        let u = rng.f64();
+        self.topics[self.topic_index(rng.f64())]
+    }
+
+    /// The position of the first topic whose running weight exceeds `u`,
+    /// or the last topic. The weights are non-negative, so the running
+    /// sums never decrease and counting the sums `<= u` finds that
+    /// position without a data-dependent branch.
+    fn topic_index(&self, u: f64) -> usize {
         let mut acc = 0.0;
-        for (t, w) in self.topics.iter().zip(&self.weights) {
+        let mut i = 0;
+        for w in &self.weights {
             acc += w;
-            if u < acc {
-                return *t;
-            }
+            i += usize::from(acc <= u);
         }
-        *self.topics.last().unwrap()
+        i.min(self.weights.len() - 1)
     }
 
     /// One drift step: with probability `p`, replaces the least-weighted
@@ -149,6 +163,99 @@ mod tests {
             .count();
         let frac = zero as f64 / n as f64;
         assert!((frac - 0.75).abs() < 0.01, "frac {frac}");
+    }
+
+    /// The early-exit loop `topic_index` replaced.
+    fn reference_index(p: &InterestProfile, u: f64) -> usize {
+        let mut acc = 0.0;
+        for (i, w) in p.weights.iter().enumerate() {
+            acc += w;
+            if u < acc {
+                return i;
+            }
+        }
+        p.weights.len() - 1
+    }
+
+    #[test]
+    fn topic_index_equals_the_early_exit_loop() {
+        let mut rng = Rng64::seed_from(0x1D7);
+        let mut profiles: Vec<InterestProfile> = (1..=8)
+            .map(|k| InterestProfile::sample(20, k, &mut rng))
+            .collect();
+        profiles.extend([
+            InterestProfile::from_pairs(&[(Topic(0), 1.0)]),
+            InterestProfile::from_pairs(&[(Topic(0), 3.0), (Topic(1), 7.0), (Topic(2), 0.1)]),
+            InterestProfile::from_pairs(&[(Topic(0), 1e-300), (Topic(1), 1.0), (Topic(2), 1e-300)]),
+            InterestProfile::from_pairs(&[(Topic(0), 0.0), (Topic(1), 2.5), (Topic(2), 0.0)]),
+            InterestProfile::from_pairs(&[(Topic(4), 1e-9), (Topic(5), 1e-9), (Topic(6), 1e-9)]),
+        ]);
+        for p in &profiles {
+            let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+            let mut acc = 0.0;
+            for w in &p.weights {
+                acc += w;
+                us.extend([acc, acc.next_down(), acc.next_up()]);
+            }
+            us.extend((0..20_000).map(|_| rng.f64()));
+            for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(p.topic_index(u), reference_index(p, u), "{p:?} u {u:e}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "negative profile weight")]
+    fn from_pairs_rejects_negative_weights() {
+        InterestProfile::from_pairs(&[(Topic(0), 2.0), (Topic(1), -1.0)]);
+    }
+
+    #[test]
+    fn sampled_profiles_have_distinct_topics_and_normalized_weights() {
+        let mut rng = Rng64::seed_from(0x1D8);
+        for _ in 0..200 {
+            let topics = 1 + rng.index(99);
+            let k = 1 + rng.index(9);
+            let p = InterestProfile::sample(topics, k, &mut rng);
+            let kk = k.min(topics);
+            assert_eq!(p.topics().len(), kk);
+            let set: std::collections::HashSet<_> = p.topics().iter().collect();
+            assert_eq!(set.len(), kk);
+            let total: f64 = (0..kk).map(|i| p.weight(i)).sum();
+            assert!((total - 1.0).abs() < 1e-9);
+            for _ in 0..50 {
+                assert!(p.topics().contains(&p.sample_topic(&mut rng)));
+            }
+        }
+    }
+
+    #[test]
+    fn drift_preserves_size_distinctness_and_range() {
+        let mut rng = Rng64::seed_from(0x1D9);
+        for _ in 0..100 {
+            let topics = 2 + rng.index(48);
+            let mut p = InterestProfile::sample(topics, 3, &mut rng);
+            let size = p.topics().len();
+            for _ in 0..rng.index(100) {
+                p.drift(topics, 0.5, &mut rng);
+                assert_eq!(p.topics().len(), size);
+                let set: std::collections::HashSet<_> = p.topics().iter().collect();
+                assert_eq!(set.len(), size, "drift produced duplicate topics");
+                assert!(p.topics().iter().all(|t| (t.0 as usize) < topics));
+            }
+        }
+    }
+
+    #[test]
+    fn overlap_is_symmetric_and_bounded() {
+        let mut rng = Rng64::seed_from(0x1DA);
+        for _ in 0..200 {
+            let a = InterestProfile::sample(30, 4, &mut rng);
+            let b = InterestProfile::sample(30, 4, &mut rng);
+            let ab = a.overlap(&b);
+            assert!((0.0..=1.0).contains(&ab));
+            assert!((ab - b.overlap(&a)).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub struct QueryKey {
 
 /// The set of files one node shares: a sorted, duplicate-free `Vec`.
 /// Libraries hold tens of files and are probed on every query delivery,
-/// so one contiguous binary search beats a tree walk.
+/// so one contiguous binary search beats a tree walk. Sampling builds it
+/// without sorting or shifting: draws are deduplicated in a catalog-wide
+/// bitmap and the `Vec` is read off its set bits in id order.
 #[derive(Debug, Clone, Default)]
 pub struct Library {
     files: Vec<FileId>,
@@ -35,18 +37,44 @@ impl Library {
         Library::default()
     }
 
-    /// Fills a library with `n` files drawn from the node's interests.
+    /// Fills a library with `n` distinct files drawn from the node's
+    /// interests, giving up after `50 n` draws. Duplicates are dropped by
+    /// test-and-set in a bitmap over the catalog, so each draw is O(1);
+    /// the library is then read off the set bits in id order, already
+    /// sorted.
     pub fn sample(catalog: &Catalog, profile: &InterestProfile, n: usize, rng: &mut Rng64) -> Self {
-        let mut lib = Library {
-            files: Vec::with_capacity(n),
-        };
+        let mut seen = vec![0; catalog.len().div_ceil(64)];
+        Library::sample_with(catalog, profile, n, rng, &mut seen)
+    }
+
+    /// [`Library::sample`] with a caller-owned bitmap of
+    /// `catalog.len()` bits, all clear on entry and left clear on return.
+    fn sample_with(
+        catalog: &Catalog,
+        profile: &InterestProfile,
+        n: usize,
+        rng: &mut Rng64,
+        seen: &mut [u64],
+    ) -> Self {
+        let mut distinct = 0;
         let mut guard = 0;
-        while lib.len() < n && guard < n * 50 {
+        while distinct < n && guard < n * 50 {
             let topic = profile.sample_topic(rng);
-            lib.insert(catalog.sample_file(topic, rng));
+            let f = catalog.sample_file(topic, rng).0 as usize;
+            let (word, bit) = (&mut seen[f / 64], 1 << (f % 64));
+            distinct += usize::from(*word & bit == 0);
+            *word |= bit;
             guard += 1;
         }
-        lib
+        let mut files = Vec::with_capacity(distinct);
+        for (w, word) in seen.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                files.push(FileId((w * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        Library { files }
     }
 
     /// Whether the library contains `f`.
@@ -123,6 +151,7 @@ impl WorkloadGen {
     pub fn generate(n: usize, catalog: &Catalog, cfg: WorkloadConfig, rng: &mut Rng64) -> Self {
         let mut profiles = Vec::with_capacity(n);
         let mut libraries = Vec::with_capacity(n);
+        let mut seen = vec![0; catalog.len().div_ceil(64)];
         for _ in 0..n {
             let profile =
                 InterestProfile::sample(catalog.topic_count(), cfg.interests_per_node, rng);
@@ -132,7 +161,7 @@ impl WorkloadGen {
                 let lo = cfg.files_per_node / 2;
                 let span = cfg.files_per_node.max(1);
                 let count = lo + rng.index(span);
-                Library::sample(catalog, &profile, count.max(1), rng)
+                Library::sample_with(catalog, &profile, count.max(1), rng, &mut seen)
             };
             profiles.push(profile);
             libraries.push(lib);
@@ -235,6 +264,82 @@ mod tests {
         assert!(!lib.is_empty());
         for f in lib.iter() {
             assert_eq!(catalog.meta(f).topic, Topic(3));
+        }
+    }
+
+    /// The sorted-insert loop `Library::sample` replaced.
+    fn reference_sample(
+        catalog: &Catalog,
+        profile: &InterestProfile,
+        n: usize,
+        rng: &mut Rng64,
+    ) -> Library {
+        let mut lib = Library::empty();
+        let mut guard = 0;
+        while lib.len() < n && guard < n * 50 {
+            let topic = profile.sample_topic(rng);
+            lib.insert(catalog.sample_file(topic, rng));
+            guard += 1;
+        }
+        lib
+    }
+
+    #[test]
+    fn bitmap_sampling_equals_the_insert_loop() {
+        let mut rng = Rng64::seed_from(0x5A3);
+        // 7 × 50 = 350 files: the bitmap's last word is partly used.
+        let catalogs = [
+            CatalogConfig::default(),
+            CatalogConfig {
+                topics: 7,
+                files_per_topic: 50,
+                ..Default::default()
+            },
+        ]
+        .map(|cfg| Catalog::generate(cfg, &mut rng));
+        for catalog in &catalogs {
+            let profiles = [
+                InterestProfile::sample(catalog.topic_count(), 3, &mut rng),
+                InterestProfile::from_pairs(&[(Topic(catalog.topic_count() as u16 - 1), 1.0)]),
+            ];
+            let mut seen = vec![0; catalog.len().div_ceil(64)];
+            for profile in &profiles {
+                for n in [1, 20, 90] {
+                    for seed in 0..40 {
+                        let mut a = Rng64::seed_from(seed);
+                        let mut b = Rng64::seed_from(seed);
+                        let got = Library::sample_with(catalog, profile, n, &mut a, &mut seen);
+                        let want = reference_sample(catalog, profile, n, &mut b);
+                        assert_eq!(got.files, want.files, "n {n} seed {seed}");
+                        assert_eq!(a.next_u64(), b.next_u64(), "n {n} seed {seed}: draws");
+                        assert!(seen.iter().all(|&w| w == 0), "bitmap left dirty");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_topic_libraries_stay_in_topic_and_size() {
+        let mut rng = Rng64::seed_from(0x5A4);
+        for _ in 0..100 {
+            let catalog = Catalog::generate(
+                CatalogConfig {
+                    topics: 8,
+                    files_per_topic: 50,
+                    ..Default::default()
+                },
+                &mut rng,
+            );
+            let topic = Topic(rng.index(8) as u16);
+            let n = 1 + rng.index(39);
+            let profile = InterestProfile::from_pairs(&[(topic, 1.0)]);
+            let lib = Library::sample(&catalog, &profile, n, &mut rng);
+            assert!(!lib.is_empty());
+            assert!(lib.len() <= n);
+            for f in lib.iter() {
+                assert_eq!(catalog.meta(f).topic, topic);
+            }
         }
     }
 

@@ -2,8 +2,14 @@
 //!
 //! P2P measurement studies consistently find Zipf-like popularity for both
 //! query terms and shared files. This sampler precomputes the cumulative
-//! distribution once and draws in O(log n) by binary search, which is fast
-//! enough to sit inside the per-query hot loop.
+//! distribution once and draws in expected O(1) with a guide table
+//! (Chen & Asau): `u ∈ [0, 1)` falls in one of `g` equal buckets, a
+//! power of two at least `8n` wide, and `guide[j]` is the rank of the
+//! bucket's lower edge `j / g`. A draw starts there and scans forward
+//! while `cdf[i] <= u`. Because `g` is a power of two, `⌊u·g⌋` and
+//! `j / g` are exact, so the start never overshoots and the rank equals
+//! `cdf.partition_point(|&c| c <= u).min(n - 1)` — the binary search it
+//! replaced — for every `u` (pinned by a differential test).
 
 use arq_simkern::Rng64;
 
@@ -14,6 +20,7 @@ use arq_simkern::Rng64;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -21,6 +28,7 @@ impl Zipf {
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "Zipf over empty support");
         assert!(alpha >= 0.0, "negative Zipf exponent");
+        assert!(u32::try_from(n).is_ok(), "Zipf support too large");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 0..n {
@@ -33,7 +41,17 @@ impl Zipf {
         }
         // Guard against floating-point shortfall at the top.
         *cdf.last_mut().unwrap() = 1.0;
-        Zipf { cdf }
+        let g = (8 * n).next_power_of_two();
+        let mut guide = Vec::with_capacity(g);
+        let mut i = 0;
+        for j in 0..g {
+            let edge = j as f64 / g as f64;
+            while i < n - 1 && cdf[i] <= edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Zipf { cdf, guide }
     }
 
     /// Number of ranks.
@@ -48,11 +66,18 @@ impl Zipf {
 
     /// Draws a rank.
     pub fn sample(&self, rng: &mut Rng64) -> usize {
-        let u = rng.f64();
-        // partition_point returns the first index with cdf > u.
-        self.cdf
-            .partition_point(|&c| c <= u)
-            .min(self.cdf.len() - 1)
+        self.rank(rng.f64())
+    }
+
+    /// The rank of `u ∈ [0, 1)`: the first index with `cdf > u`, capped
+    /// at the last rank.
+    fn rank(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let mut i = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while i < last && self.cdf[i] <= u {
+            i += 1;
+        }
+        i
     }
 
     /// Probability mass of rank `k`.
@@ -112,6 +137,57 @@ mod tests {
         let mut rng = Rng64::seed_from(1);
         assert_eq!(z.sample(&mut rng), 0);
         assert!((z.pmf(0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn guide_table_rank_equals_the_binary_search() {
+        let mut rng = Rng64::seed_from(0x21FF);
+        for n in [1, 2, 7, 500, 4096] {
+            for alpha in [0.0, 0.6, 0.9, 2.5] {
+                let z = Zipf::new(n, alpha);
+                let reference = |u: f64| z.cdf.partition_point(|&c| c <= u).min(n - 1);
+                let g = z.guide.len();
+                let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+                for &c in &z.cdf {
+                    us.extend([c, c.next_down(), c.next_up()]);
+                }
+                us.extend((0..g).map(|j| j as f64 / g as f64));
+                us.extend((0..100_000).map(|_| rng.f64()));
+                for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(z.rank(u), reference(u), "n {n} alpha {alpha} u {u:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pmf_is_a_distribution_for_any_support_and_exponent() {
+        let mut rng = Rng64::seed_from(0x21F0);
+        for _ in 0..200 {
+            let n = 1 + rng.index(499);
+            let alpha = rng.f64() * 3.0;
+            let z = Zipf::new(n, alpha);
+            let total: f64 = (0..n).map(|k| z.pmf(k)).sum();
+            assert!((total - 1.0).abs() < 1e-6, "pmf sums to {total}");
+            for k in 1..n {
+                assert!(
+                    z.pmf(k) <= z.pmf(k - 1) + 1e-12,
+                    "n {n} alpha {alpha} k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn samples_fall_in_support() {
+        let mut rng = Rng64::seed_from(0x21F1);
+        for _ in 0..200 {
+            let n = 1 + rng.index(199);
+            let z = Zipf::new(n, rng.f64() * 2.5);
+            for _ in 0..200 {
+                assert!(z.sample(&mut rng) < n);
+            }
+        }
     }
 
     #[test]

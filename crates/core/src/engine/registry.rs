@@ -337,18 +337,30 @@ impl BuiltPolicy {
 /// | `hybrid` | `cap` (5), `k` (2), `s` (3), `hl` (500), `minconf` (0) |
 /// | `community` | `n` core size (16), `k` (2), `s` (3), `hl` (500), `minconf` (0) |
 ///
-/// `minconf` and the counts a constructor asserts to be at least 1 (`k`,
+/// `minconf`, `demote`, `ft` and `atten` (each in [0, 1]), the support
+/// `s` and the counts a constructor asserts to be at least 1 (`k`,
 /// `cap`, `n`, `horizon`) are validated here, at spec-parse time, so a
 /// bad value comes back as a [`RegistryError::BadSpec`] rather than a
 /// panic from the policy constructor deep inside a run.
 pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
     let parsed = parse_spec(spec)?;
-    let minconf = |p: &ParamTable| -> Result<f64, RegistryError> {
-        let v = p.f64("minconf");
+    let unit = |p: &ParamTable, key: &str| -> Result<f64, RegistryError> {
+        let v = p.f64(key);
         if !(0.0..=1.0).contains(&v) {
             return Err(RegistryError::BadSpec {
                 spec: spec.to_string(),
-                reason: format!("parameter `minconf` must be in [0, 1], got {v}"),
+                reason: format!("parameter `{key}` must be in [0, 1], got {v}"),
+            });
+        }
+        Ok(v)
+    };
+    let minconf = |p: &ParamTable| unit(p, "minconf");
+    let support = |p: &ParamTable| -> Result<f64, RegistryError> {
+        let v = p.f64("s");
+        if !(1.0..).contains(&v) {
+            return Err(RegistryError::BadSpec {
+                spec: spec.to_string(),
+                reason: format!("parameter `s` must be at least 1, got {v}"),
             });
         }
         Ok(v)
@@ -417,7 +429,7 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
             )?;
             plain(Box::new(RoutingIndices::new(
                 p.positive("horizon")? as u32,
-                p.f64("atten"),
+                unit(&p, "atten")?,
                 p.positive("k")?,
             )))
         }
@@ -440,7 +452,7 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
             )?;
             plain(Box::new(AssocPolicy::new(AssocPolicyConfig {
                 k: p.positive("k")?,
-                min_support: p.f64("s"),
+                min_support: support(&p)?,
                 min_confidence: minconf(&p)?,
                 half_life: p.f64("hl"),
                 top_by_support: p.f64("top") != 0.0,
@@ -465,13 +477,13 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
             )?;
             plain(Box::new(AssocPolicy::new(AssocPolicyConfig {
                 k: p.positive("k")?,
-                min_support: p.f64("s"),
+                min_support: support(&p)?,
                 min_confidence: minconf(&p)?,
                 half_life: p.f64("hl"),
                 top_by_support: p.f64("top") != 0.0,
-                demote: p.f64("demote"),
+                demote: unit(&p, "demote")?,
                 fail_window: p.usize("fw")?,
-                fail_threshold: p.f64("ft"),
+                fail_threshold: unit(&p, "ft")?,
             })))
         }
         "hybrid" => {
@@ -492,7 +504,7 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
                 p.positive("k")?,
                 AssocPolicyConfig {
                     k: p.positive("k")?,
-                    min_support: p.f64("s"),
+                    min_support: support(&p)?,
                     min_confidence: minconf(&p)?,
                     half_life: p.f64("hl"),
                     top_by_support: true,
@@ -516,7 +528,7 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
             plain(Box::new(CommunityPolicy::new(
                 p.positive("n")?,
                 p.positive("k")?,
-                p.f64("s"),
+                support(&p)?,
                 minconf(&p)?,
                 p.f64("hl"),
             )))
@@ -1011,6 +1023,56 @@ mod tests {
             let want = format!("parameter `{key}` must be at least 1, got 0");
             assert!(msg.contains(&want), "{msg}");
         }
+    }
+
+    #[test]
+    fn sub_unit_support_is_rejected_at_spec_parse_time() {
+        // Each of these was a panic from the policy constructor.
+        for spec in [
+            "assoc(s=0)",
+            "assoc-adaptive(s=0.5)",
+            "hybrid(s=0)",
+            "community(s=-1)",
+        ] {
+            let msg = policy_err(spec);
+            assert!(
+                msg.contains("parameter `s` must be at least 1, got"),
+                "{msg}"
+            );
+        }
+        make_policy("assoc(s=1)").unwrap();
+    }
+
+    #[test]
+    fn demote_is_validated_at_spec_parse_time() {
+        let msg = policy_err("assoc-adaptive(demote=1.5)");
+        assert!(
+            msg.contains("parameter `demote` must be in [0, 1], got 1.5"),
+            "{msg}"
+        );
+        make_policy("assoc-adaptive(demote=1)").unwrap();
+    }
+
+    #[test]
+    fn fail_threshold_is_validated_at_spec_parse_time() {
+        let msg = policy_err("assoc-adaptive(ft=2)");
+        assert!(
+            msg.contains("parameter `ft` must be in [0, 1], got 2"),
+            "{msg}"
+        );
+        make_policy("assoc-adaptive(ft=0)").unwrap();
+    }
+
+    #[test]
+    fn attenuation_is_validated_at_spec_parse_time() {
+        for spec in ["routing-index(atten=2)", "routing-index(atten=-1)"] {
+            let msg = policy_err(spec);
+            assert!(
+                msg.contains("parameter `atten` must be in [0, 1], got"),
+                "{msg}"
+            );
+        }
+        make_policy("routing-index(atten=1)").unwrap();
     }
 
     #[test]
