@@ -22,6 +22,27 @@
 //!   "via":[...],"epoch":E}`;
 //! * `{"ev":"stats","id":N}` — snapshot the service counters.
 //!
+//! `src` and `via` must be integers in `[0, 4294967295]` (a
+//! [`HostId`]); `id` and `k`, when present, non-negative integers up to
+//! `u64::MAX`. Anything else gets an in-band `{"ev":"error"}` reply that
+//! names the field and the value, never a wrapped id.
+//!
+//! ## Ingest path
+//!
+//! Frames are decoded in place ([`FrameReader`] lends each payload out
+//! of its buffer) and read by a schema-directed scanner that builds no
+//! JSON tree: it accepts one flat object whose values are strings
+//! without escapes or unsigned integers (≤ 15 digits for `src`, `via`,
+//! `id` and `k`, ≤ 38 for any other field), with the first occurrence
+//! of a key winning and only whitespace after the `}`. That covers every
+//! frame `arq gen-events` writes. On any other shape — escapes, floats,
+//! negatives, nesting, literals, a missing field, an unknown `ev` — the
+//! scanner declines and the `simkern::json` tree reader handles the
+//! frame, so every accepted value and every error message is the tree
+//! reader's. `routed` replies are rendered straight into one reused
+//! buffer; a pair frame allocates nothing between the socket and the
+//! miner's queue.
+//!
 //! ## Backpressure and shedding
 //!
 //! Pairs flow to the mining thread through a bounded queue. By default
@@ -50,7 +71,7 @@
 
 use arq_assoc::{DecayedPairCounts, DecayedSnapshot, LossyPairCounts, LossySnapshot, RuleSet};
 use arq_core::engine::registry::parse_spec;
-use arq_core::{RouteDecision, RuleHandle};
+use arq_core::RuleHandle;
 use arq_obs::{to_prometheus, Registry};
 use arq_simkern::{json, write_atomic, Histogram, Json};
 use arq_trace::record::HostId;
@@ -90,8 +111,9 @@ fn err(message: impl Into<String>) -> ServeError {
 
 /// Writes one length-prefixed frame: `<len>\n<payload>\n`.
 pub fn write_frame(w: &mut dyn Write, payload: &str) -> std::io::Result<()> {
-    w.write_all(payload.len().to_string().as_bytes())?;
-    w.write_all(b"\n")?;
+    // The digits and the newline, formatted without a String; the
+    // payload keeps a write of its own.
+    writeln!(w, "{}", payload.len())?;
     w.write_all(payload.as_bytes())?;
     w.write_all(b"\n")
 }
@@ -133,6 +155,12 @@ impl FrameReader {
     /// Extracts the next complete frame, `Ok(None)` if more bytes are
     /// needed, or an error for a malformed length header or frame body.
     pub fn next_frame(&mut self) -> Result<Option<String>, ServeError> {
+        Ok(self.next_payload()?.map(str::to_string))
+    }
+
+    /// [`next_frame`](FrameReader::next_frame) without the copy: the
+    /// payload is borrowed from the buffer until the next call.
+    fn next_payload(&mut self) -> Result<Option<&str>, ServeError> {
         let pending = &self.buf[self.start..];
         let Some(nl) = pending.iter().position(|&b| b == b'\n') else {
             if pending.len() > 32 {
@@ -148,19 +176,22 @@ impl FrameReader {
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| err("bad frame length header (expected ASCII decimal byte count)"))?;
         // Header + payload + trailing newline must all be buffered.
-        if pending.len() < nl + 1 + len + 1 {
+        let end = len.checked_add(nl + 2).ok_or_else(|| {
+            err(format!(
+                "bad frame length {len} (exceeds the address space)"
+            ))
+        })?;
+        if pending.len() < end {
             return Ok(None);
         }
-        let body = &pending[nl + 1..nl + 1 + len];
-        if pending[nl + 1 + len] != b'\n' {
+        if pending[end - 1] != b'\n' {
             return Err(err(format!(
                 "frame payload not followed by newline (declared length {len})"
             )));
         }
-        let payload = std::str::from_utf8(body)
-            .map_err(|_| err("frame payload is not UTF-8"))?
-            .to_string();
-        self.start += nl + 1 + len + 1;
+        let payload = std::str::from_utf8(&pending[nl + 1..end - 1])
+            .map_err(|_| err("frame payload is not UTF-8"))?;
+        self.start += end;
         Ok(Some(payload))
     }
 }
@@ -195,35 +226,209 @@ pub enum Event {
     },
 }
 
-/// Parses one frame payload into an [`Event`].
+/// Parses one frame payload into an [`Event`]: the scanner for the
+/// shapes it knows, the JSON tree reader for everything else.
 pub fn parse_event(payload: &str) -> Result<Event, ServeError> {
+    match scan_event(payload.as_bytes()) {
+        Some(event) => Ok(event),
+        None => parse_event_tree(payload),
+    }
+}
+
+/// The tree reader: accepts any JSON object and owns every error
+/// message.
+fn parse_event_tree(payload: &str) -> Result<Event, ServeError> {
     let doc = json::parse(payload).map_err(|e| err(format!("bad event JSON: {e}")))?;
     let ev = doc
         .get("ev")
         .and_then(Json::as_str)
         .ok_or_else(|| err("event missing string field `ev`"))?;
-    let field_u64 = |name: &str| -> Result<u64, ServeError> {
-        doc.get(name)
-            .and_then(Json::as_f64)
-            .map(|x| x as u64)
-            .ok_or_else(|| err(format!("`{ev}` event missing numeric field `{name}`")))
+    let out_of_range = |name: &str, max: u64, value: &Json| {
+        err(format!(
+            "`{ev}` event field `{name}` must be an integer in [0, {max}], got {value}"
+        ))
+    };
+    let host = |name: &str| -> Result<HostId, ServeError> {
+        let value = doc
+            .get(name)
+            .filter(|v| v.as_f64().is_some())
+            .ok_or_else(|| err(format!("`{ev}` event missing numeric field `{name}`")))?;
+        match value {
+            Json::Int(i) => u32::try_from(*i).ok(),
+            _ => None,
+        }
+        .map(HostId)
+        .ok_or_else(|| out_of_range(name, u32::MAX.into(), value))
+    };
+    // An absent `id`/`k` is 0. Values pass through `f64`, so an id past
+    // 2^53 is echoed rounded, as it always was; every value the scanner
+    // reads (≤ 15 digits) is exact.
+    let count = |name: &str| -> Result<u64, ServeError> {
+        match doc.get(name) {
+            None => Ok(0),
+            Some(Json::Int(i)) if u64::try_from(*i).is_ok() => Ok(*i as f64 as u64),
+            Some(value) => Err(out_of_range(name, u64::MAX, value)),
+        }
     };
     match ev {
         "pair" => Ok(Event::Pair {
-            src: HostId(field_u64("src")? as u32),
-            via: HostId(field_u64("via")? as u32),
+            src: host("src")?,
+            via: host("via")?,
         }),
         "route" => Ok(Event::Route {
-            id: doc.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            src: HostId(field_u64("src")? as u32),
-            k: doc.get("k").and_then(Json::as_f64).unwrap_or(0.0) as usize,
+            id: count("id")?,
+            src: host("src")?,
+            k: count("k")? as usize,
         }),
-        "stats" => Ok(Event::Stats {
-            id: doc.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-        }),
+        "stats" => Ok(Event::Stats { id: count("id")? }),
         other => Err(err(format!(
             "unknown event kind `{other}` (expected `pair`, `route`, or `stats`)"
         ))),
+    }
+}
+
+/// One value the scanner read.
+#[derive(Debug, Clone, Copy)]
+enum Scalar<'a> {
+    /// A string without escapes (its raw bytes).
+    Str(&'a [u8]),
+    /// An unsigned integer of at most 15 digits: exact as an `f64`.
+    Int(u64),
+    /// An unsigned integer of 16–38 digits: a valid `i128`, no id.
+    Big,
+}
+
+/// A cursor over one payload for [`scan_event`]. Every method returns
+/// `None` on a byte outside the scanned subset of JSON.
+struct Scanner<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// Skips the whitespace `simkern::json` skips.
+    fn ws(&mut self) {
+        while let Some(&(b' ' | b'\t' | b'\n' | b'\r')) = self.bytes.get(self.at) {
+            self.at += 1;
+        }
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        let b = *self.bytes.get(self.at)?;
+        self.at += 1;
+        Some(b)
+    }
+
+    /// A string without escapes, the opening quote already consumed.
+    fn string(&mut self) -> Option<&'a [u8]> {
+        let rest = &self.bytes[self.at..];
+        let len = rest.iter().position(|&b| b == b'"' || b == b'\\')?;
+        if rest[len] != b'"' {
+            return None;
+        }
+        self.at += len + 1;
+        Some(&rest[..len])
+    }
+
+    /// A string without escapes or an unsigned integer.
+    fn value(&mut self) -> Option<Scalar<'a>> {
+        if self.byte()? == b'"' {
+            return self.string().map(Scalar::Str);
+        }
+        let start = self.at - 1;
+        let digits = self.bytes[start..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.at = start + digits;
+        match digits {
+            0 => None,
+            1..=15 => Some(Scalar::Int(
+                self.bytes[start..self.at]
+                    .iter()
+                    .fold(0, |n, &d| n * 10 + u64::from(d - b'0')),
+            )),
+            16..=38 => Some(Scalar::Big),
+            _ => None,
+        }
+    }
+}
+
+/// Reads the frame shapes [`parse_event`]'s hot path sees — one flat
+/// object of escape-free strings and unsigned integers — without a JSON
+/// tree. `None` means "not such a frame", never "invalid": the tree
+/// reader then decides, so `Some` must always equal its answer.
+fn scan_event(payload: &[u8]) -> Option<Event> {
+    let mut s = Scanner {
+        bytes: payload,
+        at: 0,
+    };
+    let (mut ev, mut src, mut via, mut id, mut k) = (None, None, None, None, None);
+    s.ws();
+    if s.byte()? != b'{' {
+        return None;
+    }
+    s.ws();
+    if s.bytes.get(s.at) == Some(&b'}') {
+        s.at += 1;
+    } else {
+        loop {
+            s.ws();
+            if s.byte()? != b'"' {
+                return None;
+            }
+            let key = s.string()?;
+            s.ws();
+            if s.byte()? != b':' {
+                return None;
+            }
+            s.ws();
+            let value = s.value()?;
+            let slot = match key {
+                b"ev" => Some(&mut ev),
+                b"src" => Some(&mut src),
+                b"via" => Some(&mut via),
+                b"id" => Some(&mut id),
+                b"k" => Some(&mut k),
+                _ => None,
+            };
+            // The first occurrence wins, as in `Json::get`.
+            if let Some(slot) = slot.filter(|slot| slot.is_none()) {
+                *slot = Some(value);
+            }
+            s.ws();
+            match s.byte()? {
+                b',' => {}
+                b'}' => break,
+                _ => return None,
+            }
+        }
+    }
+    s.ws();
+    if s.at != payload.len() {
+        return None;
+    }
+    let host = |v: Option<Scalar>| match v? {
+        Scalar::Int(n) => u32::try_from(n).ok().map(HostId),
+        _ => None,
+    };
+    let count = |v: Option<Scalar>| match v {
+        None => Some(0),
+        Some(Scalar::Int(n)) => Some(n),
+        Some(_) => None,
+    };
+    match ev? {
+        Scalar::Str(b"pair") => Some(Event::Pair {
+            src: host(src)?,
+            via: host(via)?,
+        }),
+        Scalar::Str(b"route") => Some(Event::Route {
+            id: count(id)?,
+            src: host(src)?,
+            k: count(k)? as usize,
+        }),
+        Scalar::Str(b"stats") => Some(Event::Stats { id: count(id)? }),
+        _ => None,
     }
 }
 
@@ -919,6 +1124,37 @@ impl ServeSummary {
     }
 }
 
+/// [`RuleHandle::route`]'s answer written into `vias` (cleared first),
+/// so a lookup into a reused buffer allocates nothing. True for a rules
+/// answer, false for flood.
+fn route_into(handle: &RuleHandle, src: HostId, k: usize, vias: &mut Vec<HostId>) -> bool {
+    vias.clear();
+    let rules = handle.load();
+    if rules.has_antecedent(src) {
+        vias.extend(rules.top_k(src, k.max(1)));
+    }
+    !vias.is_empty()
+}
+
+/// Renders a `routed` reply into `out` (cleared first): the bytes of the
+/// equivalent `Json::obj` tree, without building one. `outcome` is one
+/// of the fixed words, so it needs no escaping.
+fn render_routed(out: &mut String, id: u64, outcome: &'static str, vias: &[HostId], epoch: u64) {
+    use std::fmt::Write as _;
+    out.clear();
+    let _ = write!(
+        out,
+        "{{\"ev\":\"routed\",\"id\":{id},\"outcome\":\"{outcome}\",\"via\":["
+    );
+    for (i, via) in vias.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}", via.0);
+    }
+    let _ = write!(out, "],\"epoch\":{epoch}}}");
+}
+
 /// A running service: miner thread, shared state, optional metrics
 /// endpoint, and the ingest-side replay cursor.
 struct Server {
@@ -932,6 +1168,9 @@ struct Server {
     metrics_stop: Arc<AtomicBool>,
     metrics_join: Option<JoinHandle<()>>,
     metrics_addr: Option<String>,
+    /// Route-reply buffers, reused so a lookup allocates nothing.
+    vias: Vec<HostId>,
+    reply: String,
 }
 
 impl Server {
@@ -987,6 +1226,8 @@ impl Server {
             metrics_stop,
             metrics_join,
             metrics_addr,
+            vias: Vec::new(),
+            reply: String::new(),
         })
     }
 
@@ -1048,33 +1289,26 @@ impl Server {
                 let t0 = Instant::now();
                 let k = if k == 0 { self.cfg.k } else { k };
                 let overloaded = self.cfg.shed && self.shared.level.load(Ordering::Relaxed) >= 2;
-                let (outcome, vias) = if overloaded {
+                let outcome = if overloaded {
+                    self.vias.clear();
                     Shared::bump(&self.shared.c.route_shed);
-                    ("shed", Vec::new())
+                    "shed"
+                } else if route_into(&self.shared.handle, src, k, &mut self.vias) {
+                    Shared::bump(&self.shared.c.route_rules);
+                    "rules"
                 } else {
-                    match self.shared.handle.route(src, k) {
-                        RouteDecision::Rules(vias) => {
-                            Shared::bump(&self.shared.c.route_rules);
-                            ("rules", vias)
-                        }
-                        RouteDecision::Flood => {
-                            Shared::bump(&self.shared.c.route_flood);
-                            ("flood", Vec::new())
-                        }
-                    }
+                    Shared::bump(&self.shared.c.route_flood);
+                    "flood"
                 };
                 Shared::bump(&self.shared.c.routes);
-                let reply = Json::obj([
-                    ("ev", Json::from("routed")),
-                    ("id", Json::from(id)),
-                    ("outcome", Json::from(outcome)),
-                    (
-                        "via",
-                        Json::Arr(vias.iter().map(|h| Json::from(h.0)).collect()),
-                    ),
-                    ("epoch", Json::from(self.shared.handle.epoch())),
-                ]);
-                write_frame(out, &reply.to_string())
+                render_routed(
+                    &mut self.reply,
+                    id,
+                    outcome,
+                    &self.vias,
+                    self.shared.handle.epoch(),
+                );
+                write_frame(out, &self.reply)
                     .and_then(|()| out.flush())
                     .map_err(|e| err(format!("writing route reply: {e}")))?;
                 let us = t0.elapsed().as_secs_f64() * 1e6;
@@ -1228,8 +1462,8 @@ fn ingest_stream(
     let mut frames = FrameReader::new();
     let mut eof = false;
     loop {
-        while let Some(payload) = frames.next_frame()? {
-            server.handle_payload(&payload, replies)?;
+        while let Some(payload) = frames.next_payload()? {
+            server.handle_payload(payload, replies)?;
         }
         if eof {
             if !frames.is_drained() {
@@ -1403,6 +1637,7 @@ pub fn render_event_stream(pairs: &[arq_trace::record::PairRecord], route_every:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arq_simkern::Rng64;
     use arq_trace::record::PairRecord;
     use arq_trace::{SynthConfig, SynthTrace};
 
@@ -1468,6 +1703,374 @@ mod tests {
         assert!(e.message.contains("`via`"), "{e}");
         let e = parse_event("{\"ev\":\"warp\"}").unwrap_err();
         assert!(e.message.contains("unknown event kind `warp`"), "{e}");
+    }
+
+    #[test]
+    fn overflowing_length_headers_are_typed_errors() {
+        for len in [usize::MAX as u64, u64::MAX] {
+            let mut fr = FrameReader::new();
+            fr.feed(format!("{len}\n{{}}\n").as_bytes());
+            let e = fr.next_frame().unwrap_err();
+            assert!(e.message.contains("bad frame length"), "{len}: {e}");
+        }
+    }
+
+    /// The in-band error for one payload, which must name `field` and
+    /// `value`.
+    fn assert_rejected(payload: &str, field: &str, value: &str) {
+        let e = parse_event(payload).unwrap_err();
+        assert!(
+            e.message.contains(&format!("`{field}`")) && e.message.contains(value),
+            "{payload}: {e}"
+        );
+    }
+
+    #[test]
+    fn a_host_id_beyond_u32_is_rejected_not_wrapped() {
+        assert_rejected(
+            "{\"ev\":\"pair\",\"src\":4294967297,\"via\":7}",
+            "src",
+            "4294967297",
+        );
+        assert_rejected(
+            "{\"ev\":\"route\",\"id\":1,\"src\":99999999999}",
+            "src",
+            "99999999999",
+        );
+        // The largest id is still a host.
+        assert_eq!(
+            parse_event("{\"ev\":\"pair\",\"src\":4294967295,\"via\":0}").unwrap(),
+            Event::Pair {
+                src: HostId(u32::MAX),
+                via: HostId(0)
+            }
+        );
+        // End to end: the wrapped id would have trained host 1.
+        let mut stream = Vec::new();
+        for _ in 0..50 {
+            write_frame(
+                &mut stream,
+                "{\"ev\":\"pair\",\"src\":4294967297,\"via\":7}",
+            )
+            .unwrap();
+        }
+        let mut replies = Vec::new();
+        let summary = run_events(
+            ServeConfig {
+                spec: "incremental(t=1,hl=1000)".to_string(),
+                block: 10,
+                ..ServeConfig::default()
+            },
+            std::io::Cursor::new(stream),
+            &mut replies,
+        )
+        .unwrap();
+        assert_eq!((summary.pairs, summary.rules), (0, 0));
+        let text = String::from_utf8(replies).unwrap();
+        assert_eq!(text.matches("\"ev\":\"error\"").count(), 50, "{text}");
+    }
+
+    #[test]
+    fn a_negative_host_id_is_rejected() {
+        assert_rejected("{\"ev\":\"pair\",\"src\":-3,\"via\":2}", "src", "-3");
+        assert_rejected("{\"ev\":\"route\",\"src\":-1}", "src", "-1");
+    }
+
+    #[test]
+    fn a_fractional_host_id_is_rejected() {
+        assert_rejected("{\"ev\":\"pair\",\"src\":3,\"via\":2.9}", "via", "2.9");
+        assert_rejected("{\"ev\":\"pair\",\"src\":3.0,\"via\":2}", "src", "3.0");
+    }
+
+    #[test]
+    fn a_negative_or_fractional_id_or_k_is_rejected() {
+        assert_rejected("{\"ev\":\"route\",\"id\":-1,\"src\":1}", "id", "-1");
+        assert_rejected("{\"ev\":\"route\",\"id\":1.5,\"src\":1}", "id", "1.5");
+        assert_rejected("{\"ev\":\"route\",\"id\":1,\"src\":1,\"k\":-2}", "k", "-2");
+        assert_rejected(
+            "{\"ev\":\"route\",\"id\":1,\"src\":1,\"k\":0.5}",
+            "k",
+            "0.5",
+        );
+        assert_rejected("{\"ev\":\"stats\",\"id\":-7}", "id", "-7");
+        assert_rejected("{\"ev\":\"stats\",\"id\":\"7\"}", "id", "\"7\"");
+        // Absent is still 0; past `u64::MAX` is out of range.
+        assert_eq!(
+            parse_event("{\"ev\":\"stats\"}").unwrap(),
+            Event::Stats { id: 0 }
+        );
+        assert_rejected(
+            "{\"ev\":\"stats\",\"id\":18446744073709551616}",
+            "id",
+            "18446744073709551616",
+        );
+    }
+
+    /// The frame shapes `arq gen-events` and the benchmark write.
+    fn hot_frames(pairs: &[PairRecord]) -> Vec<(String, Event)> {
+        let mut frames = Vec::new();
+        for (i, p) in pairs.iter().enumerate() {
+            let (src, via) = (p.src, p.via);
+            frames.push((pair_event_json(p), Event::Pair { src, via }));
+            let id = i as u64 + 1;
+            frames.push((
+                format!("{{\"ev\":\"route\",\"id\":{id},\"src\":{}}}", src.0),
+                Event::Route { id, src, k: 0 },
+            ));
+        }
+        frames
+    }
+
+    #[test]
+    fn every_benchmark_shaped_frame_takes_the_scanner() {
+        for (payload, event) in hot_frames(&trace(2_000, 3)) {
+            assert_eq!(scan_event(payload.as_bytes()), Some(event), "{payload}");
+        }
+        let stream = render_event_stream(&trace(2_000, 4), 10);
+        let mut fr = FrameReader::new();
+        fr.feed(&stream);
+        let mut frames = 0;
+        while let Some(payload) = fr.next_payload().unwrap() {
+            assert!(scan_event(payload.as_bytes()).is_some(), "{payload}");
+            frames += 1;
+        }
+        assert_eq!(frames, 2_200);
+        for payload in [
+            "{\"ev\":\"stats\",\"id\":9}",
+            "{\"ev\":\"route\",\"id\":5,\"src\":3,\"k\":4}",
+            " {\"ev\" : \"pair\" ,\t\"src\":1,\"via\":2}\r\n",
+        ] {
+            assert!(scan_event(payload.as_bytes()).is_some(), "{payload}");
+        }
+    }
+
+    /// A random value in one of the shapes the mutator mixes: mostly
+    /// plain integers and strings, sometimes a shape the scanner must
+    /// decline.
+    fn mutant_value(rng: &mut Rng64) -> String {
+        let n = rng.below(1 << 33);
+        match rng.below(12) {
+            0 => format!("{n}.5"),
+            1 => format!("{}e2", n % 100),
+            2 => format!("-{n}"),
+            3 => {
+                let digits = 16 + rng.index(25);
+                (0..digits)
+                    .map(|i| char::from(b'0' + (rng.below(9) + u64::from(i == 0)) as u8))
+                    .collect()
+            }
+            4 => ["{\"y\":[1,2]}", "[]", "null", "true", "false"][rng.index(5)].to_string(),
+            5 => ["\"a\\\"b\"", "\"\\u00e9\"", "\"é\"", "\"pair\""][rng.index(4)].to_string(),
+            6 => (4_294_967_290 + rng.below(10)).to_string(),
+            7 | 8 => format!("\"{:x}\"", rng.next_u64()),
+            _ => (n % 100_000).to_string(),
+        }
+    }
+
+    /// Optional whitespace, as `simkern::json` skips it.
+    fn mutant_ws(rng: &mut Rng64) -> &'static str {
+        [" ", "", "", "", "\t", "\n", "\r\n"][rng.index(7)]
+    }
+
+    /// Seeded structural and byte-level mutations of the hot frames.
+    fn mutant(rng: &mut Rng64, base: &str) -> String {
+        let Ok(Json::Obj(fields)) = json::parse(base) else {
+            unreachable!("hot frames are objects")
+        };
+        let mut fields: Vec<(String, String)> = fields
+            .into_iter()
+            .map(|(k, v)| (format!("\"{k}\""), v.to_string()))
+            .collect();
+        const KEYS: [&str; 7] = ["ev", "src", "via", "id", "k", "time", "x"];
+        for _ in 0..rng.below(4) {
+            // An insertion point, and the field nearest it.
+            let at = rng.index(fields.len() + 1);
+            let near = at.min(fields.len().saturating_sub(1));
+            match rng.below(6) {
+                // A key that may already be present.
+                0 => {
+                    let key = format!("\"{}\"", KEYS[rng.index(KEYS.len())]);
+                    fields.insert(at, (key, mutant_value(rng)));
+                }
+                // Escapes and multi-byte text in a key.
+                1 if !fields.is_empty() => {
+                    let key = &mut fields[near].0;
+                    let esc = ["\\\"", "\\u00e9", "é", "\\u0076"][rng.index(4)];
+                    let inside = if rng.chance(0.5) { 1 } else { key.len() - 1 };
+                    key.insert_str(inside, esc);
+                }
+                // A new value for an existing key.
+                2 | 3 if !fields.is_empty() => fields[near].1 = mutant_value(rng),
+                4 if !fields.is_empty() => {
+                    fields.remove(near);
+                }
+                _ => fields.insert(at, ("\"x\"".to_string(), mutant_value(rng))),
+            }
+        }
+        let mut text = String::from(mutant_ws(rng));
+        text.push('{');
+        for (i, (k, v)) in fields.iter().enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            for part in [
+                mutant_ws(rng),
+                k.as_str(),
+                mutant_ws(rng),
+                ":",
+                mutant_ws(rng),
+                v.as_str(),
+                mutant_ws(rng),
+            ] {
+                text.push_str(part);
+            }
+        }
+        text.push('}');
+        text.push_str(mutant_ws(rng));
+        let mut bytes = text.into_bytes();
+        match rng.below(8) {
+            0 => {
+                let at = rng.index(bytes.len());
+                bytes[at] ^= 1 << rng.below(8);
+            }
+            1 => bytes.truncate(rng.index(bytes.len() + 1)),
+            2 => {
+                let junk = b"{}[]\",:-.0e\\ ";
+                bytes.insert(rng.index(bytes.len() + 1), junk[rng.index(junk.len())]);
+            }
+            _ => {}
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn the_scanner_agrees_with_the_tree_reader_on_mutated_frames() {
+        let mut rng = Rng64::seed_from(0x5ca9);
+        let bases = hot_frames(&trace(300, 11));
+        let stats = "{\"ev\":\"stats\",\"id\":3}".to_string();
+        let (mut fast, mut errors) = (0, 0);
+        // Framed runs of the same payloads, each for a fresh reader;
+        // a run may end in a frame behind a lying length header.
+        let mut sessions: Vec<(Vec<u8>, Vec<String>)> = vec![Default::default()];
+        for case in 0..24_000 {
+            let base = match case % 5 {
+                4 => &stats,
+                _ => &bases[rng.index(bases.len())].0,
+            };
+            let payload = mutant(&mut rng, base);
+            let tree = parse_event_tree(&payload);
+            if let Some(event) = scan_event(payload.as_bytes()) {
+                assert_eq!(Ok(event), tree, "{payload}");
+                fast += 1;
+            }
+            errors += usize::from(tree.is_err());
+            assert_eq!(parse_event(&payload), tree, "{payload}");
+            let (bytes, payloads) = sessions.last_mut().unwrap();
+            if rng.chance(0.02) {
+                let lie = [0, 1, 999_999_999, u64::MAX][rng.index(4)];
+                bytes.extend_from_slice(format!("{lie}\n{payload}\n").as_bytes());
+                sessions.push(Default::default());
+            } else {
+                write_frame(bytes, &payload).unwrap();
+                payloads.push(payload);
+            }
+        }
+        // Both paths are exercised, and neither dominates.
+        assert!(
+            fast > 4_000 && errors > 4_000,
+            "{fast} fast, {errors} errors"
+        );
+
+        // Fed in random chunks, a reader returns every honest frame in
+        // order, never panics, and never holds more than it was fed.
+        for (bytes, payloads) in &sessions {
+            let mut fr = FrameReader::new();
+            let (mut at, mut got) = (0, Vec::new());
+            'feed: while at < bytes.len() {
+                let end = (at + 1 + rng.index(300)).min(bytes.len());
+                fr.feed(&bytes[at..end]);
+                at = end;
+                assert!(fr.buf.len() <= at);
+                loop {
+                    match fr.next_payload() {
+                        Ok(Some(payload)) => got.push(payload.to_string()),
+                        Ok(None) => break,
+                        Err(_) => break 'feed,
+                    }
+                }
+            }
+            assert!(got.len() >= payloads.len());
+            assert_eq!(&got[..payloads.len()], payloads.as_slice());
+        }
+    }
+
+    #[test]
+    fn routed_replies_render_as_the_json_tree_would() {
+        let mut rng = Rng64::seed_from(29);
+        let mut out = String::new();
+        for _ in 0..2_000 {
+            let id = match rng.below(3) {
+                0 => rng.below(1_000),
+                1 => rng.next_u64(),
+                _ => u64::MAX,
+            };
+            let outcome = ["rules", "flood", "shed"][rng.index(3)];
+            let vias: Vec<HostId> = (0..rng.below(6)).map(|_| HostId(rng.next_u32())).collect();
+            let epoch = rng.below(1 << 40);
+            render_routed(&mut out, id, outcome, &vias, epoch);
+            let tree = Json::obj([
+                ("ev", Json::from("routed")),
+                ("id", Json::from(id)),
+                ("outcome", Json::from(outcome)),
+                (
+                    "via",
+                    Json::Arr(vias.iter().map(|h| Json::from(h.0)).collect()),
+                ),
+                ("epoch", Json::from(epoch)),
+            ]);
+            assert_eq!(out, tree.to_string());
+        }
+    }
+
+    #[test]
+    fn route_into_answers_as_rule_handle_route() {
+        let mut m = Maintainer::from_spec("incremental(t=3,hl=2000)").unwrap();
+        for p in trace(5_000, 21) {
+            m.observe(p.src, p.via);
+        }
+        let handle = RuleHandle::new();
+        let mut vias = Vec::new();
+        for published in [false, true] {
+            if published {
+                handle.publish(m.ruleset());
+            }
+            for src in 0..200 {
+                for k in 0..4 {
+                    let rules = route_into(&handle, HostId(src), k, &mut vias);
+                    let expected = match handle.route(HostId(src), k) {
+                        arq_core::RouteDecision::Rules(v) => Some(v),
+                        arq_core::RouteDecision::Flood => None,
+                    };
+                    assert_eq!(rules.then(|| vias.clone()), expected, "src {src} k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_large_checkpoint_round_trips() {
+        let mut m = Maintainer::from_spec("incremental(t=2,hl=1000000)").unwrap();
+        for i in 0..20_000u32 {
+            m.observe(HostId(i), HostId(i.wrapping_mul(2_654_435_761)));
+        }
+        let text = encode_checkpoint(&m);
+        let Maintainer::Incremental { counts, .. } = &m else {
+            unreachable!()
+        };
+        assert_eq!(counts.snapshot().entries.len(), 20_000);
+        let restored = decode_checkpoint(&text, &m.spec()).unwrap();
+        assert_eq!(restored.consumed(), 20_000);
+        assert_eq!(encode_checkpoint(&restored), text);
     }
 
     #[test]

@@ -492,12 +492,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so in a &str the run ends on a char
+                // boundary and each byte is visited once.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text = std::str::from_utf8(&bytes[*pos..*pos + run])
                     .map_err(|_| ParseError::at(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -608,5 +613,45 @@ mod tests {
         let s = "line\nquote\"back\\slash\ttab\u{1}";
         let v = Json::from(s);
         assert_eq!(parse(&v.to_string()).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_round_trip() {
+        for s in [
+            "é\"ü",
+            "\\日本語\\",
+            "ab\u{10348}\ncd",
+            "\"\u{1F600}\"",
+            "€",
+            "x\u{7f}é\t",
+        ] {
+            let text = Json::from(s).to_string();
+            assert_eq!(parse(&text).unwrap().as_str(), Some(s), "{text}");
+            // A key takes the same path as a value.
+            let obj = format!("{{{text}:{text}}}");
+            assert_eq!(parse(&obj).unwrap().get(s).and_then(Json::as_str), Some(s));
+        }
+        // A `\u` escape between two multi-byte runs.
+        let text = "\"é\\u00e9日\"";
+        assert_eq!(parse(text).unwrap().as_str(), Some("éé日"));
+        let e = parse("\"é").unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (3, "unterminated string"));
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // Re-validating the rest of the document per character made this
+        // quadratic: minutes for 1 MiB in the debug profile.
+        let s = "abcdéfgh\"".repeat((1 << 20) / 10);
+        let text = Json::from(s.as_str()).to_string();
+        let t0 = std::time::Instant::now();
+        let back = parse(&text).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(back.as_str(), Some(s.as_str()));
+        assert!(
+            took.as_secs_f64() < 2.0,
+            "{took:?} for {} bytes",
+            text.len()
+        );
     }
 }
