@@ -71,7 +71,7 @@
 
 use arq_assoc::{DecayedPairCounts, DecayedSnapshot, LossyPairCounts, LossySnapshot, RuleSet};
 use arq_core::engine::registry::parse_spec;
-use arq_core::RuleHandle;
+use arq_core::{RouteDecision, RuleHandle};
 use arq_obs::{to_prometheus, Registry};
 use arq_simkern::{json, write_atomic, Histogram, Json};
 use arq_trace::record::HostId;
@@ -1124,18 +1124,6 @@ impl ServeSummary {
     }
 }
 
-/// [`RuleHandle::route`]'s answer written into `vias` (cleared first),
-/// so a lookup into a reused buffer allocates nothing. True for a rules
-/// answer, false for flood.
-fn route_into(handle: &RuleHandle, src: HostId, k: usize, vias: &mut Vec<HostId>) -> bool {
-    vias.clear();
-    let rules = handle.load();
-    if rules.has_antecedent(src) {
-        vias.extend(rules.top_k(src, k.max(1)));
-    }
-    !vias.is_empty()
-}
-
 /// Renders a `routed` reply into `out` (cleared first): the bytes of the
 /// equivalent `Json::obj` tree, without building one. `outcome` is one
 /// of the fixed words, so it needs no escaping.
@@ -1168,8 +1156,7 @@ struct Server {
     metrics_stop: Arc<AtomicBool>,
     metrics_join: Option<JoinHandle<()>>,
     metrics_addr: Option<String>,
-    /// Route-reply buffers, reused so a lookup allocates nothing.
-    vias: Vec<HostId>,
+    /// Route-reply buffer, reused so rendering a reply allocates nothing.
     reply: String,
 }
 
@@ -1226,7 +1213,6 @@ impl Server {
             metrics_stop,
             metrics_join,
             metrics_addr,
-            vias: Vec::new(),
             reply: String::new(),
         })
     }
@@ -1289,23 +1275,27 @@ impl Server {
                 let t0 = Instant::now();
                 let k = if k == 0 { self.cfg.k } else { k };
                 let overloaded = self.cfg.shed && self.shared.level.load(Ordering::Relaxed) >= 2;
-                let outcome = if overloaded {
-                    self.vias.clear();
+                let (outcome, vias) = if overloaded {
                     Shared::bump(&self.shared.c.route_shed);
-                    "shed"
-                } else if route_into(&self.shared.handle, src, k, &mut self.vias) {
-                    Shared::bump(&self.shared.c.route_rules);
-                    "rules"
+                    ("shed", Vec::new())
                 } else {
-                    Shared::bump(&self.shared.c.route_flood);
-                    "flood"
+                    match self.shared.handle.route(src, k) {
+                        RouteDecision::Rules(vias) => {
+                            Shared::bump(&self.shared.c.route_rules);
+                            ("rules", vias)
+                        }
+                        RouteDecision::Flood => {
+                            Shared::bump(&self.shared.c.route_flood);
+                            ("flood", Vec::new())
+                        }
+                    }
                 };
                 Shared::bump(&self.shared.c.routes);
                 render_routed(
                     &mut self.reply,
                     id,
                     outcome,
-                    &self.vias,
+                    &vias,
                     self.shared.handle.epoch(),
                 );
                 write_frame(out, &self.reply)
@@ -2029,31 +2019,6 @@ mod tests {
                 ("epoch", Json::from(epoch)),
             ]);
             assert_eq!(out, tree.to_string());
-        }
-    }
-
-    #[test]
-    fn route_into_answers_as_rule_handle_route() {
-        let mut m = Maintainer::from_spec("incremental(t=3,hl=2000)").unwrap();
-        for p in trace(5_000, 21) {
-            m.observe(p.src, p.via);
-        }
-        let handle = RuleHandle::new();
-        let mut vias = Vec::new();
-        for published in [false, true] {
-            if published {
-                handle.publish(m.ruleset());
-            }
-            for src in 0..200 {
-                for k in 0..4 {
-                    let rules = route_into(&handle, HostId(src), k, &mut vias);
-                    let expected = match handle.route(HostId(src), k) {
-                        arq_core::RouteDecision::Rules(v) => Some(v),
-                        arq_core::RouteDecision::Flood => None,
-                    };
-                    assert_eq!(rules.then(|| vias.clone()), expected, "src {src} k {k}");
-                }
-            }
         }
     }
 
