@@ -55,15 +55,29 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], booleans: &[&str]) -> Result<Flags, CliError> {
+    /// Parses `args` against the flags one command reads: `values` take
+    /// an argument, `booleans` do not. Any other flag is an error that
+    /// lists the valid ones, so a misspelt flag never silently falls
+    /// back to its default.
+    fn parse(args: &[String], values: &[&str], booleans: &[&str]) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(flag) = it.next() {
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(err(format!("expected a --flag, got `{flag}`")));
             };
             if booleans.contains(&name) {
                 pairs.push((name.to_string(), None));
+            } else if !values.contains(&name) {
+                let valid: Vec<String> = values
+                    .iter()
+                    .chain(booleans)
+                    .map(|v| format!("--{v}"))
+                    .collect();
+                return Err(err(format!(
+                    "unknown flag `{flag}` (valid: {})",
+                    valid.join(", ")
+                )));
             } else {
                 let value = it
                     .next()
@@ -124,10 +138,6 @@ COMMANDS:
               (alias: live)
               [--nodes N] [--queries N] [--policy SPEC] [--seed S]
               [--faults SPEC] [--retry SPEC] [--links SPEC] [--adapt SPEC]
-              [--sharded]
-              --sharded runs the windowed sharded scale engine with
-              ARQ_THREADS workers (byte-identical at any worker count)
-              instead of the exact serial engine
               policies: flood | expanding-ring | k-walk | shortcuts |
                         routing-index | superpeer | assoc | assoc-adaptive |
                         hybrid | community
@@ -227,7 +237,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 }
 
 fn gen_trace(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["raw", "upheaval"])?;
+    let flags = Flags::parse(args, &["pairs", "seed", "out"], &["raw", "upheaval"])?;
     let pairs: usize = flags.parse_num("pairs", 100_000)?;
     let seed: u64 = flags.parse_num("seed", 1)?;
     let out = flags.required("out")?;
@@ -260,7 +270,7 @@ fn gen_trace(args: &[String]) -> Result<String, CliError> {
 }
 
 fn stats(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["raw"])?;
+    let flags = Flags::parse(args, &["trace"], &["raw"])?;
     let path = flags.required("trace")?;
     let file = File::open(path).map_err(|e| err(format!("opening {path}: {e}")))?;
     let mut report = String::new();
@@ -289,7 +299,7 @@ fn stats(args: &[String]) -> Result<String, CliError> {
 }
 
 fn clean_join(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["raw", "out"], &[])?;
     let raw_path = flags.required("raw")?;
     let out = flags.required("out")?;
     let file = File::open(raw_path).map_err(|e| err(format!("opening {raw_path}: {e}")))?;
@@ -312,7 +322,11 @@ fn clean_join(args: &[String]) -> Result<String, CliError> {
 }
 
 fn mine(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(
+        args,
+        &["trace", "block", "support", "confidence", "top"],
+        &[],
+    )?;
     let path = flags.required("trace")?;
     let block: usize = flags.parse_num("block", 10_000)?;
     let support: u64 = flags.parse_num("support", 10)?;
@@ -368,7 +382,7 @@ fn strategy_spec(name: &str, support: u64, block: usize) -> String {
 }
 
 fn cmd_evaluate(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["chart"])?;
+    let flags = Flags::parse(args, &["trace", "block", "support", "strategy"], &["chart"])?;
     let path = flags.required("trace")?;
     let block: usize = flags.parse_num("block", 10_000)?;
     let support: u64 = flags.parse_num("support", 10)?;
@@ -420,6 +434,9 @@ fn wrap_spec(name: &str, spec: &str) -> String {
     }
 }
 
+/// The flags [`live_cfg`] reads.
+const LIVE_FLAGS: [&str; 6] = ["nodes", "queries", "faults", "retry", "links", "adapt"];
+
 /// The live-simulation config `simulate` and `run --policy` share:
 /// `--nodes`/`--queries` plus the four plan flags, each a registry spec
 /// (bare `k=v` lists wrap into `name(...)`).
@@ -457,18 +474,14 @@ fn live_cfg(flags: &Flags, seed: u64) -> Result<SimConfig, CliError> {
 }
 
 fn simulate(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["sharded"])?;
+    let flags = Flags::parse(args, &[&LIVE_FLAGS[..], &["seed", "policy"]].concat(), &[])?;
     let seed: u64 = flags.parse_num("seed", 1)?;
     let policy = flags.get("policy").unwrap_or("flood");
     let cfg = live_cfg(&flags, seed)?;
     let linked = cfg.links.is_some();
     let faulted = cfg.faults.is_some() || cfg.retry.is_some() || linked;
-    let (metrics, stats, _, _) = if flags.has("sharded") {
-        engine::run_live_sharded(cfg, policy, engine::thread_count())
-            .map_err(|e| err(e.to_string()))?
-    } else {
-        engine::run_live(cfg, policy, None).map_err(|e| err(e.to_string()))?
-    };
+    let (metrics, stats, _, _) =
+        engine::run_live(cfg, policy, None).map_err(|e| err(e.to_string()))?;
     let mut report = String::new();
     for (key, value) in &stats {
         let _ = writeln!(
@@ -516,7 +529,18 @@ fn obs_spec_from(flags: &Flags) -> String {
 }
 
 fn cmd_run(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let own = [
+        "exp",
+        "strategy",
+        "pairs",
+        "block",
+        "policy",
+        "seed",
+        "obs",
+        "trace-events",
+        "out",
+    ];
+    let flags = Flags::parse(args, &[&LIVE_FLAGS[..], &own].concat(), &[])?;
     let seed: u64 = flags.parse_num("seed", RUN_SEED)?;
     let obs = obs_spec_from(&flags);
     engine::make_obs_plan(&obs).map_err(|e| err(e.to_string()))?;
@@ -782,7 +806,7 @@ fn report_artifact(a: &Json, timeline: bool, out: &mut String) -> Result<(), Str
 }
 
 fn cmd_report(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["timeline"])?;
+    let flags = Flags::parse(args, &["in"], &["timeline"])?;
     let path = flags.required("in")?;
     let timeline = flags.has("timeline");
     let text = std::fs::read_to_string(path).map_err(|e| err(format!("reading {path}: {e}")))?;
@@ -845,7 +869,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
     let Some((plan_path, rest)) = rest.split_first() else {
         return Err(err(format!("sweep {action} needs a plan file")));
     };
-    let flags = Flags::parse(rest, &[])?;
+    let flags = Flags::parse(rest, &["out", "spin"], &[])?;
     let plan = sweep::SweepPlan::load(plan_path).map_err(|e| err(e.to_string()))?;
     let jobs = sweep::expand(&plan).map_err(|e| err(e.to_string()))?;
     let mut report = String::new();
@@ -900,7 +924,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_gen_events(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["pairs", "seed", "route-every", "out"], &[])?;
     let pairs: usize = flags.parse_num("pairs", 100_000)?;
     let seed: u64 = flags.parse_num("seed", 1)?;
     let route_every: usize = flags.parse_num("route-every", 0)?;
@@ -919,7 +943,23 @@ fn cmd_gen_events(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     use crate::serve;
-    let flags = Flags::parse(args, &["shed"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "input",
+            "socket",
+            "maintainer",
+            "block",
+            "k",
+            "queue",
+            "checkpoint",
+            "checkpoint-every",
+            "metrics",
+            "out",
+            "spin",
+        ],
+        &["shed"],
+    )?;
     let cfg = serve::ServeConfig {
         spec: flags.get("maintainer").unwrap_or("incremental").to_string(),
         block: flags.parse_num("block", 10_000u64)?,
@@ -1263,13 +1303,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("buffer dropped:"), "{out}");
         assert!(out.contains("lost messages:"), "{out}");
-        // The sharded engine accepts the same plan.
-        let out = run(&args(
-            "simulate --sharded --nodes 60 --queries 150 --seed 9 \
-             --links links(up=8,down=32,upbuf=2048,downbuf=8192,loss=0.05)",
-        ))
-        .unwrap();
-        assert!(out.contains("buffer dropped:"), "{out}");
         // Bad link keys surface the registry's key list; zero bandwidth
         // is rejected by name.
         let e = run(&args("simulate --links bandwidth=5")).unwrap_err();
@@ -1303,16 +1336,10 @@ mod tests {
         assert!(e.0.contains("unknown parameter"), "{e}");
         assert!(e.0.contains("budget"), "{e}");
         // The happy path: confidence-pruned top-k routing with live
-        // topology adaptation runs in both engines.
+        // topology adaptation.
         let out = run(&args(
             "simulate --nodes 60 --queries 150 --seed 9 --policy assoc(k=4,minconf=0.6) \
              --adapt every=20000,budget=8,degree=2",
-        ))
-        .unwrap();
-        assert!(out.contains("messages/query"), "{out}");
-        let out = run(&args(
-            "simulate --sharded --nodes 60 --queries 150 --seed 9 \
-             --policy assoc(k=4,minconf=0.6) --adapt every=20000,budget=8,degree=2",
         ))
         .unwrap();
         assert!(out.contains("messages/query"), "{out}");
@@ -1356,19 +1383,6 @@ mod tests {
         let rep = run(&args(&format!("report --in {arts}"))).unwrap();
         assert!(rep.contains("query latency p50/p95/p99"), "{rep}");
         assert!(rep.contains("node bytes p50/p95"), "{rep}");
-    }
-
-    #[test]
-    fn simulate_sharded_engine() {
-        // The windowed sharded engine behind --sharded is deterministic
-        // under faults, churn-free retries and any worker count.
-        let cmd = "simulate --sharded --nodes 80 --queries 200 --seed 3 \
-                   --policy flood --faults loss=0.1 --retry attempts=2";
-        let a = run(&args(cmd)).unwrap();
-        let b = run(&args(cmd)).unwrap();
-        assert_eq!(a, b);
-        assert!(a.contains("messages/query"), "{a}");
-        assert!(a.contains("lost messages:"), "{a}");
     }
 
     #[test]
@@ -1484,6 +1498,83 @@ mod tests {
         assert!(e.0.contains("cannot parse"));
         let e = run(&args("gen-trace --pairs 100")).unwrap_err();
         assert!(e.0.contains("missing required flag --out"));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for (cmd, flag, rest) in [
+            ("simulate", "nodez", "60 --queries 10"),
+            ("simulate --nodes 9", "sharded", "1"),
+            ("run --policy flood", "sharded", "1"),
+            ("serve --input x", "shedd", ""),
+        ] {
+            let e = run(&args(&format!("{cmd} --{flag} {rest}"))).unwrap_err();
+            assert!(
+                e.0.contains(&format!("unknown flag `--{flag}`")),
+                "{cmd}: {e}"
+            );
+            assert!(e.0.contains("(valid: "), "{cmd}: {e}");
+        }
+        let e = run(&args("simulate --nodez 60")).unwrap_err();
+        assert!(e.0.contains("--nodes, --queries"), "{e}");
+    }
+
+    /// Every `--flag` a command's USAGE block names is one that command
+    /// accepts. Value flags are probed with no value, boolean flags
+    /// (`[--flag]`) with a dangling value flag after them, so each probe
+    /// stops in the flag parser without running anything.
+    #[test]
+    fn every_usage_flag_is_accepted_by_its_command() {
+        let body = USAGE.split_once("COMMANDS:\n").unwrap().1;
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        for line in body.lines() {
+            match line.strip_prefix("  ") {
+                Some(rest) if !rest.starts_with(' ') => {
+                    let cmd = rest.split_whitespace().next().unwrap();
+                    blocks.push((cmd, String::new()));
+                }
+                _ => blocks.last_mut().unwrap().1.push_str(line),
+            }
+        }
+        let mut probed = 0;
+        for (cmd, text) in &blocks {
+            let prefix: &[&str] = match *cmd {
+                "sweep" => &["sweep", "show", "plan.toml"],
+                _ => &[cmd],
+            };
+            let flag_at = |i: usize| {
+                let name: String = text[i + 2..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                let boolean = text[i + 2 + name.len()..].starts_with(']');
+                (name, boolean)
+            };
+            // `arq run --out` in another command's block names run's flag.
+            let foreign = |i: usize| {
+                text[..i].rsplit_once("arq ").is_some_and(|(_, t)| {
+                    t.ends_with(' ') && !t.trim_end().contains(char::is_whitespace)
+                })
+            };
+            // A flag is boolean if the block ever writes it `[--flag]`.
+            let mut flags = std::collections::BTreeMap::new();
+            for (i, _) in text.match_indices("--").filter(|&(i, _)| !foreign(i)) {
+                let (name, boolean) = flag_at(i);
+                *flags.entry(name).or_insert(false) |= boolean;
+            }
+            let dangling = flags.iter().find(|(_, b)| !**b).map(|(n, _)| n.clone());
+            for (name, boolean) in &flags {
+                let mut argv: Vec<String> = prefix.iter().map(|s| s.to_string()).collect();
+                argv.push(format!("--{name}"));
+                if *boolean {
+                    argv.push(format!("--{}", dangling.as_ref().expect("a value flag")));
+                }
+                let e = run(&argv).unwrap_err();
+                assert!(e.0.contains("needs a value"), "{cmd} --{name}: {e}");
+                probed += 1;
+            }
+        }
+        assert!(probed > 40, "parsed only {probed} usage flags");
     }
 
     #[test]

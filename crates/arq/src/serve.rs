@@ -577,11 +577,49 @@ fn f64_from_bits(j: Option<&Json>, what: &str) -> Result<f64, ServeError> {
     })
 }
 
+/// Reads a checkpoint integer in `[0, max]`. A float, a negative or a
+/// wider value is an error naming the field and the value, never a
+/// cast that would restore some other number.
+fn checkpoint_int(value: Option<&Json>, what: &str, max: u64) -> Result<u64, ServeError> {
+    let value = value.ok_or_else(|| err(format!("checkpoint: missing numeric field `{what}`")))?;
+    match value {
+        Json::Int(i) => u64::try_from(*i).ok().filter(|&x| x <= max),
+        _ => None,
+    }
+    .ok_or_else(|| {
+        err(format!(
+            "checkpoint: field `{what}` must be an integer in [0, {max}], got {value}"
+        ))
+    })
+}
+
 fn field_u64(doc: &Json, what: &str) -> Result<u64, ServeError> {
-    doc.get(what)
-        .and_then(Json::as_f64)
-        .map(|x| x as u64)
-        .ok_or_else(|| err(format!("checkpoint: missing numeric field `{what}`")))
+    checkpoint_int(doc.get(what), what, u64::MAX)
+}
+
+/// Reads the integer cells of entry row `n`: the two host ids, then the
+/// cell at each index in `rest` (named `rest[i].1`). `shape` names the
+/// row's columns for the error when a cell is missing.
+fn entry_ints<const N: usize>(
+    row: &Json,
+    n: usize,
+    shape: &str,
+    rest: [(usize, &str); N],
+) -> Result<(HostId, HostId, [u64; N]), ServeError> {
+    if (0..4).any(|i| row.at(i).is_none()) {
+        return Err(err(format!(
+            "checkpoint: malformed entry row (want {shape})"
+        )));
+    }
+    let cell = |i: usize, name: &str, max: u64| {
+        checkpoint_int(row.at(i), &format!("state.entries[{n}].{name}"), max)
+    };
+    let host = |i: usize, name: &str| cell(i, name, u32::MAX.into()).map(|x| HostId(x as u32));
+    let mut ints = [0; N];
+    for (slot, (i, name)) in ints.iter_mut().zip(rest) {
+        *slot = cell(i, name, u64::MAX)?;
+    }
+    Ok((host(0, "src")?, host(1, "via")?, ints))
 }
 
 /// Serializes the maintainer (exact state + replay cursor) as versioned
@@ -692,16 +730,10 @@ pub fn decode_checkpoint(text: &str, expected_spec: &str) -> Result<Maintainer, 
                 since_sweep: field_u64(state, "since_sweep")?,
                 entries: Vec::with_capacity(entries.len()),
             };
-            for row in entries {
-                let cell = |i: usize| row.at(i).and_then(Json::as_f64);
-                let (Some(s), Some(v), Some(at)) = (cell(0), cell(1), cell(3)) else {
-                    return Err(err(
-                        "checkpoint: malformed entry row (want [src,via,bits,at])",
-                    ));
-                };
+            for (n, row) in entries.iter().enumerate() {
+                let (s, v, [at]) = entry_ints(row, n, "[src,via,bits,at]", [(3, "at")])?;
                 let value = f64_from_bits(row.at(2), "state.entries[].value")?;
-                snap.entries
-                    .push((HostId(s as u32), HostId(v as u32), value, at as u64));
+                snap.entries.push((s, v, value, at));
             }
             Maintainer::Incremental {
                 counts: DecayedPairCounts::restore(&snap),
@@ -715,16 +747,10 @@ pub fn decode_checkpoint(text: &str, expected_spec: &str) -> Result<Maintainer, 
                 seen: field_u64(state, "seen")?,
                 entries: Vec::with_capacity(entries.len()),
             };
-            for row in entries {
-                let cell = |i: usize| row.at(i).and_then(Json::as_f64);
-                let (Some(s), Some(v), Some(c), Some(d)) = (cell(0), cell(1), cell(2), cell(3))
-                else {
-                    return Err(err(
-                        "checkpoint: malformed entry row (want [src,via,count,delta])",
-                    ));
-                };
-                snap.entries
-                    .push((HostId(s as u32), HostId(v as u32), c as u64, d as u64));
+            for (n, row) in entries.iter().enumerate() {
+                let shape = "[src,via,count,delta]";
+                let (s, v, [c, d]) = entry_ints(row, n, shape, [(2, "count"), (3, "delta")])?;
+                snap.entries.push((s, v, c, d));
             }
             Maintainer::Lossy {
                 counts: LossyPairCounts::restore(&snap),
@@ -2093,6 +2119,80 @@ mod tests {
             e.message.contains("bad magic") || e.message.contains("header"),
             "{e}"
         );
+    }
+
+    /// A corrupt integer never restores as some other number: a host id
+    /// past `u32`, a negative or a fractional value is an error naming
+    /// the field and the value it read.
+    #[test]
+    fn corrupt_checkpoint_integers_are_errors_not_casts() {
+        let header = format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}");
+        let zero = "\"0000000000000000\"";
+        let one = format!("\"{:016x}\"", 1.0f64.to_bits());
+        let incremental = |consumed: &str, row: &str| {
+            format!(
+                "{header}\n{{\"spec\":\"incremental(t=10,hl=20000)\",\"consumed\":{consumed},\
+                 \"state\":{{\"half_life\":{one},\"clock\":1,\"since_sweep\":1,\
+                 \"entries\":[{row}]}}}}\n"
+            )
+        };
+        let lossy = |row: &str| {
+            format!(
+                "{header}\n{{\"spec\":\"lossy(t=10,eps=0.0001)\",\"consumed\":1,\
+                 \"state\":{{\"epsilon\":{zero},\"current_bucket\":1,\"seen\":1,\
+                 \"entries\":[{row}]}}}}\n"
+            )
+        };
+        let ok = incremental("1", &format!("[1,2,{one},1]"));
+        assert!(decode_checkpoint(&ok, "incremental(t=10,hl=20000)").is_ok());
+        let cases = [
+            (
+                incremental("1", &format!("[4294967297,2,{one},1]")),
+                "`state.entries[0].src` must be an integer in [0, 4294967295], got 4294967297",
+            ),
+            (
+                incremental("1", &format!("[1,-3,{one},1]")),
+                "`state.entries[0].via` must be an integer in [0, 4294967295], got -3",
+            ),
+            (
+                incremental("1", &format!("[2.9,2,{one},1]")),
+                "`state.entries[0].src` must be an integer in [0, 4294967295], got 2.9",
+            ),
+            (
+                incremental("1", &format!("[1,2,{one},-1]")),
+                "`state.entries[0].at` must be an integer",
+            ),
+            (
+                incremental("2.9", &format!("[1,2,{one},1]")),
+                "`consumed` must be an integer in [0, 18446744073709551615], got 2.9",
+            ),
+            (
+                incremental("-3", &format!("[1,2,{one},1]")),
+                "`consumed` must be an integer",
+            ),
+            (
+                lossy("[1,2,2.9,0]"),
+                "`state.entries[0].count` must be an integer",
+            ),
+            (
+                lossy("[1,2,1,-3]"),
+                "`state.entries[0].delta` must be an integer",
+            ),
+            (
+                lossy("[1,2,1]"),
+                "malformed entry row (want [src,via,count,delta])",
+            ),
+        ];
+        for (text, want) in &cases {
+            let spec = if text.contains("lossy") {
+                "lossy(t=10,eps=0.0001)"
+            } else {
+                "incremental(t=10,hl=20000)"
+            };
+            let e = decode_checkpoint(text, spec).unwrap_err();
+            assert!(e.message.starts_with("checkpoint: "), "{e}");
+            assert!(e.message.contains(want), "want {want}, got {e}");
+        }
     }
 
     #[test]

@@ -221,28 +221,6 @@ pub fn run_live(
     Ok((metrics, stats, policy, graph))
 }
 
-/// Builds and runs one live simulation on the **windowed sharded
-/// engine** (`Network::run_sharded`) with `threads` workers. Results
-/// are byte-identical for any `threads >= 1` but follow the windowed
-/// engine's documented semantics, not the exact engine's — use this for
-/// scale benchmarking and capacity runs, [`run_live`] for anything
-/// golden-pinned.
-pub fn run_live_sharded(
-    mut cfg: arq_gnutella::sim::SimConfig,
-    policy_spec: &str,
-    threads: usize,
-) -> Result<LiveRun, RegistryError> {
-    let built = registry::make_policy(policy_spec)?;
-    built.apply_to(&mut cfg);
-    let label = built.label;
-    let network = Network::new(cfg, built.policy);
-    let (result, policy, graph) = network.run_sharded_full(threads);
-    let mut metrics = result.metrics;
-    metrics.policy = label;
-    let stats = policy.stats();
-    Ok((metrics, stats, policy, graph))
-}
-
 /// [`run_live`] with an observability recorder attached to the network.
 pub fn run_live_with_obs(
     mut cfg: arq_gnutella::sim::SimConfig,
@@ -354,17 +332,6 @@ mod tests {
             execute_with_threads(&specs, 2),
             Err(RegistryError::UnknownStrategy(_))
         ));
-    }
-
-    #[test]
-    fn sharded_live_runs_match_across_thread_counts() {
-        let mut cfg = SimConfig::default_with(60, 120, 17);
-        cfg.catalog.topics = 5;
-        cfg.catalog.files_per_topic = 40;
-        let (m1, s1, _, _) = run_live_sharded(cfg.clone(), "flood", 1).unwrap();
-        let (m4, s4, _, _) = run_live_sharded(cfg, "flood", 4).unwrap();
-        assert_eq!(format!("{m1:?}"), format!("{m4:?}"));
-        assert_eq!(s1, s4);
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub mod registry;
 pub mod spec;
 
 pub use executor::{
-    execute, execute_with_threads, run_live, run_live_sharded, run_live_with_obs, run_one,
-    run_one_with_threads, thread_count, validate, LiveRun, LiveRunObs,
+    execute, execute_with_threads, run_live, run_live_with_obs, run_one, run_one_with_threads,
+    thread_count, validate, LiveRun, LiveRunObs,
 };
 pub use registry::{
     make_adapt_plan, make_fault_plan, make_link_plan, make_obs_plan, make_policy,

@@ -133,6 +133,37 @@ mod tests {
         assert!(d.bytes() > 0);
     }
 
+    /// Ping crawls discover exactly the TTL-ball (minus the origin), in
+    /// nearest-first order, on random graphs.
+    #[test]
+    fn ping_crawl_equals_bfs_ball() {
+        let mut rng = Rng64::seed_from(17);
+        for case in 0..200 {
+            let n = 2 + rng.index(28);
+            let mut g = Graph::new(n);
+            for _ in 0..rng.index(120) {
+                let (a, b) = (NodeId(rng.index(n) as u32), NodeId(rng.index(n) as u32));
+                if a != b {
+                    g.add_edge(a, b);
+                }
+            }
+            let origin = NodeId(rng.index(n) as u32);
+            let ttl = rng.below(6) as u32;
+            let crawl = ping_crawl(&g, origin, ttl);
+            let mut expected = arq_overlay::algo::reachable_within(&g, origin, ttl);
+            let mut found = crawl.peers.clone();
+            expected.sort_unstable();
+            found.sort_unstable();
+            assert_eq!(found, expected, "case {case}");
+            let dist = arq_overlay::algo::bfs_distances(&g, origin);
+            let ds: Vec<u32> = crawl.peers.iter().map(|p| dist[p.index()]).collect();
+            assert!(
+                ds.windows(2).all(|w| w[0] <= w[1]),
+                "case {case}: not nearest-first: {ds:?}"
+            );
+        }
+    }
+
     #[test]
     fn ttl_one_sees_only_neighbors() {
         let g = clique(5);

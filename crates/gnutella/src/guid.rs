@@ -82,6 +82,24 @@ mod tests {
         assert!(gen.is_faulty());
     }
 
+    /// Faulty generators only ever emit GUIDs from their pool, and
+    /// cycle through all of it.
+    #[test]
+    fn faulty_guids_cycle_their_pool() {
+        let mut draw = Rng64::seed_from(11);
+        for seed in 0..64 {
+            let (pool_size, draws) = (1 + draw.index(7), 1 + draw.index(49));
+            let mut rng = Rng64::seed_from(seed);
+            let mut gen = GuidGen::faulty(pool_size, &mut rng);
+            let GuidGen::Faulty { pool, .. } = gen.clone() else {
+                unreachable!("faulty() builds a faulty generator")
+            };
+            let seen: HashSet<Guid> = (0..draws).map(|_| gen.next(&mut rng)).collect();
+            assert!(seen.iter().all(|g| pool.contains(g)), "seed {seed}");
+            assert_eq!(seen.len(), pool_size.min(draws), "seed {seed}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one")]
     fn faulty_pool_must_be_nonempty() {

@@ -122,6 +122,23 @@ mod tests {
         assert!(h2.hop().is_none(), "ttl 1 must stop relaying");
     }
 
+    /// A query relays exactly `ttl − 1` times before dying, whatever the
+    /// starting TTL.
+    #[test]
+    fn ttl_bounds_hop_chain() {
+        for ttl in 0..50 {
+            let mut m = msg(ttl);
+            let mut relays = 0;
+            while let Some(next) = m.hop() {
+                m = next;
+                relays += 1;
+                assert!(relays < 100, "runaway relay chain at ttl {ttl}");
+            }
+            assert_eq!(relays, ttl.saturating_sub(1), "ttl {ttl}");
+            assert_eq!(m.hops, ttl.saturating_sub(1), "ttl {ttl}");
+        }
+    }
+
     #[test]
     fn ttl_zero_never_relays() {
         assert!(msg(0).hop().is_none());

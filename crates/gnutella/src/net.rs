@@ -6,8 +6,7 @@
 //! a message travels `send → upload buffer → upload channel → link
 //! (propagation + jitter, loss) → download channel → download buffer →
 //! deliver`. Everything advances on `simkern` ticks — there is no wall
-//! clock anywhere — so a run is byte-identical at any `ARQ_THREADS`, in
-//! both the exact and the windowed sharded engines.
+//! clock anywhere — so a run is byte-identical at any `ARQ_THREADS`.
 //!
 //! ## Tick accounting
 //!
@@ -257,7 +256,6 @@ pub struct LinkState {
     down_bytes: Vec<u64>,
     query_sizes: Vec<u32>,
     hit_sizes: Vec<u32>,
-    max_msg: u64,
     lost: u64,
     buffer_dropped: u64,
     bytes_sent: u64,
@@ -296,12 +294,6 @@ impl LinkState {
         } else {
             Vec::new()
         };
-        let max_msg = query_sizes
-            .iter()
-            .chain(hit_sizes.iter())
-            .copied()
-            .max()
-            .unwrap_or(0) as u64;
         LinkState {
             up_mbpt: milli(plan.up),
             down_mbpt: milli(plan.down),
@@ -318,7 +310,6 @@ impl LinkState {
             down_bytes: vec![0; nodes],
             query_sizes,
             hit_sizes,
-            max_msg,
             lost: 0,
             buffer_dropped: 0,
             bytes_sent: 0,
@@ -470,34 +461,6 @@ impl LinkState {
     pub fn node_down_bytes(&self) -> &[u64] {
         &self.down_bytes
     }
-
-    /// Upper bound on `deliver − send` ticks for any message, given the
-    /// propagation ceiling `prop_hi`. `None` when a channel is
-    /// rate-limited but unbuffered (queueing delay is then unbounded —
-    /// the windowed sharded engine rejects such plans; the exact engine
-    /// does not need a bound).
-    pub fn max_delay(&self, prop_hi: u64) -> Option<u64> {
-        let mut total = prop_hi.saturating_add(self.jitter);
-        let up_slow = match (self.up_mbpt, self.rider.is_empty()) {
-            (0, true) => 0,
-            (0, false) => self.rider_mbpt,
-            (r, true) => r,
-            (r, false) => r.min(self.rider_mbpt),
-        };
-        if up_slow > 0 {
-            if self.up_buf == 0 {
-                return None;
-            }
-            total = total.saturating_add(tx_ticks(self.up_buf + self.max_msg, up_slow));
-        }
-        if self.down_mbpt > 0 {
-            if self.down_buf == 0 {
-                return None;
-            }
-            total = total.saturating_add(tx_ticks(self.down_buf + self.max_msg, self.down_mbpt));
-        }
-        Some(total.saturating_add(1))
-    }
 }
 
 #[cfg(test)]
@@ -645,23 +608,14 @@ mod tests {
     }
 
     #[test]
-    fn max_delay_requires_bounded_buffers() {
-        assert!(state(&plan()).max_delay(50).is_some());
-        let unbuffered = LinkPlan {
-            up: 10.0,
-            ..Default::default()
-        };
-        assert_eq!(state(&unbuffered).max_delay(50), None);
-        // No bandwidth constraint at all: latency + jitter bound.
+    fn fault_jitter_adds_to_link_jitter_and_saturates() {
         let latency_only = LinkPlan {
             loss: 0.1,
             jitter: 8,
             ..Default::default()
         };
-        assert_eq!(state(&latency_only).max_delay(50), Some(59));
-        // Jitter from both plans saturates instead of overflowing.
         let (q, h) = sizes();
-        let s = LinkState::new(
+        let mut s = LinkState::new(
             &latency_only,
             4,
             0.0,
@@ -671,28 +625,11 @@ mod tests {
             &[],
             Rng64::seed_from(7),
         );
-        assert_eq!(s.max_delay(50), Some(u64::MAX));
-    }
-
-    #[test]
-    fn delivery_never_precedes_max_delay_bound() {
-        let p = LinkPlan {
-            up: 4.0,
-            down: 16.0,
-            up_buf: 300,
-            down_buf: 600,
-            jitter: 12,
-            loss: 0.05,
-            ..Default::default()
-        };
-        let mut s = state(&p);
-        let bound = s.max_delay(50).expect("bounded");
-        for i in 0..500u64 {
+        assert_eq!(s.jitter, u64::MAX, "jitter from both plans overflowed");
+        // Draws near the ceiling clamp the arrival instead of wrapping.
+        for i in 0..200u64 {
             if let Transmission::Delivered { at } = s.transmit(i, NodeId(0), NodeId(1), 84, 50) {
-                assert!(
-                    at - i <= bound,
-                    "delivery {at} from {i} exceeds bound {bound}"
-                );
+                assert!(at >= i + 50, "delivery {at} from {i} wrapped");
             }
         }
     }

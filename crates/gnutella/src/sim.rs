@@ -35,8 +35,6 @@ use arq_trace::record::Guid;
 use arq_trace::TraceDb;
 use std::collections::HashMap;
 
-pub mod sharded;
-
 /// Which random topology to build.
 #[derive(Debug, Clone)]
 pub enum Topology {
@@ -730,8 +728,7 @@ impl<P: ForwardingPolicy> Network<P> {
 
     /// Runs every adaptation round whose boundary is at or before
     /// `horizon` (called after churn, before the event at `horizon` is
-    /// processed — matching the windowed engine, which runs boundaries
-    /// in its serial control phase).
+    /// processed).
     fn apply_adaptation_until(&mut self, horizon: SimTime) {
         let Some(mut st) = self.adapt.take() else {
             return;
@@ -1407,6 +1404,31 @@ mod tests {
         }
     }
 
+    /// Collector output always survives the clean/join pipeline with
+    /// src/via/responder inside the node id space.
+    #[test]
+    fn collector_records_are_wellformed() {
+        for seed in 0..8 {
+            let mut cfg = SimConfig::default_with(40, 300, seed);
+            cfg.collector = Some(NodeId(0));
+            cfg.catalog = CatalogConfig {
+                topics: 4,
+                files_per_topic: 30,
+                ..Default::default()
+            };
+            let result = Network::new(cfg, FloodPolicy).run();
+            let mut db = result.trace.expect("collector configured");
+            let (_, pairs) = db.clean_and_join();
+            assert!(!pairs.is_empty(), "seed {seed}");
+            for p in &pairs {
+                assert!(
+                    p.src.0 < 40 && p.via.0 < 40 && p.responder.0 < 40,
+                    "seed {seed}: {p:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn churn_does_not_break_the_run() {
         let mut cfg = tiny_cfg(9);
@@ -1661,6 +1683,44 @@ mod tests {
         assert_eq!(proper.distinct_query_guids as u64, proper.total_attempts);
     }
 
+    /// Over random budgets, loss rates and deadlines, the retry lifecycle
+    /// never exceeds its attempt budget, and with proper generators
+    /// every attempt draws a fresh GUID.
+    #[test]
+    fn retry_bounds_attempts_and_redraws_guids() {
+        let mut draw = Rng64::seed_from(23);
+        let queries = 60u64;
+        for seed in 0..24 {
+            let max_attempts = 1 + draw.below(4) as u32;
+            let mut cfg = SimConfig::default_with(30, queries as usize, seed);
+            cfg.faulty_fraction = 0.0;
+            cfg.catalog = CatalogConfig {
+                topics: 4,
+                files_per_topic: 30,
+                ..Default::default()
+            };
+            cfg.faults = Some(FaultPlan {
+                loss: draw.below(700) as f64 / 1000.0,
+                ..Default::default()
+            });
+            cfg.retry = Some(RetryPolicy {
+                deadline: Duration::from_ticks(500 + draw.below(4_500)),
+                max_attempts,
+                backoff: 2.0,
+                ttl_step: 1,
+                max_ttl: 8,
+            });
+            let r = Network::new(cfg, FloodPolicy).run();
+            let budget = u64::from(max_attempts);
+            assert!(r.total_attempts <= queries * budget, "seed {seed}");
+            assert!(r.metrics.retried <= queries * (budget - 1), "seed {seed}");
+            assert_eq!(
+                r.distinct_query_guids as u64, r.total_attempts,
+                "seed {seed}"
+            );
+        }
+    }
+
     #[test]
     fn exhausted_queries_are_marked_expired() {
         let mut cfg = tiny_cfg(47);
@@ -1901,20 +1961,10 @@ mod tests {
 
     /// `faults(loss=,jitter=)` is sugar for `links(loss=,jitter=)`: one
     /// process, one stream, one draw order, rolled once at send — so
-    /// the two spellings are the same run, in both engines, and a fault
-    /// plan beside a link plan composes as `1 − (1−a)(1−b)`.
+    /// the two spellings are the same run, and a fault plan beside a
+    /// link plan composes as `1 − (1−a)(1−b)`.
     #[test]
     fn link_layer_subsumes_fault_loss_and_jitter() {
-        type Engine = fn(SimConfig) -> SimResult;
-        let engines: [(&str, Engine); 3] = [
-            ("run", |c| Network::new(c, FloodPolicy).run()),
-            ("run_sharded(1)", |c| {
-                Network::new(c, FloodPolicy).run_sharded(1)
-            }),
-            ("run_sharded(4)", |c| {
-                Network::new(c, FloodPolicy).run_sharded(4)
-            }),
-        ];
         let fingerprint = |r: &SimResult| (r.metrics.digest(), r.end_time, r.link_bytes);
         let faults = |loss, jitter| FaultPlan {
             loss,
@@ -1928,37 +1978,35 @@ mod tests {
         };
         let (a, b) = (0.2, 0.1);
         for seed in 1..=6 {
-            for (name, engine) in engines {
-                let with = |faults: Option<FaultPlan>, links: Option<LinkPlan>| {
-                    let mut cfg = tiny_cfg(seed);
-                    cfg.faults = faults;
-                    cfg.links = links;
-                    engine(cfg)
-                };
-                let sugar = with(Some(faults(0.3, 100)), None);
-                let plain = with(None, Some(links(0.3, 100)));
-                assert_eq!(
-                    fingerprint(&sugar),
-                    fingerprint(&plain),
-                    "seed {seed}, {name}: faults(loss,jitter) is not links(loss,jitter)"
-                );
-                // The byte ledger covers a run whose only impairment
-                // came from the fault plan.
-                assert!(sugar.metrics.lost_messages > 0, "seed {seed}, {name}");
-                let (sent, delivered, lost, buffered) =
-                    sugar.link_bytes.expect("a lossy run keeps the ledger");
-                assert_eq!(sent, delivered + lost + buffered, "seed {seed}, {name}");
-                assert_eq!(sent, sugar.metrics.bytes, "seed {seed}, {name}");
-                assert!(lost > 0 && buffered == 0, "seed {seed}, {name}");
+            let with = |faults: Option<FaultPlan>, links: Option<LinkPlan>| {
+                let mut cfg = tiny_cfg(seed);
+                cfg.faults = faults;
+                cfg.links = links;
+                Network::new(cfg, FloodPolicy).run()
+            };
+            let sugar = with(Some(faults(0.3, 100)), None);
+            let plain = with(None, Some(links(0.3, 100)));
+            assert_eq!(
+                fingerprint(&sugar),
+                fingerprint(&plain),
+                "seed {seed}: faults(loss,jitter) is not links(loss,jitter)"
+            );
+            // The byte ledger covers a run whose only impairment came
+            // from the fault plan.
+            assert!(sugar.metrics.lost_messages > 0, "seed {seed}");
+            let (sent, delivered, lost, buffered) =
+                sugar.link_bytes.expect("a lossy run keeps the ledger");
+            assert_eq!(sent, delivered + lost + buffered, "seed {seed}");
+            assert_eq!(sent, sugar.metrics.bytes, "seed {seed}");
+            assert!(lost > 0 && buffered == 0, "seed {seed}");
 
-                let both = with(Some(faults(a, 0)), Some(links(b, 0)));
-                let folded = with(None, Some(links(1.0 - (1.0 - a) * (1.0 - b), 0)));
-                assert_eq!(
-                    fingerprint(&both),
-                    fingerprint(&folded),
-                    "seed {seed}, {name}: loss does not compose as 1-(1-a)(1-b)"
-                );
-            }
+            let both = with(Some(faults(a, 0)), Some(links(b, 0)));
+            let folded = with(None, Some(links(1.0 - (1.0 - a) * (1.0 - b), 0)));
+            assert_eq!(
+                fingerprint(&both),
+                fingerprint(&folded),
+                "seed {seed}: loss does not compose as 1-(1-a)(1-b)"
+            );
         }
     }
 

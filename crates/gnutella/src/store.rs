@@ -27,9 +27,6 @@
 //! lookups are point queries and eviction order comes from the rings —
 //! so swapping `NodeState` for `GuidStore` is byte-identical to the
 //! digest goldens. A differential test against `NodeState` pins that.
-//!
-//! The store supports a `base` node offset so the sharded simulator can
-//! give each worker its own store covering one contiguous node range.
 
 use crate::node::Upstream;
 use arq_overlay::NodeId;
@@ -103,11 +100,9 @@ pub struct GuidStore {
     /// Entries over all tables.
     live: usize,
     /// Per-node FIFO of `(slot in tables, inserted_at_tick)`, indexed by
-    /// `node - base`. Drives capacity eviction and age expiry. A slot
-    /// stays its GUID's for as long as any ring names it.
+    /// node id. Drives capacity eviction and age expiry. A slot stays its
+    /// GUID's for as long as any ring names it.
     rings: Vec<VecDeque<(u32, u64)>>,
-    /// First node id covered by this store.
-    base: u32,
     capacity: usize,
     expiry: Option<u64>,
 }
@@ -116,12 +111,6 @@ impl GuidStore {
     /// Creates a store covering nodes `0..nodes`, each remembering at
     /// most `capacity` GUIDs, optionally for at most `expiry` sim time.
     pub fn new(nodes: usize, capacity: usize, expiry: Option<Duration>) -> Self {
-        Self::with_range(0, nodes, capacity, expiry)
-    }
-
-    /// Creates a store covering the node range `base..base + count`
-    /// (shard-local storage for the parallel simulator).
-    pub fn with_range(base: u32, count: usize, capacity: usize, expiry: Option<Duration>) -> Self {
         assert!(capacity > 0, "GUID cache needs capacity");
         if let Some(ttl) = expiry {
             assert!(ttl > Duration::ZERO, "GUID expiry must be positive");
@@ -131,8 +120,7 @@ impl GuidStore {
             tables: Vec::new(),
             free: Vec::new(),
             live: 0,
-            rings: (0..count).map(|_| VecDeque::new()).collect(),
-            base,
+            rings: (0..nodes).map(|_| VecDeque::new()).collect(),
             capacity,
             expiry: expiry.map(Duration::ticks),
         }
@@ -141,10 +129,10 @@ impl GuidStore {
     #[inline]
     fn ring_index(&self, node: NodeId) -> usize {
         debug_assert!(
-            node.0 >= self.base && ((node.0 - self.base) as usize) < self.rings.len(),
+            node.index() < self.rings.len(),
             "node {node} outside store range"
         );
-        (node.0 - self.base) as usize
+        node.index()
     }
 
     /// Forgets at `node` the GUID of table `slot`, which a ring entry says
@@ -328,17 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_range_uses_offset_indexing() {
-        let mut s = GuidStore::with_range(1000, 4, 8, None);
-        let n = NodeId(1002);
-        assert!(s.record(n, Guid(7), Upstream::Neighbor(NodeId(3)), T0));
-        assert!(s.has_seen(n, Guid(7)));
-        assert_eq!(s.node_len(n), 1);
-        s.reset(n);
-        assert!(s.is_empty());
-    }
-
-    #[test]
     fn survives_growth_past_initial_table() {
         // Force several doublings and verify every entry stays findable.
         let mut s = GuidStore::new(16, 1 << 20, None);
@@ -366,7 +343,7 @@ mod tests {
         }
         assert_eq!(s.index.len() + s.free.len(), s.tables.len());
         for (r, ring) in s.rings.iter().enumerate() {
-            let node = s.base + r as u32;
+            let node = r as u32;
             for &(slot, _) in ring {
                 assert!(s.tables[slot as usize].1.contains_key(&node));
             }
@@ -375,11 +352,11 @@ mod tests {
 
     /// A seeded op mix must behave exactly like one `NodeState` per node
     /// — same accept/reject decisions, same upstream answers — through
-    /// eviction, expiry and resets, for nodes `base..base + nodes`
-    /// drawing from `guids` distinct GUIDs.
-    fn differential(base: u32, nodes: usize, capacity: usize, expiry: Option<u64>, guids: u64) {
+    /// eviction, expiry and resets, for `nodes` nodes drawing from
+    /// `guids` distinct GUIDs.
+    fn differential(nodes: usize, capacity: usize, expiry: Option<u64>, guids: u64) {
         let expiry = expiry.map(Duration::from_ticks);
-        let mut store = GuidStore::with_range(base, nodes, capacity, expiry);
+        let mut store = GuidStore::new(nodes, capacity, expiry);
         let mut refs: Vec<NodeState> = (0..nodes)
             .map(|_| NodeState::with_expiry(capacity, expiry))
             .collect();
@@ -389,7 +366,7 @@ mod tests {
             now += rng.below(8);
             let t = SimTime::from_ticks(now);
             let i = rng.index(nodes);
-            let node = NodeId(base + i as u32);
+            let node = NodeId(i as u32);
             let guid = Guid(u128::from(rng.below(guids)) << 60 | 7);
             match rng.below(40) {
                 0 => {
@@ -428,13 +405,12 @@ mod tests {
     /// apart: a small mixed one, a few GUIDs that most nodes have seen
     /// (large tables, shrinking by expiry), and thousands of GUIDs seen
     /// by one or two nodes each under a capacity of 3, where tables empty,
-    /// retire and are reused for other GUIDs all the time. The last two
-    /// sit at a `with_range` offset.
+    /// retire and are reused for other GUIDs all the time.
     #[test]
     fn differential_against_node_state() {
-        differential(0, 8, 5, Some(300), 40);
-        differential(5_000, 400, 4, Some(20_000), 6);
-        differential(70_000, 64, 3, None, 4_000);
+        differential(8, 5, Some(300), 40);
+        differential(400, 4, Some(20_000), 6);
+        differential(64, 3, None, 4_000);
     }
 
     #[test]

@@ -49,9 +49,8 @@ pub const CALENDAR_SPAN: u64 = 4096;
 
 /// Error returned by [`EventQueue::try_schedule`] when the requested
 /// fire time is earlier than the queue's clock. Scheduling into the past
-/// would reorder simulated time — in the sharded simulator it would let
-/// a cross-shard handoff deliver a message into a window that has
-/// already been processed — so it is always a bug in the caller.
+/// would reorder simulated time — an event would fire after events that
+/// happened later than it — so it is always a bug in the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulePastError {
     /// The rejected fire time.
