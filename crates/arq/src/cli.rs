@@ -188,7 +188,7 @@ COMMANDS:
               or a Unix socket; route lookups answer from an atomically
               swapped ruleset refreshed every --block pairs and never
               block on mining; maintainers: incremental(t=10,hl=20000) |
-              lossy(t=10,eps=0.0001); the ingest queue is bounded and
+              lossy(t=10,eps=0.00005); the ingest queue is bounded and
               blocks when full unless --shed enables explicit load
               shedding (refreshes first, then pairs + `shed` lookups,
               all counted); --checkpoint restores exact state on start,

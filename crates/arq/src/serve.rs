@@ -19,7 +19,8 @@
 //!   `time`/`guid`/`responder`/`query` are accepted and ignored);
 //! * `{"ev":"route","id":N,"src":N,"k":K?}` — answer a lookup; the reply
 //!   frame is `{"ev":"routed","id":N,"outcome":"rules"|"flood"|"shed",
-//!   "via":[...],"epoch":E}`;
+//!   "via":[...],"epoch":E}`, where `E` is the epoch of the rule
+//!   generation that answered;
 //! * `{"ev":"stats","id":N}` — snapshot the service counters.
 //!
 //! `src` and `via` must be integers in `[0, 4294967295]` (a
@@ -69,8 +70,7 @@
 //! SIGTERM (or EOF) drains: the queue empties, a final checkpoint and a
 //! summary artifact are written, and the process exits cleanly.
 
-use arq_assoc::{DecayedPairCounts, DecayedSnapshot, LossyPairCounts, LossySnapshot, RuleSet};
-use arq_core::engine::registry::parse_spec;
+use arq_assoc::{DecayedPairCounts, DecayedSnapshot, LossyPairCounts, LossySnapshot};
 use arq_core::{RouteDecision, RuleHandle};
 use arq_obs::{to_prometheus, Registry};
 use arq_simkern::{json, write_atomic, Histogram, Json};
@@ -82,6 +82,11 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The streaming maintainer the service keeps fresh, built by the
+/// strategy registry's grammar (`incremental(t=10,hl=20000)`,
+/// `lossy(t=10,eps=0.00005)`).
+pub use arq_core::Maintainer;
 
 /// An error from the service: configuration, wire protocol, checkpoint
 /// decoding, or I/O.
@@ -433,125 +438,6 @@ fn scan_event(payload: &[u8]) -> Option<Event> {
 }
 
 // ---------------------------------------------------------------------------
-// Maintainer: the streaming rule state behind the service
-// ---------------------------------------------------------------------------
-
-/// The streaming maintainer the service keeps fresh: either decayed
-/// counts (the §VI incremental maintainer) or lossy counting.
-#[derive(Debug, Clone)]
-pub enum Maintainer {
-    /// Exponentially decayed pair counts; rules are pairs whose decayed
-    /// weight clears `threshold`.
-    Incremental {
-        /// The decayed counts.
-        counts: DecayedPairCounts,
-        /// Rule support threshold (≥ 1).
-        threshold: f64,
-    },
-    /// Manku–Motwani lossy counting; rules are pairs whose count clears
-    /// `support`.
-    Lossy {
-        /// The lossy counts.
-        counts: LossyPairCounts,
-        /// Rule support threshold.
-        support: u64,
-    },
-}
-
-impl Maintainer {
-    /// Builds a maintainer from a spec string: `incremental(t=10,hl=20000)`
-    /// (support threshold, half-life in pairs) or `lossy(t=10,eps=0.0001)`.
-    /// Bare names take the defaults shown.
-    pub fn from_spec(spec: &str) -> Result<Maintainer, ServeError> {
-        let parsed = parse_spec(spec).map_err(|e| err(format!("maintainer spec: {e}")))?;
-        match parsed.name.as_str() {
-            "incremental" => {
-                let mut t = 10.0;
-                let mut hl = 20_000.0;
-                for (key, value) in &parsed.params {
-                    match key.as_str() {
-                        "t" => t = *value,
-                        "hl" => hl = *value,
-                        other => {
-                            return Err(err(format!(
-                                "maintainer `incremental` has no parameter `{other}` (has t, hl)"
-                            )))
-                        }
-                    }
-                }
-                if t < 1.0 {
-                    return Err(err("maintainer threshold t must be >= 1"));
-                }
-                Ok(Maintainer::Incremental {
-                    counts: DecayedPairCounts::new(hl),
-                    threshold: t,
-                })
-            }
-            "lossy" => {
-                let mut t = 10.0;
-                let mut eps = 1e-4;
-                for (key, value) in &parsed.params {
-                    match key.as_str() {
-                        "t" => t = *value,
-                        "eps" => eps = *value,
-                        other => {
-                            return Err(err(format!(
-                                "maintainer `lossy` has no parameter `{other}` (has t, eps)"
-                            )))
-                        }
-                    }
-                }
-                Ok(Maintainer::Lossy {
-                    counts: LossyPairCounts::new(eps),
-                    support: t as u64,
-                })
-            }
-            other => Err(err(format!(
-                "unknown maintainer `{other}` (expected `incremental` or `lossy`)"
-            ))),
-        }
-    }
-
-    /// The canonical spec string this maintainer round-trips through
-    /// (checkpoints store it and restarts must match it).
-    pub fn spec(&self) -> String {
-        match self {
-            Maintainer::Incremental { counts, threshold } => {
-                format!("incremental(t={},hl={})", threshold, counts.half_life())
-            }
-            Maintainer::Lossy { counts, support } => {
-                format!("lossy(t={},eps={})", support, counts.epsilon())
-            }
-        }
-    }
-
-    /// Observes one pair.
-    pub fn observe(&mut self, src: HostId, via: HostId) {
-        match self {
-            Maintainer::Incremental { counts, .. } => counts.observe(src, via),
-            Maintainer::Lossy { counts, .. } => counts.observe(src, via),
-        }
-    }
-
-    /// Total pairs observed over the maintainer's lifetime (survives
-    /// checkpoint/restore — this is the replay cursor).
-    pub fn consumed(&self) -> u64 {
-        match self {
-            Maintainer::Incremental { counts, .. } => counts.observations(),
-            Maintainer::Lossy { counts, .. } => counts.observations(),
-        }
-    }
-
-    /// Materializes the current rule set.
-    pub fn ruleset(&self) -> RuleSet {
-        match self {
-            Maintainer::Incremental { counts, threshold } => counts.ruleset(*threshold),
-            Maintainer::Lossy { counts, support } => counts.ruleset(*support),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Checkpoints
 // ---------------------------------------------------------------------------
 
@@ -721,11 +607,24 @@ pub fn decode_checkpoint(text: &str, expected_spec: &str) -> Result<Maintainer, 
         .get("entries")
         .and_then(Json::as_array)
         .ok_or_else(|| err("checkpoint: missing array field `state.entries`"))?;
-    let template = Maintainer::from_spec(expected_spec)?;
+    let template =
+        Maintainer::from_spec(expected_spec).map_err(|e| err(format!("maintainer spec: {e}")))?;
+    // The state's own parameter must be the configured one, bit for bit:
+    // otherwise the file would resume a maintainer its spec does not name.
+    let param = |field: &str, want: f64| {
+        let what = format!("state.{field}");
+        let got = f64_from_bits(state.get(field), &what)?;
+        if got.to_bits() != want.to_bits() {
+            return Err(err(format!(
+                "checkpoint: field `{what}` is {got} but the spec `{expected_spec}` says {want}"
+            )));
+        }
+        Ok(got)
+    };
     let restored = match template {
-        Maintainer::Incremental { threshold, .. } => {
+        Maintainer::Incremental { counts, threshold } => {
             let mut snap = DecayedSnapshot {
-                half_life: f64_from_bits(state.get("half_life"), "state.half_life")?,
+                half_life: param("half_life", counts.half_life())?,
                 clock: field_u64(state, "clock")?,
                 since_sweep: field_u64(state, "since_sweep")?,
                 entries: Vec::with_capacity(entries.len()),
@@ -740,9 +639,9 @@ pub fn decode_checkpoint(text: &str, expected_spec: &str) -> Result<Maintainer, 
                 threshold,
             }
         }
-        Maintainer::Lossy { support, .. } => {
+        Maintainer::Lossy { counts, support } => {
             let mut snap = LossySnapshot {
-                epsilon: f64_from_bits(state.get("epsilon"), "state.epsilon")?,
+                epsilon: param("epsilon", counts.epsilon())?,
                 current_bucket: field_u64(state, "current_bucket")?,
                 seen: field_u64(state, "seen")?,
                 entries: Vec::with_capacity(entries.len()),
@@ -1188,7 +1087,8 @@ struct Server {
 
 impl Server {
     fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
-        let fresh = Maintainer::from_spec(&cfg.spec)?;
+        let fresh =
+            Maintainer::from_spec(&cfg.spec).map_err(|e| err(format!("maintainer spec: {e}")))?;
         let spec = fresh.spec();
         let mut skip = 0;
         let maintainer = match &cfg.checkpoint {
@@ -1301,29 +1201,25 @@ impl Server {
                 let t0 = Instant::now();
                 let k = if k == 0 { self.cfg.k } else { k };
                 let overloaded = self.cfg.shed && self.shared.level.load(Ordering::Relaxed) >= 2;
-                let (outcome, vias) = if overloaded {
+                let (outcome, vias, epoch) = if overloaded {
                     Shared::bump(&self.shared.c.route_shed);
-                    ("shed", Vec::new())
+                    ("shed", Vec::new(), self.shared.handle.epoch())
                 } else {
+                    // The epoch is the answering generation's, from the
+                    // same load as the rules.
                     match self.shared.handle.route(src, k) {
-                        RouteDecision::Rules(vias) => {
+                        (RouteDecision::Rules(vias), epoch) => {
                             Shared::bump(&self.shared.c.route_rules);
-                            ("rules", vias)
+                            ("rules", vias, epoch)
                         }
-                        RouteDecision::Flood => {
+                        (RouteDecision::Flood, epoch) => {
                             Shared::bump(&self.shared.c.route_flood);
-                            ("flood", Vec::new())
+                            ("flood", Vec::new(), epoch)
                         }
                     }
                 };
                 Shared::bump(&self.shared.c.routes);
-                render_routed(
-                    &mut self.reply,
-                    id,
-                    outcome,
-                    &vias,
-                    self.shared.handle.epoch(),
-                );
+                render_routed(&mut self.reply, id, outcome, &vias, epoch);
                 write_frame(out, &self.reply)
                     .and_then(|()| out.flush())
                     .map_err(|e| err(format!("writing route reply: {e}")))?;
@@ -2070,10 +1966,12 @@ mod tests {
         assert_eq!(m.spec(), "incremental(t=10,hl=20000)");
         let m = Maintainer::from_spec("lossy(t=5,eps=0.001)").unwrap();
         assert_eq!(m.spec(), "lossy(t=5,eps=0.001)");
-        let e = Maintainer::from_spec("magic").unwrap_err();
-        assert!(e.message.contains("unknown maintainer `magic`"), "{e}");
-        let e = Maintainer::from_spec("incremental(zap=1)").unwrap_err();
-        assert!(e.message.contains("no parameter `zap`"), "{e}");
+        let e = Maintainer::from_spec("magic").unwrap_err().to_string();
+        assert!(e.contains("unknown maintainer `magic`"), "{e}");
+        let e = Maintainer::from_spec("incremental(zap=1)")
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("unknown parameter `zap`"), "{e}");
     }
 
     #[test]
@@ -2127,19 +2025,19 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_integers_are_errors_not_casts() {
         let header = format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}");
-        let zero = "\"0000000000000000\"";
-        let one = format!("\"{:016x}\"", 1.0f64.to_bits());
+        let bits = |x: f64| format!("\"{:016x}\"", x.to_bits());
+        let (one, hl, eps) = (bits(1.0), bits(20_000.0), bits(0.0001));
         let incremental = |consumed: &str, row: &str| {
             format!(
                 "{header}\n{{\"spec\":\"incremental(t=10,hl=20000)\",\"consumed\":{consumed},\
-                 \"state\":{{\"half_life\":{one},\"clock\":1,\"since_sweep\":1,\
+                 \"state\":{{\"half_life\":{hl},\"clock\":1,\"since_sweep\":1,\
                  \"entries\":[{row}]}}}}\n"
             )
         };
         let lossy = |row: &str| {
             format!(
                 "{header}\n{{\"spec\":\"lossy(t=10,eps=0.0001)\",\"consumed\":1,\
-                 \"state\":{{\"epsilon\":{zero},\"current_bucket\":1,\"seen\":1,\
+                 \"state\":{{\"epsilon\":{eps},\"current_bucket\":1,\"seen\":1,\
                  \"entries\":[{row}]}}}}\n"
             )
         };
@@ -2192,6 +2090,42 @@ mod tests {
             let e = decode_checkpoint(text, spec).unwrap_err();
             assert!(e.message.starts_with("checkpoint: "), "{e}");
             assert!(e.message.contains(want), "want {want}, got {e}");
+        }
+    }
+
+    /// A checkpoint's state must hold the configured maintainer's own
+    /// `half_life` / `epsilon` bits; anything else, zero, negative and
+    /// NaN included, is a `checkpoint:` error naming the field.
+    #[test]
+    fn checkpoint_state_must_match_its_spec() {
+        for (spec, field, bad) in [
+            ("incremental(t=4,hl=8000)", "half_life", 0.0),
+            ("incremental(t=4,hl=8000)", "half_life", -5000.0),
+            ("incremental(t=4,hl=8000)", "half_life", f64::NAN),
+            ("incremental(t=4,hl=8000)", "half_life", 5000.0),
+            ("lossy(t=10,eps=0.0001)", "epsilon", 0.0),
+            ("lossy(t=10,eps=0.0001)", "epsilon", 2.0),
+            ("lossy(t=10,eps=0.0001)", "epsilon", 0.001),
+        ] {
+            let mut m = Maintainer::from_spec(spec).unwrap();
+            for p in trace(500, 3) {
+                m.observe(p.src, p.via);
+            }
+            let text = encode_checkpoint(&m);
+            assert!(decode_checkpoint(&text, spec).is_ok(), "{spec}");
+            let good = match &m {
+                Maintainer::Incremental { counts, .. } => counts.half_life(),
+                Maintainer::Lossy { counts, .. } => counts.epsilon(),
+            };
+            let hex = |x: f64| format!("\"{field}\":\"{:016x}\"", x.to_bits());
+            let tampered = text.replacen(&hex(good), &hex(bad), 1);
+            assert_ne!(tampered, text, "{spec}: field not found");
+            let e = decode_checkpoint(&tampered, spec).unwrap_err();
+            assert!(
+                e.message
+                    .starts_with(&format!("checkpoint: field `state.{field}`")),
+                "{spec} {field}={bad}: {e}"
+            );
         }
     }
 

@@ -551,4 +551,30 @@ mod tests {
         sorted.sort();
         assert_eq!(rows, sorted);
     }
+
+    /// Without decay pressure, the decayed counter materializes the same
+    /// rule set as block mining, on random streams and thresholds.
+    #[test]
+    fn decayed_counts_match_block_mining() {
+        let mut rng = arq_simkern::Rng64::seed_from(0xDECA);
+        for case in 0..60 {
+            let len = rng.index(300);
+            let pairs = crate::pairs::random_pairs(&mut rng, len);
+            let t = 1 + rng.below(5);
+            let mut counts = DecayedPairCounts::new(1e12);
+            for p in &pairs {
+                counts.observe_pair(p);
+            }
+            let sorted = |rs: RuleSet| {
+                let mut rows: Vec<_> = rs.iter().collect();
+                rows.sort_unstable();
+                rows
+            };
+            assert_eq!(
+                sorted(counts.ruleset(t as f64)),
+                sorted(crate::pairs::mine_pairs(&pairs, t)),
+                "case {case}"
+            );
+        }
+    }
 }

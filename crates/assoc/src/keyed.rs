@@ -264,4 +264,27 @@ mod tests {
         let m = keyed_ruleset_test(&mined, &[], |p: &PairRecord| p.src);
         assert_eq!(m.coverage(), 0.0);
     }
+
+    /// Keyed mining with the plain `src` key is exactly `mine_pairs` on
+    /// random blocks, and the two measures agree.
+    #[test]
+    fn keyed_src_equals_plain() {
+        let mut rng = arq_simkern::Rng64::seed_from(0x4E7);
+        for case in 0..60 {
+            let len = rng.index(300);
+            let pairs = crate::pairs::random_pairs(&mut rng, len);
+            let t = 1 + rng.below(5);
+            let keyed = mine_keyed(&pairs, |p| p.src, t);
+            let plain = mine_pairs(&pairs, t);
+            assert_eq!(keyed.rule_count(), plain.rule_count(), "case {case}");
+            for p in &pairs {
+                assert_eq!(keyed.consequents(p.src), plain.consequents(p.src));
+            }
+            assert_eq!(
+                keyed_ruleset_test(&keyed, &pairs, |p| p.src),
+                crate::measures::ruleset_test(&plain, &pairs),
+                "case {case}"
+            );
+        }
+    }
 }

@@ -426,4 +426,38 @@ mod tests {
             "rule sets diverged after restore"
         );
     }
+
+    /// Lossy Counting never reports more than the true count and never
+    /// undershoots it by more than `ceil(εN)`, on random streams and
+    /// error bounds.
+    #[test]
+    fn lossy_counting_error_guarantee() {
+        let mut rng = arq_simkern::Rng64::seed_from(0x1055);
+        for case in 0..60 {
+            let eps = (5 + rng.below(195)) as f64 / 1000.0;
+            let n = 1 + rng.index(2_000);
+            let mut lossy = LossyPairCounts::new(eps);
+            let mut exact: HashMap<(HostId, HostId), u64> = HashMap::new();
+            for _ in 0..n {
+                let (s, v) = (
+                    HostId(rng.below(6) as u32),
+                    HostId(100 + rng.below(6) as u32),
+                );
+                lossy.observe(s, v);
+                *exact.entry((s, v)).or_insert(0) += 1;
+            }
+            let slack = (eps * n as f64).ceil() as u64;
+            for (&(s, v), &truth) in &exact {
+                let reported = lossy.count(s, v);
+                assert!(
+                    reported <= truth,
+                    "case {case}: overcount for ({s:?},{v:?})"
+                );
+                assert!(
+                    reported + slack >= truth,
+                    "case {case}: {reported} undercounts {truth} by more than {slack}"
+                );
+            }
+        }
+    }
 }

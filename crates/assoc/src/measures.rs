@@ -259,4 +259,26 @@ mod tests {
             }
         );
     }
+
+    /// On random blocks, `0 <= s <= n <= N` and both measures stay in
+    /// [0, 1]; rules mined from a block at threshold 1 are perfect on it.
+    #[test]
+    fn measures_are_bounded_on_random_blocks() {
+        let mut rng = arq_simkern::Rng64::seed_from(0x3EA5);
+        for _ in 0..60 {
+            let (a, b) = (rng.index(300), rng.index(300));
+            let (train, test) = (
+                crate::pairs::random_pairs(&mut rng, a),
+                crate::pairs::random_pairs(&mut rng, b),
+            );
+            let m = ruleset_test(&mine_pairs(&train, 2), &test);
+            assert!(m.successes <= m.covered && m.covered <= m.total);
+            assert!((0.0..=1.0).contains(&m.coverage()));
+            assert!((0.0..=1.0).contains(&m.success()));
+            if !test.is_empty() {
+                let perfect = ruleset_test(&mine_pairs(&test, 1), &test);
+                assert_eq!((perfect.coverage(), perfect.success()), (1.0, 1.0));
+            }
+        }
+    }
 }

@@ -353,6 +353,22 @@ impl PairMiner {
     }
 }
 
+/// `len` pairs with sources `0..10` answered via `100..110` at random,
+/// for the seeded property loops.
+#[cfg(test)]
+pub(crate) fn random_pairs(rng: &mut arq_simkern::Rng64, len: usize) -> Vec<PairRecord> {
+    (0..len)
+        .map(|i| PairRecord {
+            time: arq_simkern::SimTime::from_ticks(i as u64),
+            guid: arq_trace::record::Guid(i as u128),
+            src: HostId(rng.below(10) as u32),
+            via: HostId(100 + rng.below(10) as u32),
+            responder: HostId(999),
+            query: arq_trace::record::QueryId(0),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,5 +558,34 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn sharded_rejects_zero_support() {
         PairMiner::new().mine(&block(), 0);
+    }
+
+    /// On random blocks, empty ones included: raising the support
+    /// threshold mines a subset, confidence mining at zero is plain
+    /// mining, and the packed miner (reused across blocks) equals
+    /// `mine_pairs`, ranked consequent lists included.
+    #[test]
+    fn mining_laws_hold_on_random_blocks() {
+        let mut rng = arq_simkern::Rng64::seed_from(0xB10C);
+        let mut miner = PairMiner::new();
+        for case in 0..60 {
+            let len = rng.index(300);
+            let pairs = random_pairs(&mut rng, len);
+            let lo = 1 + rng.below(4);
+            let hi = lo + rng.below(10);
+            let (loose, tight) = (mine_pairs(&pairs, lo), mine_pairs(&pairs, hi));
+            for (src, via, count) in tight.iter() {
+                assert!(count >= hi && loose.matches(src, via), "case {case}");
+            }
+            assert!(tight.rule_count() <= loose.rule_count());
+            let zero = mine_pairs_with_confidence(&pairs, lo, 0.0);
+            assert_eq!(sorted_rows(&zero), sorted_rows(&loose), "case {case}");
+            let packed = miner.mine(&pairs, lo);
+            assert_eq!(sorted_rows(&packed), sorted_rows(&loose), "case {case}");
+            assert_eq!(packed.antecedent_count(), loose.antecedent_count());
+            for p in &pairs {
+                assert_eq!(packed.consequents(p.src), loose.consequents(p.src));
+            }
+        }
     }
 }

@@ -15,9 +15,10 @@
 use crate::hybrid::HybridPolicy;
 use crate::policy::{AssocPolicy, AssocPolicyConfig};
 use crate::strategy::{
-    AdaptiveSlidingWindow, IncrementalStream, LazySlidingWindow, LossyStream, SlidingWindow,
-    StaticRuleset, Strategy, TopicSlidingWindow,
+    AdaptiveSlidingWindow, LazySlidingWindow, Maintainer, SlidingWindow, StaticRuleset, Strategy,
+    TopicSlidingWindow,
 };
+use arq_assoc::{DecayedPairCounts, LossyPairCounts};
 use arq_baselines::{
     expanding_ring, CommunityPolicy, FloodPolicy, InterestShortcuts, KRandomWalk, RoutingIndices,
     SuperPeerPolicy,
@@ -218,7 +219,7 @@ impl<'a> ParamTable<'a> {
         Ok(self.u64(key)? as usize)
     }
 
-    /// A count the policy constructors assert to be `>= 1`.
+    /// A count the constructors assert to be `>= 1`.
     fn positive(&self, key: &str) -> Result<usize, RegistryError> {
         match self.usize(key)? {
             0 => Err(RegistryError::BadSpec {
@@ -227,6 +228,29 @@ impl<'a> ParamTable<'a> {
             }),
             v => Ok(v),
         }
+    }
+
+    /// A real the constructors assert on: `ok` must hold, or the error
+    /// says the parameter `must be {want}`. NaN fails every range.
+    fn check(&self, key: &str, ok: fn(f64) -> bool, want: &str) -> Result<f64, RegistryError> {
+        let v = self.f64(key);
+        if !ok(v) {
+            return Err(RegistryError::BadSpec {
+                spec: self.spec.to_string(),
+                reason: format!("parameter `{key}` must be {want}, got {v}"),
+            });
+        }
+        Ok(v)
+    }
+
+    /// A fraction in `[0, 1]` (confidences, attenuations, shares).
+    fn unit(&self, key: &str) -> Result<f64, RegistryError> {
+        self.check(key, |v| (0.0..=1.0).contains(&v), "in [0, 1]")
+    }
+
+    /// A real `>= 1` (support thresholds, backoff factors).
+    fn at_least_one(&self, key: &str) -> Result<f64, RegistryError> {
+        self.check(key, |v| v >= 1.0, "at least 1")
     }
 }
 
@@ -242,49 +266,80 @@ impl<'a> ParamTable<'a> {
 /// | `lossy` | `t` support threshold (10), `eps` Lossy Counting error (5e-5) |
 /// | `topic-sliding` | `s` (10) |
 ///
-/// `s` is accepted as an alias for `t` on the streaming maintainers, so
-/// a generic `--support` CLI flag maps onto every strategy.
+/// Every value a constructor would assert on is checked here instead, so
+/// a bad one comes back as a [`RegistryError::BadSpec`] naming the
+/// parameter: the supports `s` and `t` and the counts `p` and `h` are at
+/// least 1 (`t` on `lossy` an integer), `c` is in [0, 1], `hl` is
+/// positive and `eps` is in (0, 1). `s` is accepted as an alias for `t`
+/// on the streaming maintainers, so a generic `--support` CLI flag maps
+/// onto every strategy.
 pub fn make_strategy(spec: &str) -> Result<Box<dyn Strategy + Send>, RegistryError> {
     let parsed = parse_spec(spec)?;
-    let table = |keys: &'static [(&'static str, f64)]| {
-        ParamTable::resolve(spec, &parsed, keys, &[("s", "t")])
-    };
+    let table =
+        |keys: &'static [(&'static str, f64)]| ParamTable::resolve(spec, &parsed, keys, &[]);
+    let support = |p: &ParamTable| p.positive("s").map(|s| s as u64);
     Ok(match parsed.name.as_str() {
-        "static" => {
-            let p = ParamTable::resolve(spec, &parsed, &[("s", 10.0)], &[])?;
-            Box::new(StaticRuleset::new(p.u64("s")?))
-        }
+        "static" => Box::new(StaticRuleset::new(support(&table(&[("s", 10.0)])?)?)),
         "sliding" => {
-            let p = ParamTable::resolve(spec, &parsed, &[("s", 10.0), ("c", 0.0)], &[])?;
-            Box::new(SlidingWindow::with_confidence(p.u64("s")?, p.f64("c")))
+            let p = table(&[("s", 10.0), ("c", 0.0)])?;
+            Box::new(SlidingWindow::with_confidence(support(&p)?, p.unit("c")?))
         }
         "lazy" => {
-            let p = ParamTable::resolve(spec, &parsed, &[("s", 10.0), ("p", 10.0)], &[])?;
-            Box::new(LazySlidingWindow::new(p.u64("s")?, p.usize("p")?))
+            let p = table(&[("s", 10.0), ("p", 10.0)])?;
+            Box::new(LazySlidingWindow::new(support(&p)?, p.positive("p")?))
         }
         "adaptive" => {
-            let p =
-                ParamTable::resolve(spec, &parsed, &[("s", 10.0), ("h", 10.0), ("i", 0.7)], &[])?;
+            let p = table(&[("s", 10.0), ("h", 10.0), ("i", 0.7)])?;
             Box::new(AdaptiveSlidingWindow::new(
-                p.u64("s")?,
-                p.usize("h")?,
+                support(&p)?,
+                p.positive("h")?,
                 p.f64("i"),
             ))
         }
+        "incremental" | "lossy" => Box::new(maintainer(spec, &parsed)?),
+        "topic-sliding" => Box::new(TopicSlidingWindow::new(support(&table(&[("s", 10.0)])?)?)),
+        other => return Err(RegistryError::UnknownStrategy(other.to_string())),
+    })
+}
+
+/// The one constructor of the streaming [`Maintainer`], behind both
+/// [`make_strategy`] and [`Maintainer::from_spec`].
+fn maintainer(spec: &str, parsed: &ParsedSpec) -> Result<Maintainer, RegistryError> {
+    let table = |keys| ParamTable::resolve(spec, parsed, keys, &[("s", "t")]);
+    match parsed.name.as_str() {
         "incremental" => {
             let p = table(&[("t", 10.0), ("hl", 20_000.0)])?;
-            Box::new(IncrementalStream::new(p.f64("t"), p.f64("hl")))
+            let threshold = p.at_least_one("t")?;
+            let hl = p.check("hl", |v| v > 0.0, "positive")?;
+            Ok(Maintainer::Incremental {
+                counts: DecayedPairCounts::new(hl),
+                threshold,
+            })
         }
         "lossy" => {
             let p = table(&[("t", 10.0), ("eps", 5e-5)])?;
-            Box::new(LossyStream::new(p.u64("t")?, p.f64("eps")))
+            let support = p.positive("t")? as u64;
+            let eps = p.check("eps", |v| v > 0.0 && v < 1.0, "in (0, 1)")?;
+            Ok(Maintainer::Lossy {
+                counts: LossyPairCounts::new(eps),
+                support,
+            })
         }
-        "topic-sliding" => {
-            let p = ParamTable::resolve(spec, &parsed, &[("s", 10.0)], &[])?;
-            Box::new(TopicSlidingWindow::new(p.u64("s")?))
-        }
-        other => return Err(RegistryError::UnknownStrategy(other.to_string())),
-    })
+        other => Err(RegistryError::BadSpec {
+            spec: spec.to_string(),
+            reason: format!("unknown maintainer `{other}` (valid: incremental, lossy)"),
+        }),
+    }
+}
+
+impl Maintainer {
+    /// Builds a maintainer from a spec string with the grammar and
+    /// defaults of [`make_strategy`]: `incremental(t=10,hl=20000)`
+    /// (support threshold, half-life in pairs) or `lossy(t=10,eps=0.00005)`
+    /// (integer support threshold, Lossy Counting error).
+    pub fn from_spec(spec: &str) -> Result<Maintainer, RegistryError> {
+        maintainer(spec, &parse_spec(spec)?)
+    }
 }
 
 /// A constructed forwarding policy plus the run-configuration riders its
@@ -344,27 +399,8 @@ impl BuiltPolicy {
 /// panic from the policy constructor deep inside a run.
 pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
     let parsed = parse_spec(spec)?;
-    let unit = |p: &ParamTable, key: &str| -> Result<f64, RegistryError> {
-        let v = p.f64(key);
-        if !(0.0..=1.0).contains(&v) {
-            return Err(RegistryError::BadSpec {
-                spec: spec.to_string(),
-                reason: format!("parameter `{key}` must be in [0, 1], got {v}"),
-            });
-        }
-        Ok(v)
-    };
-    let minconf = |p: &ParamTable| unit(p, "minconf");
-    let support = |p: &ParamTable| -> Result<f64, RegistryError> {
-        let v = p.f64("s");
-        if !(1.0..).contains(&v) {
-            return Err(RegistryError::BadSpec {
-                spec: spec.to_string(),
-                reason: format!("parameter `s` must be at least 1, got {v}"),
-            });
-        }
-        Ok(v)
-    };
+    let minconf = |p: &ParamTable| p.unit("minconf");
+    let support = |p: &ParamTable| p.at_least_one("s");
     let plain = |policy: Box<dyn ForwardingPolicy + Send>| {
         let label = policy.name().to_string();
         BuiltPolicy {
@@ -429,7 +465,7 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
             )?;
             plain(Box::new(RoutingIndices::new(
                 p.positive("horizon")? as u32,
-                unit(&p, "atten")?,
+                p.unit("atten")?,
                 p.positive("k")?,
             )))
         }
@@ -481,9 +517,9 @@ pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
                 min_confidence: minconf(&p)?,
                 half_life: p.f64("hl"),
                 top_by_support: p.f64("top") != 0.0,
-                demote: unit(&p, "demote")?,
+                demote: p.unit("demote")?,
                 fail_window: p.usize("fw")?,
-                fail_threshold: unit(&p, "ft")?,
+                fail_threshold: p.unit("ft")?,
             })))
         }
         "hybrid" => {
@@ -737,12 +773,7 @@ pub fn make_retry_policy(spec: &str) -> Result<RetryPolicy, RegistryError> {
     if attempts == 0 {
         return Err(bad("parameter `attempts` must be positive".to_string()));
     }
-    let backoff = p.f64("backoff");
-    if backoff < 1.0 {
-        return Err(bad(format!(
-            "parameter `backoff` must be at least 1, got {backoff}"
-        )));
-    }
+    let backoff = p.at_least_one("backoff")?;
     Ok(RetryPolicy {
         deadline: Duration::from_ticks(deadline),
         max_attempts: attempts as u32,
@@ -805,6 +836,65 @@ mod tests {
         let e = strategy_err("sliding(q=3)");
         assert!(e.contains("unknown parameter"), "{e}");
         assert!(make_policy("k-walk(k=0.5)").is_err());
+    }
+
+    /// Every value a strategy constructor would assert on is a typed
+    /// error naming the parameter, never a panic.
+    #[test]
+    fn bad_strategy_values_are_errors_naming_the_parameter() {
+        for (spec, key) in [
+            ("sliding(c=2)", "c"),
+            ("sliding(c=-1)", "c"),
+            ("sliding(s=0)", "s"),
+            ("lazy(p=0)", "p"),
+            ("adaptive(h=0)", "h"),
+            ("static(s=0)", "s"),
+            ("topic-sliding(s=0)", "s"),
+            ("incremental(t=0.5)", "t"),
+            ("incremental(t=nan)", "t"),
+            ("incremental(hl=0)", "hl"),
+            ("incremental(hl=-5)", "hl"),
+            ("lossy(t=0)", "t"),
+            ("lossy(t=2.7)", "t"),
+            ("lossy(eps=0)", "eps"),
+            ("lossy(eps=2)", "eps"),
+        ] {
+            let e = strategy_err(spec);
+            assert!(e.contains(&format!("parameter `{key}`")), "{spec}: {e}");
+        }
+    }
+
+    /// `make_strategy` and `Maintainer::from_spec` are one grammar: the
+    /// same canonical name for good specs, the same error for bad ones.
+    #[test]
+    fn maintainer_specs_agree_on_both_surfaces() {
+        for spec in [
+            "incremental",
+            "lossy",
+            "incremental(t=4,hl=8000)",
+            "lossy(s=5,eps=0.001)",
+        ] {
+            let m = Maintainer::from_spec(spec).unwrap();
+            assert_eq!(make_strategy(spec).unwrap().name(), m.spec(), "{spec}");
+        }
+        assert_eq!(
+            Maintainer::from_spec("lossy").unwrap().spec(),
+            "lossy(t=10,eps=0.00005)"
+        );
+        for spec in [
+            "incremental(t=0.5)",
+            "incremental(hl=0)",
+            "lossy(t=0)",
+            "lossy(t=2.7)",
+            "lossy(eps=0)",
+            "lossy(eps=2)",
+            "incremental(zap=1)",
+        ] {
+            let e = Maintainer::from_spec(spec).unwrap_err();
+            assert_eq!(make_strategy(spec).err(), Some(e), "{spec}");
+        }
+        let e = Maintainer::from_spec("sliding").unwrap_err().to_string();
+        assert!(e.contains("unknown maintainer `sliding`"), "{e}");
     }
 
     #[test]

@@ -328,4 +328,73 @@ mod tests {
             arq_simkern::time::Duration::from_ticks(1_000_000),
         );
     }
+
+    /// Every strategy, both streaming maintainers included, scores
+    /// measures in [0, 1] on one trial per non-warm-up block, regenerates
+    /// at most once per trial, and scores the same twice; on a stationary
+    /// stream (one fixed route per source) every one is perfect.
+    #[test]
+    fn every_strategy_scores_bounded_repeatable_measures() {
+        use crate::engine::registry::make_strategy;
+        use crate::strategy::testutil::random_stream;
+        use crate::threshold::ThresholdCalc;
+        use crate::AdaptiveSlidingWindow;
+        let strategies = || -> Vec<Box<dyn Strategy + Send>> {
+            let mut all: Vec<_> = [
+                "static(s=2)",
+                "sliding(s=2)",
+                "sliding(s=2,c=0.2)",
+                "lazy(s=2,p=3)",
+                "adaptive(s=2,h=5)",
+                "incremental(t=2,hl=100)",
+                "lossy(t=2,eps=0.01)",
+                "topic-sliding(s=2)",
+            ]
+            .iter()
+            .map(|spec| make_strategy(spec).unwrap())
+            .collect();
+            all.push(Box::new(AdaptiveSlidingWindow::with_thresholds(
+                2,
+                ThresholdCalc::ewma(0.3, 0.7),
+                ThresholdCalc::ewma(0.3, 0.7),
+            )));
+            all
+        };
+        let mut rng = arq_simkern::Rng64::seed_from(0x5EED_0C0E);
+        for case in 0..40 {
+            let block = 20 + rng.index(40);
+            let len = 2 * block + rng.index(340);
+            let stream = random_stream(&mut rng, len);
+            for (mut a, mut b) in strategies().into_iter().zip(strategies()) {
+                let run = evaluate(a.as_mut(), &stream, block);
+                assert_eq!(run.trials, stream.len() / block - 1, "{}", run.strategy);
+                for (c, s) in run.coverage.ys().iter().zip(run.success.ys()) {
+                    assert!((0.0..=1.0).contains(c), "{} coverage {c}", run.strategy);
+                    assert!((0.0..=1.0).contains(s), "{} success {s}", run.strategy);
+                }
+                assert!(run.regenerations <= run.trials, "{}", run.strategy);
+                let again = evaluate(b.as_mut(), &stream, block);
+                assert_eq!(run.coverage.ys(), again.coverage.ys(), "case {case}");
+                assert_eq!(run.success.ys(), again.success.ys(), "case {case}");
+                assert_eq!(run.regenerations, again.regenerations, "case {case}");
+            }
+        }
+        for n_src in 1..6u32 {
+            let stationary: Vec<PairRecord> = (0..300u32)
+                .map(|i| PairRecord {
+                    time: SimTime::from_ticks(i.into()),
+                    guid: Guid(i.into()),
+                    src: HostId(i % n_src),
+                    via: HostId(100 + i % n_src),
+                    responder: HostId(0),
+                    query: QueryId(0),
+                })
+                .collect();
+            for mut s in strategies() {
+                let run = evaluate(s.as_mut(), &stationary, 50);
+                assert!(run.avg_coverage > 0.999, "{} {n_src}", run.strategy);
+                assert!(run.avg_success > 0.999, "{} {n_src}", run.strategy);
+            }
+        }
+    }
 }

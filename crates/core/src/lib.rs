@@ -15,8 +15,9 @@
 //!   (§III-B.5);
 //! * [`strategy::AdaptiveSlidingWindow`] — re-mine only when measured
 //!   coverage or success falls below adaptive thresholds (§III-B.6);
-//! * [`strategy::IncrementalStream`] — the §VI future-work streaming
-//!   maintainer: decayed counts updated on every pair.
+//! * [`strategy::Maintainer`] — the §VI future-work streaming maintainer:
+//!   decayed counts (`incremental`) or lossy counting (`lossy`) updated
+//!   on every pair. `arq serve` runs the same type live.
 //!
 //! [`eval::evaluate`] drives any strategy over a pair stream and returns
 //! the per-trial series plus run summaries — the exact data behind the
@@ -50,8 +51,8 @@ pub use hybrid::HybridPolicy;
 pub use online::{RouteDecision, RuleHandle};
 pub use policy::{AssocPolicy, AssocPolicyConfig};
 pub use strategy::{
-    AdaptiveSlidingWindow, IncrementalStream, LazySlidingWindow, LossyStream, SlidingWindow,
-    StaticRuleset, Strategy, TopicSlidingWindow,
+    AdaptiveSlidingWindow, LazySlidingWindow, Maintainer, SlidingWindow, StaticRuleset, Strategy,
+    TopicSlidingWindow,
 };
 pub use sweep::{SweepJob, SweepPlan};
 pub use threshold::ThresholdCalc;

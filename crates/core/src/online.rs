@@ -7,8 +7,9 @@
 //! [`RuleHandle`] decouples the two: the miner *publishes* a finished
 //! [`RuleSet`] behind an `Arc` pointer swap, and lookups *load* the
 //! current pointer and query it without ever taking the miner's locks.
-//! Each publish bumps a monotonic epoch, so readers (and checkpoints)
-//! can name exactly which generation of rules answered a lookup.
+//! Each publish bumps a monotonic epoch stored in the same `Arc` as the
+//! rules ([`Generation`]), so a lookup names exactly which generation of
+//! rules answered it: one load yields both.
 //!
 //! The write lock is held only for the pointer swap — never while
 //! mining, serializing, or allocating — so a reader observes at most a
@@ -17,7 +18,6 @@
 
 use arq_assoc::RuleSet;
 use arq_trace::record::HostId;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// How a [`RuleHandle`] answered one route lookup.
@@ -30,6 +30,16 @@ pub enum RouteDecision {
     Flood,
 }
 
+/// One published rule set and the epoch it was published at.
+#[derive(Debug, Default)]
+pub struct Generation {
+    /// The publish count that produced this generation (0 = the empty
+    /// initial set).
+    pub epoch: u64,
+    /// The rules.
+    pub rules: RuleSet,
+}
+
 /// Shared, epoch-versioned pointer to the current rule set.
 ///
 /// Cloning the handle is cheap and every clone observes the same
@@ -37,8 +47,7 @@ pub enum RouteDecision {
 /// longer than one pointer read; readers never block on the miner.
 #[derive(Debug, Clone, Default)]
 pub struct RuleHandle {
-    current: Arc<RwLock<Arc<RuleSet>>>,
-    epoch: Arc<AtomicU64>,
+    current: Arc<RwLock<Arc<Generation>>>,
 }
 
 impl RuleHandle {
@@ -50,39 +59,43 @@ impl RuleHandle {
 
     /// Atomically replaces the rule set and returns the new epoch.
     pub fn publish(&self, rules: RuleSet) -> u64 {
-        let rules = Arc::new(rules);
+        let mut next = Arc::new(Generation { epoch: 0, rules });
         let mut slot = self.current.write().expect("rule slot poisoned");
-        *slot = rules;
-        // Bump inside the write lock so epoch order matches publication
+        // Numbered inside the write lock so epoch order is publication
         // order for any observer.
-        self.epoch.fetch_add(1, Ordering::Release) + 1
+        let epoch = slot.epoch + 1;
+        Arc::get_mut(&mut next).expect("not yet shared").epoch = epoch;
+        let old = std::mem::replace(&mut *slot, next);
+        // The superseded generation is freed after the lock is released.
+        drop(slot);
+        drop(old);
+        epoch
     }
 
-    /// The number of publishes so far (0 = still the empty initial set).
+    /// The epoch of the current generation (0 = still the empty initial
+    /// set).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.load().epoch
     }
 
-    /// The current rule set. The returned `Arc` stays valid (and
+    /// The current generation. The returned `Arc` stays valid (and
     /// immutable) however many publishes happen after the load.
-    pub fn load(&self) -> Arc<RuleSet> {
+    pub fn load(&self) -> Arc<Generation> {
         Arc::clone(&self.current.read().expect("rule slot poisoned"))
     }
 
     /// Answers one route lookup from the current generation: the top-`k`
     /// consequents for `src`, or [`RouteDecision::Flood`] when no rule
-    /// covers it.
-    pub fn route(&self, src: HostId, k: usize) -> RouteDecision {
-        let rules = self.load();
-        if !rules.has_antecedent(src) {
-            return RouteDecision::Flood;
-        }
-        let vias: Vec<HostId> = rules.top_k(src, k.max(1)).collect();
-        if vias.is_empty() {
+    /// covers it, with the epoch of the generation that answered.
+    pub fn route(&self, src: HostId, k: usize) -> (RouteDecision, u64) {
+        let current = self.load();
+        let vias: Vec<HostId> = current.rules.top_k(src, k.max(1)).collect();
+        let decision = if vias.is_empty() {
             RouteDecision::Flood
         } else {
             RouteDecision::Rules(vias)
-        }
+        };
+        (decision, current.epoch)
     }
 }
 
@@ -110,8 +123,8 @@ mod tests {
     fn starts_empty_and_floods() {
         let h = RuleHandle::new();
         assert_eq!(h.epoch(), 0);
-        assert!(h.load().is_empty());
-        assert_eq!(h.route(HostId(1), 2), RouteDecision::Flood);
+        assert!(h.load().rules.is_empty());
+        assert_eq!(h.route(HostId(1), 2), (RouteDecision::Flood, 0));
     }
 
     #[test]
@@ -121,9 +134,9 @@ mod tests {
         assert_eq!(h.epoch(), 1);
         assert_eq!(
             h.route(HostId(1), 2),
-            RouteDecision::Rules(vec![HostId(42)])
+            (RouteDecision::Rules(vec![HostId(42)]), 1)
         );
-        assert_eq!(h.route(HostId(9), 2), RouteDecision::Flood);
+        assert_eq!(h.route(HostId(9), 2), (RouteDecision::Flood, 1));
     }
 
     #[test]
@@ -133,8 +146,9 @@ mod tests {
         let gen1 = h.load();
         h.publish(mine_pairs(&block(1, 77, 10), 5));
         // The old Arc still answers from its own generation.
-        assert!(gen1.matches(HostId(1), HostId(42)));
-        assert!(h.load().matches(HostId(1), HostId(77)));
+        assert!(gen1.rules.matches(HostId(1), HostId(42)));
+        assert_eq!(gen1.epoch, 1);
+        assert!(h.load().rules.matches(HostId(1), HostId(77)));
         assert_eq!(h.epoch(), 2);
     }
 
@@ -146,27 +160,34 @@ mod tests {
         assert_eq!(h2.epoch(), 1);
         assert_eq!(
             h2.route(HostId(3), 1),
-            RouteDecision::Rules(vec![HostId(8)])
+            (RouteDecision::Rules(vec![HostId(8)]), 1)
         );
     }
 
+    /// A reader racing the publisher never sees a torn rule set, and
+    /// every answer carries the epoch of the generation that produced
+    /// it: the publisher gives each epoch its own via, and the reader
+    /// checks every `Rules` answer against that map.
     #[test]
     fn concurrent_lookups_never_see_torn_state() {
-        use std::sync::atomic::{AtomicBool, AtomicU64};
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        let via_of = |epoch: u64| 1_000 + epoch as u32;
         let h = RuleHandle::new();
         let reader = h.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let lookups = Arc::new(AtomicU64::new(0));
         let (stop2, lookups2) = (Arc::clone(&stop), Arc::clone(&lookups));
         let t = std::thread::spawn(move || {
+            let mut last = 0;
             while !stop2.load(Ordering::SeqCst) {
-                match reader.route(HostId(1), 2) {
-                    // Either generation is fine; a torn set would panic
-                    // or return an impossible consequent.
+                let (decision, epoch) = reader.route(HostId(1), 2);
+                assert!(epoch >= last, "epoch went back from {last} to {epoch}");
+                last = epoch;
+                match decision {
                     RouteDecision::Rules(v) => {
-                        assert!(v == vec![HostId(42)] || v == vec![HostId(77)], "{v:?}");
+                        assert_eq!(v, vec![HostId(via_of(epoch))], "epoch {epoch}");
                     }
-                    RouteDecision::Flood => {}
+                    RouteDecision::Flood => assert_eq!(epoch, 0),
                 }
                 lookups2.fetch_add(1, Ordering::SeqCst);
             }
@@ -177,13 +198,12 @@ mod tests {
         while lookups.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
-        let mut generation = 0usize;
-        while !t.is_finished() && (generation < 200 || lookups.load(Ordering::SeqCst) < 1_000) {
-            let via = [42, 77][generation % 2];
-            h.publish(mine_pairs(&block(1, via, 10), 5));
-            generation += 1;
+        let mut epoch = 0;
+        while !t.is_finished() && (epoch < 200 || lookups.load(Ordering::SeqCst) < 1_000) {
+            epoch = h.publish(mine_pairs(&block(1, via_of(epoch + 1), 10), 5));
         }
         stop.store(true, Ordering::SeqCst);
-        t.join().expect("reader saw a torn rule set");
+        t.join()
+            .expect("reader saw a torn rule set or a wrong epoch");
     }
 }

@@ -1,114 +1,21 @@
-//! Incremental Stream (§VI future work): update rules on every pair.
-//!
-//! "An additional algorithm is currently in development that would create
-//! rule sets for query routing and update these rules immediately as
-//! query and reply messages are received. … Initial simulations have been
-//! very promising, and consistently show coverage and success values
-//! above 90%."
-//!
-//! Implementation: a [`DecayedPairCounts`] accumulator replaces block
-//! mining. Each pair is **tested before it is observed** (no lookahead),
-//! with the same unique-query semantics as `RULESET-TEST`: a query is
-//! covered if its source has any association at or above the support
-//! threshold, successful if its actual reply path matches one.
-
-use super::{Strategy, Trial};
-use arq_assoc::measures::BlockMeasures;
-use arq_assoc::DecayedPairCounts;
-use arq_trace::record::{Guid, PairRecord};
-use std::collections::HashMap;
-
-/// The streaming maintainer.
-#[derive(Debug, Clone)]
-pub struct IncrementalStream {
-    threshold: f64,
-    counts: DecayedPairCounts,
-}
-
-impl IncrementalStream {
-    /// Creates the strategy: associations must reach `threshold` decayed
-    /// support to route, and counts halve every `half_life` pairs.
-    pub fn new(threshold: f64, half_life: f64) -> Self {
-        assert!(threshold >= 1.0, "threshold below one observation");
-        IncrementalStream {
-            threshold,
-            counts: DecayedPairCounts::new(half_life),
-        }
-    }
-
-    /// Access to the underlying counters (diagnostics).
-    pub fn counts(&self) -> &DecayedPairCounts {
-        &self.counts
-    }
-}
-
-impl Strategy for IncrementalStream {
-    fn name(&self) -> String {
-        format!(
-            "incremental(t={},hl={})",
-            self.threshold,
-            self.counts.half_life()
-        )
-    }
-
-    fn warm_up(&mut self, block: &[PairRecord]) {
-        for p in block {
-            self.counts.observe_pair(p);
-        }
-    }
-
-    fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
-        #[derive(Clone, Copy)]
-        struct QState {
-            covered: bool,
-            success: bool,
-        }
-        let mut measures = BlockMeasures::default();
-        let mut seen: HashMap<Guid, QState> = HashMap::with_capacity(block.len());
-        for p in block {
-            let state = match seen.entry(p.guid) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    // First sighting of this query: judge coverage with
-                    // the rules as they stand *now*.
-                    let covered = self.counts.covered(p.src, self.threshold);
-                    measures.total += 1;
-                    if covered {
-                        measures.covered += 1;
-                    }
-                    v.insert(QState {
-                        covered,
-                        success: false,
-                    })
-                }
-            };
-            if state.covered && !state.success && self.counts.matches(p.src, p.via, self.threshold)
-            {
-                state.success = true;
-                measures.successes += 1;
-            }
-            // Only after testing does the pair become training data.
-            self.counts.observe_pair(p);
-        }
-        Trial {
-            measures,
-            // Every pair updates the rules; by the paper's accounting the
-            // set is continuously regenerated.
-            regenerated: true,
-            rule_count: self.counts.len(),
-            rules_after: self.counts.len(),
-        }
-    }
-}
+//! Tests of [`Maintainer::Incremental`](super::Maintainer), the decayed
+//! pair counts driven as a strategy.
 
 #[cfg(test)]
 mod tests {
     use super::super::testutil::routed_block;
-    use super::*;
+    use super::super::{Maintainer, Strategy};
+    use arq_trace::record::HostId;
+
+    fn incremental(spec: &str) -> Maintainer {
+        let m = Maintainer::from_spec(spec).unwrap();
+        assert!(matches!(m, Maintainer::Incremental { .. }), "{spec}");
+        m
+    }
 
     #[test]
     fn warm_start_gives_full_quality() {
-        let mut s = IncrementalStream::new(5.0, 1e9);
+        let mut s = incremental("incremental(t=5,hl=1e9)");
         s.warm_up(&routed_block(0, 100, 5, 100));
         let t = s.test_and_update(&routed_block(1_000, 100, 5, 100));
         assert_eq!(t.measures.coverage(), 1.0);
@@ -117,32 +24,8 @@ mod tests {
     }
 
     #[test]
-    fn recovers_from_route_change_mid_block() {
-        let mut s = IncrementalStream::new(5.0, 200.0);
-        s.warm_up(&routed_block(0, 200, 5, 100));
-        // Routes change. Early queries in the block miss; once the new
-        // associations accumulate past the threshold, later queries hit.
-        let t = s.test_and_update(&routed_block(1_000, 400, 5, 200));
-        assert!(
-            t.measures.coverage() > 0.9,
-            "coverage {}",
-            t.measures.coverage()
-        );
-        let success = t.measures.success();
-        assert!(success > 0.5, "never relearned: {success}");
-        assert!(success < 1.0, "learned with impossible lookahead");
-        // The following block is fully adapted.
-        let t2 = s.test_and_update(&routed_block(2_000, 400, 5, 200));
-        assert!(
-            t2.measures.success() > 0.95,
-            "success {}",
-            t2.measures.success()
-        );
-    }
-
-    #[test]
     fn no_lookahead_on_cold_start() {
-        let mut s = IncrementalStream::new(5.0, 1e9);
+        let mut s = incremental("incremental(t=5,hl=1e9)");
         // No warm-up at all: the very first queries cannot be covered.
         let t = s.test_and_update(&routed_block(0, 50, 1, 100));
         // 50 pairs, single source: the first 5 pairs build support; the
@@ -153,23 +36,20 @@ mod tests {
 
     #[test]
     fn decay_forgets_ancient_routes() {
-        let mut s = IncrementalStream::new(5.0, 50.0);
+        let mut s = incremental("incremental(t=5,hl=50)");
         s.warm_up(&routed_block(0, 100, 1, 100));
         // A long stretch of the new route: old association decays away.
         s.test_and_update(&routed_block(1_000, 500, 1, 200));
         assert!(
-            !s.counts().matches(
-                arq_trace::record::HostId(0),
-                arq_trace::record::HostId(100),
-                5.0
-            ),
+            !s.matches(HostId(0), HostId(100)),
             "stale route still active"
         );
+        assert!(s.matches(HostId(0), HostId(200)), "new route not learned");
     }
 
     #[test]
-    #[should_panic(expected = "threshold")]
+    #[should_panic(expected = "parameter `t` must be at least 1")]
     fn rejects_sub_unit_threshold() {
-        IncrementalStream::new(0.5, 100.0);
+        Maintainer::from_spec("incremental(t=0.5,hl=100)").unwrap();
     }
 }

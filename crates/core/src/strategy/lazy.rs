@@ -128,4 +128,21 @@ mod tests {
     fn rejects_zero_period() {
         LazySlidingWindow::new(2, 0);
     }
+
+    /// Lazy with period 1 equals sliding trial for trial on random
+    /// streams too.
+    #[test]
+    fn period_one_equals_sliding_on_random_streams() {
+        use crate::eval::evaluate;
+        let mut rng = arq_simkern::Rng64::seed_from(0x1A2);
+        for case in 0..40 {
+            let block = 20 + rng.index(40);
+            let len = 2 * block + rng.index(340);
+            let stream = super::super::testutil::random_stream(&mut rng, len);
+            let a = evaluate(&mut LazySlidingWindow::new(2, 1), &stream, block);
+            let b = evaluate(&mut crate::strategy::SlidingWindow::new(2), &stream, block);
+            assert_eq!(a.coverage.ys(), b.coverage.ys(), "case {case}");
+            assert_eq!(a.success.ys(), b.success.ys(), "case {case}");
+        }
+    }
 }

@@ -1,143 +1,55 @@
-//! Lossy-Counting streaming maintainer.
-//!
-//! The second realization of the paper's §VI streaming idea, built on
-//! [`arq_assoc::lossy::LossyPairCounts`] (Manku–Motwani Lossy Counting)
-//! instead of exponential decay. Where [`super::IncrementalStream`]
-//! weights recent observations more, Lossy Counting keeps *frequency*
-//! guarantees over the whole stream — it adapts to churn only through
-//! its periodic eviction of associations that stopped accumulating.
-//! Experiment E14 contrasts the two on the calibrated trace.
-
-use super::{Strategy, Trial};
-use arq_assoc::measures::BlockMeasures;
-use arq_assoc::LossyPairCounts;
-use arq_trace::record::{Guid, PairRecord};
-use std::collections::HashMap;
-
-/// Streaming maintainer with Lossy Counting state.
-#[derive(Debug, Clone)]
-pub struct LossyStream {
-    threshold: u64,
-    counts: LossyPairCounts,
-}
-
-impl LossyStream {
-    /// Creates the strategy: associations route once their (guaranteed)
-    /// count reaches `threshold`; `epsilon` is the Lossy Counting error
-    /// bound.
-    pub fn new(threshold: u64, epsilon: f64) -> Self {
-        assert!(threshold >= 1, "threshold below one observation");
-        LossyStream {
-            threshold,
-            counts: LossyPairCounts::new(epsilon),
-        }
-    }
-
-    /// Access to the underlying counters (diagnostics).
-    pub fn counts(&self) -> &LossyPairCounts {
-        &self.counts
-    }
-}
-
-impl Strategy for LossyStream {
-    fn name(&self) -> String {
-        format!("lossy(t={},eps={})", self.threshold, self.counts.epsilon())
-    }
-
-    fn warm_up(&mut self, block: &[PairRecord]) {
-        for p in block {
-            self.counts.observe_pair(p);
-        }
-    }
-
-    fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
-        #[derive(Clone, Copy)]
-        struct QState {
-            covered: bool,
-            success: bool,
-        }
-        let mut measures = BlockMeasures::default();
-        let mut seen: HashMap<Guid, QState> = HashMap::with_capacity(block.len());
-        for p in block {
-            let state = match seen.entry(p.guid) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let covered = self.counts.covered(p.src, self.threshold);
-                    measures.total += 1;
-                    if covered {
-                        measures.covered += 1;
-                    }
-                    v.insert(QState {
-                        covered,
-                        success: false,
-                    })
-                }
-            };
-            if state.covered && !state.success && self.counts.matches(p.src, p.via, self.threshold)
-            {
-                state.success = true;
-                measures.successes += 1;
-            }
-            self.counts.observe_pair(p);
-        }
-        Trial {
-            measures,
-            regenerated: true,
-            rule_count: self.counts.len(),
-            rules_after: self.counts.len(),
-        }
-    }
-}
+//! Tests of [`Maintainer::Lossy`](super::Maintainer), Lossy Counting
+//! driven as a strategy.
 
 #[cfg(test)]
 mod tests {
     use super::super::testutil::routed_block;
-    use super::*;
+    use super::super::{Maintainer, Strategy};
+    use arq_trace::record::HostId;
+
+    fn lossy(spec: &str) -> Maintainer {
+        let m = Maintainer::from_spec(spec).unwrap();
+        assert!(matches!(m, Maintainer::Lossy { .. }), "{spec}");
+        m
+    }
 
     #[test]
     fn warm_start_gives_full_quality() {
-        let mut s = LossyStream::new(5, 0.0001);
+        let mut s = lossy("lossy(t=5,eps=0.0001)");
         s.warm_up(&routed_block(0, 200, 5, 100));
         let t = s.test_and_update(&routed_block(1_000, 200, 5, 100));
         assert_eq!(t.measures.coverage(), 1.0);
         assert_eq!(t.measures.success(), 1.0);
+        assert!(t.regenerated);
     }
 
     #[test]
     fn stale_routes_linger_longer_than_decay() {
         // Lossy counting has no recency weighting: after a route change,
         // the old association's count stays high until eviction, so the
-        // stale rule keeps matching (contrast with IncrementalStream).
-        let mut s = LossyStream::new(5, 0.001);
+        // stale rule keeps matching (contrast with `incremental`).
+        let mut s = lossy("lossy(t=5,eps=0.001)");
         s.warm_up(&routed_block(0, 1_000, 1, 100));
         s.test_and_update(&routed_block(10_000, 500, 1, 200));
         assert!(
-            s.counts().matches(
-                arq_trace::record::HostId(0),
-                arq_trace::record::HostId(100),
-                5
-            ),
+            s.matches(HostId(0), HostId(100)),
             "whole-stream counts should still hold the old route"
         );
         // The new route was also learned.
-        assert!(s.counts().matches(
-            arq_trace::record::HostId(0),
-            arq_trace::record::HostId(200),
-            5
-        ));
+        assert!(s.matches(HostId(0), HostId(200)));
     }
 
     #[test]
     fn cold_start_has_no_lookahead() {
-        let mut s = LossyStream::new(5, 0.001);
+        let mut s = lossy("lossy(t=5,eps=0.001)");
         let t = s.test_and_update(&routed_block(0, 50, 1, 100));
         assert!(t.measures.coverage() < 1.0);
         assert!(t.measures.covered > 0);
     }
 
     #[test]
-    #[should_panic(expected = "threshold")]
+    #[should_panic(expected = "parameter `t` must be at least 1")]
     fn rejects_zero_threshold() {
-        LossyStream::new(0, 0.01);
+        Maintainer::from_spec("lossy(t=0,eps=0.01)").unwrap();
     }
 }

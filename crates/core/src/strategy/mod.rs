@@ -9,17 +9,19 @@
 //! *when* it does so.
 
 mod adaptive;
+#[cfg(test)]
 mod incremental;
 mod lazy;
+#[cfg(test)]
 mod lossy_stream;
+mod maintainer;
 mod sliding;
 mod static_ruleset;
 mod topic;
 
 pub use adaptive::AdaptiveSlidingWindow;
-pub use incremental::IncrementalStream;
 pub use lazy::LazySlidingWindow;
-pub use lossy_stream::LossyStream;
+pub use maintainer::Maintainer;
 pub use sliding::SlidingWindow;
 pub use static_ruleset::StaticRuleset;
 pub use topic::TopicSlidingWindow;
@@ -57,8 +59,23 @@ pub trait Strategy {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use arq_simkern::SimTime;
+    use arq_simkern::{Rng64, SimTime};
     use arq_trace::record::{Guid, HostId, PairRecord, QueryId};
+
+    /// `len` pairs with sources `0..6` answered via `50..56` at random:
+    /// small host populations, so rules actually form.
+    pub fn random_stream(rng: &mut Rng64, len: usize) -> Vec<PairRecord> {
+        (0..len)
+            .map(|i| PairRecord {
+                time: SimTime::from_ticks(i as u64),
+                guid: Guid(i as u128),
+                src: HostId(rng.below(6) as u32),
+                via: HostId(50 + rng.below(6) as u32),
+                responder: HostId(0),
+                query: QueryId(0),
+            })
+            .collect()
+    }
 
     /// A block where sources `0..n_src` are answered via `base + src`
     /// (one deterministic route per source), `size` pairs round-robin.

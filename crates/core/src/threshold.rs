@@ -183,4 +183,29 @@ mod tests {
     fn rejects_empty_window() {
         ThresholdCalc::mean_of_last(0, 0.7);
     }
+
+    /// After any history, both calculators stay inside the range of the
+    /// values they average: the last `n` for the mean, all of them for
+    /// the EWMA.
+    #[test]
+    fn thresholds_within_observed_range() {
+        let mut rng = arq_simkern::Rng64::seed_from(0x7E57);
+        for _ in 0..100 {
+            let n = 1 + rng.index(19);
+            let values: Vec<f64> = (0..1 + rng.index(49)).map(|_| rng.f64()).collect();
+            let mut mean = ThresholdCalc::mean_of_last(n, 0.7);
+            let mut ewma = ThresholdCalc::ewma(0.3, 0.7);
+            for (i, &v) in values.iter().enumerate() {
+                mean.push(v);
+                ewma.push(v);
+                let range = |seen: &[f64], t: f64| {
+                    let lo = seen.iter().copied().fold(f64::MAX, f64::min);
+                    let hi = seen.iter().copied().fold(f64::MIN, f64::max);
+                    t >= lo - 1e-12 && t <= hi + 1e-12
+                };
+                assert!(range(&values[(i + 1).saturating_sub(n)..=i], mean.value()));
+                assert!(range(&values[..=i], ewma.value()));
+            }
+        }
+    }
 }

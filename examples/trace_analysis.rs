@@ -9,8 +9,7 @@
 use arq::assoc::mine_pairs;
 use arq::core::strategy::Strategy;
 use arq::core::{
-    evaluate, AdaptiveSlidingWindow, IncrementalStream, LazySlidingWindow, SlidingWindow,
-    StaticRuleset,
+    evaluate, AdaptiveSlidingWindow, LazySlidingWindow, Maintainer, SlidingWindow, StaticRuleset,
 };
 use arq::trace::stats::{pair_stats, raw_stats};
 use arq::trace::{SynthConfig, SynthTrace, TraceDb};
@@ -70,7 +69,7 @@ fn main() {
         Box::new(SlidingWindow::new(10)),
         Box::new(LazySlidingWindow::new(10, 10)),
         Box::new(AdaptiveSlidingWindow::new(10, 10, 0.7)),
-        Box::new(IncrementalStream::new(10.0, 20_000.0)),
+        Box::new(Maintainer::from_spec("incremental(t=10,hl=20000)").unwrap()),
     ];
     for s in strategies.iter_mut() {
         let run = evaluate(s.as_mut(), &pairs, 10_000);

@@ -6,8 +6,8 @@
 use arq::baselines::SuperPeerPolicy;
 use arq::content::CatalogConfig;
 use arq::core::{
-    evaluate, evaluate_timed, AssocPolicyConfig, HybridPolicy, IncrementalStream, LossyStream,
-    SlidingWindow, TopicSlidingWindow,
+    evaluate, evaluate_timed, AssocPolicyConfig, HybridPolicy, Maintainer, SlidingWindow,
+    TopicSlidingWindow,
 };
 use arq::gnutella::sim::{Network, SimConfig, Topology};
 use arq::gnutella::FloodPolicy;
@@ -45,16 +45,9 @@ fn topic_rules_trade_coverage_for_specificity() {
 #[test]
 fn both_streaming_maintainers_beat_the_paper_bar() {
     let pairs = trace(25, 6);
-    let decay = evaluate(
-        &mut IncrementalStream::new(10.0, 2.0 * BLOCK as f64),
-        &pairs,
-        BLOCK,
-    );
-    let lossy = evaluate(
-        &mut LossyStream::new(10, 1.0 / (2.0 * BLOCK as f64)),
-        &pairs,
-        BLOCK,
-    );
+    let run = |spec: String| evaluate(&mut Maintainer::from_spec(&spec).unwrap(), &pairs, BLOCK);
+    let decay = run(format!("incremental(t=10,hl={})", 2 * BLOCK));
+    let lossy = run(format!("lossy(t=10,eps={})", 1.0 / (2.0 * BLOCK as f64)));
     for run in [&decay, &lossy] {
         assert!(
             run.avg_coverage > 0.90,

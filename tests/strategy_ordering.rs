@@ -6,7 +6,7 @@
 
 use arq::core::strategy::Strategy;
 use arq::core::{
-    evaluate, AdaptiveSlidingWindow, EvalRun, IncrementalStream, LazySlidingWindow, SlidingWindow,
+    evaluate, AdaptiveSlidingWindow, EvalRun, LazySlidingWindow, Maintainer, SlidingWindow,
     StaticRuleset,
 };
 use arq::trace::{SynthConfig, SynthTrace};
@@ -24,10 +24,8 @@ fn paper_quality_ordering_holds() {
     let sliding = run(&mut SlidingWindow::new(10), &pairs);
     let lazy = run(&mut LazySlidingWindow::new(10, 10), &pairs);
     let adaptive = run(&mut AdaptiveSlidingWindow::new(10, 10, 0.7), &pairs);
-    let incremental = run(
-        &mut IncrementalStream::new(10.0, 2.0 * BLOCK as f64),
-        &pairs,
-    );
+    let spec = format!("incremental(t=10,hl={})", 2 * BLOCK);
+    let incremental = run(&mut Maintainer::from_spec(&spec).unwrap(), &pairs);
 
     // Figure 1: sliding window strong on both measures.
     assert!(
