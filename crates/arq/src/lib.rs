@@ -22,7 +22,8 @@
 //! Sliding Window strategy:
 //!
 //! ```
-//! use arq::core::{evaluate, SlidingWindow};
+//! use arq::core::engine::make_strategy;
+//! use arq::core::evaluate;
 //! use arq::trace::{SynthConfig, SynthTrace};
 //!
 //! // Twelve 10,000-pair blocks from the calibrated trace generator.
@@ -30,8 +31,8 @@
 //! let pairs = SynthTrace::new(cfg).pairs();
 //!
 //! // Support threshold 10, as in the paper's experiments.
-//! let mut strategy = SlidingWindow::new(10);
-//! let run = evaluate(&mut strategy, &pairs, 10_000);
+//! let mut strategy = make_strategy("sliding(s=10)").unwrap();
+//! let run = evaluate(strategy.as_mut(), &pairs, 10_000);
 //! assert!(run.avg_coverage > 0.7);
 //! assert!(run.avg_success > 0.7);
 //! ```

@@ -12,7 +12,7 @@
 //! fewer queries are covered at a given threshold. Experiment E12
 //! quantifies the trade-off.
 
-use crate::measures::BlockMeasures;
+use crate::measures::RuleLookup;
 use arq_trace::record::{HostId, PairRecord};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -110,48 +110,16 @@ where
     }
 }
 
-/// `RULESET-TEST` for keyed rules: same unique-query semantics as
-/// [`crate::measures::ruleset_test`], with the antecedent taken from
-/// `key(p)`.
-pub fn keyed_ruleset_test<K, F>(
-    rules: &KeyedRuleSet<K>,
-    block: &[PairRecord],
-    key: F,
-) -> BlockMeasures
-where
-    K: Eq + Hash + Copy,
-    F: Fn(&PairRecord) -> K,
-{
-    #[derive(Default)]
-    struct PerQuery {
-        covered: bool,
-        success: bool,
-        seen: bool,
+/// `RULESET-TEST` over `(source host, topic)` antecedents, the key
+/// [`src_topic_key`] takes from each pair.
+impl RuleLookup for &KeyedRuleSet<(HostId, u32)> {
+    fn covered(&self, p: &PairRecord) -> bool {
+        self.has_antecedent(src_topic_key(p))
     }
-    let mut per_query: HashMap<arq_trace::record::Guid, PerQuery> =
-        HashMap::with_capacity(block.len());
-    for p in block {
-        let k = key(p);
-        let entry = per_query.entry(p.guid).or_default();
-        if !entry.seen {
-            entry.seen = true;
-            entry.covered = rules.has_antecedent(k);
-        }
-        if entry.covered && !entry.success && rules.matches(k, p.via) {
-            entry.success = true;
-        }
+
+    fn matches(&self, p: &PairRecord) -> bool {
+        KeyedRuleSet::matches(self, src_topic_key(p), p.via)
     }
-    let mut m = BlockMeasures::default();
-    for pq in per_query.values() {
-        m.total += 1;
-        if pq.covered {
-            m.covered += 1;
-            if pq.success {
-                m.successes += 1;
-            }
-        }
-    }
-    m
 }
 
 /// The `(source host, topic)` key the topic-dimension experiments use,
@@ -164,6 +132,7 @@ pub fn src_topic_key(p: &PairRecord) -> (HostId, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measures::ruleset_test;
     use crate::pairs::mine_pairs;
     use arq_simkern::SimTime;
     use arq_trace::record::{Guid, QueryId};
@@ -205,11 +174,6 @@ mod tests {
                 .1;
             assert_eq!(kc, count);
         }
-        // Measures agree too.
-        let test_block = topical_block(1_000, 60);
-        let mk = keyed_ruleset_test(&keyed, &test_block, |p| p.src);
-        let mp = crate::measures::ruleset_test(&plain, &test_block);
-        assert_eq!(mk, mp);
     }
 
     #[test]
@@ -229,7 +193,7 @@ mod tests {
     #[test]
     fn topic_rules_have_perfect_success_on_topical_traffic() {
         let keyed = mine_keyed(&topical_block(0, 200), src_topic_key, 5);
-        let m = keyed_ruleset_test(&keyed, &topical_block(1_000, 100), src_topic_key);
+        let m = ruleset_test(&keyed, &topical_block(1_000, 100));
         assert_eq!(m.coverage(), 1.0);
         assert_eq!(m.success(), 1.0);
         // Top-1 routing per (src, topic) would always succeed, whereas
@@ -259,14 +223,15 @@ mod tests {
         let keyed: KeyedRuleSet<HostId> = KeyedRuleSet::empty();
         assert!(keyed.is_empty());
         assert!(!keyed.has_antecedent(HostId(0)));
-        let mined = mine_keyed(&[], |p: &PairRecord| p.src, 1);
+        let mined = mine_keyed(&[], src_topic_key, 1);
         assert!(mined.is_empty());
-        let m = keyed_ruleset_test(&mined, &[], |p: &PairRecord| p.src);
+        let m = ruleset_test(&mined, &[]);
         assert_eq!(m.coverage(), 0.0);
     }
 
     /// Keyed mining with the plain `src` key is exactly `mine_pairs` on
-    /// random blocks, and the two measures agree.
+    /// random blocks; on their single topic the `(src, topic)` measures
+    /// agree with the plain ones.
     #[test]
     fn keyed_src_equals_plain() {
         let mut rng = arq_simkern::Rng64::seed_from(0x4E7);
@@ -281,8 +246,8 @@ mod tests {
                 assert_eq!(keyed.consequents(p.src), plain.consequents(p.src));
             }
             assert_eq!(
-                keyed_ruleset_test(&keyed, &pairs, |p| p.src),
-                crate::measures::ruleset_test(&plain, &pairs),
+                ruleset_test(&mine_keyed(&pairs, src_topic_key, t), &pairs),
+                ruleset_test(&plain, &pairs),
                 "case {case}"
             );
         }

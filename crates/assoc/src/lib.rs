@@ -24,7 +24,7 @@ pub mod measures;
 pub mod pairs;
 
 pub use incremental::{DecayedPairCounts, DecayedSnapshot};
-pub use keyed::{keyed_ruleset_test, mine_keyed, KeyedRuleSet};
+pub use keyed::{mine_keyed, KeyedRuleSet};
 pub use lossy::{LossyPairCounts, LossySnapshot};
-pub use measures::{ruleset_test, BlockMeasures};
+pub use measures::{ruleset_test, BlockMeasures, RuleLookup};
 pub use pairs::{mine_pairs, PairMiner, RuleSet};

@@ -17,6 +17,7 @@
 
 use crate::pairs::RuleSet;
 use arq_trace::record::{Guid, PairRecord};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Counts from evaluating one rule set against one test block.
@@ -67,36 +68,64 @@ impl BlockMeasures {
     }
 }
 
+/// What `RULESET-TEST` asks of a rule source, one pair at a time.
+///
+/// Implemented by `&RuleSet` (host antecedents), `&KeyedRuleSet` over
+/// `(source host, topic)` antecedents, and the streaming maintainer,
+/// which learns from each pair in [`scored`](Self::scored) once it has
+/// been judged. [`ruleset_test`] is generic over it, so every caller
+/// gets its own monomorphised copy of the one scoring loop.
+pub trait RuleLookup {
+    /// Whether the pair's antecedent has any rule (the query is covered).
+    fn covered(&self, p: &PairRecord) -> bool;
+
+    /// Whether a rule names the pair's actual reply path.
+    fn matches(&self, p: &PairRecord) -> bool;
+
+    /// Called after each pair has been scored; a no-op for fixed sets.
+    fn scored(&mut self, _p: &PairRecord) {}
+}
+
+impl RuleLookup for &RuleSet {
+    fn covered(&self, p: &PairRecord) -> bool {
+        self.has_antecedent(p.src)
+    }
+
+    fn matches(&self, p: &PairRecord) -> bool {
+        RuleSet::matches(self, p.src, p.via)
+    }
+}
+
 /// Evaluates `rules` against `block` (the paper's `RULESET-TEST`).
-pub fn ruleset_test(rules: &RuleSet, block: &[PairRecord]) -> BlockMeasures {
-    // Group the block's pairs by query GUID. Insertion order of the map
-    // does not matter: each query contributes independent counts.
-    #[derive(Default)]
+///
+/// A query is judged covered on its first pair, with the rules as they
+/// stand then, and succeeds if any of its covered pairs matches a rule.
+pub fn ruleset_test<R: RuleLookup>(mut rules: R, block: &[PairRecord]) -> BlockMeasures {
+    #[derive(Clone, Copy)]
     struct PerQuery {
         covered: bool,
         success: bool,
-        seen: bool,
-    }
-    let mut per_query: HashMap<Guid, PerQuery> = HashMap::with_capacity(block.len());
-    for p in block {
-        let entry = per_query.entry(p.guid).or_default();
-        if !entry.seen {
-            entry.seen = true;
-            entry.covered = rules.has_antecedent(p.src);
-        }
-        if entry.covered && !entry.success && rules.matches(p.src, p.via) {
-            entry.success = true;
-        }
     }
     let mut m = BlockMeasures::default();
-    for pq in per_query.values() {
-        m.total += 1;
-        if pq.covered {
-            m.covered += 1;
-            if pq.success {
-                m.successes += 1;
+    let mut per_query: HashMap<Guid, PerQuery> = HashMap::with_capacity(block.len());
+    for p in block {
+        let q = match per_query.entry(p.guid) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                let covered = rules.covered(p);
+                m.total += 1;
+                m.covered += u64::from(covered);
+                v.insert(PerQuery {
+                    covered,
+                    success: false,
+                })
             }
+        };
+        if q.covered && !q.success && rules.matches(p) {
+            q.success = true;
+            m.successes += 1;
         }
+        rules.scored(p);
     }
     m
 }

@@ -280,7 +280,7 @@ mod tests {
                 "static(s=10)",
                 "sliding(s=10)",
                 "lazy(s=10,p=10)",
-                "adaptive(s=10)"
+                "adaptive(s=10,h=10,i=0.7)"
             ]
         );
         for ((a, b), c) in one.iter().zip(&four).zip(&sixteen) {

@@ -14,10 +14,8 @@
 
 use crate::hybrid::HybridPolicy;
 use crate::policy::{AssocPolicy, AssocPolicyConfig};
-use crate::strategy::{
-    AdaptiveSlidingWindow, LazySlidingWindow, Maintainer, SlidingWindow, StaticRuleset, Strategy,
-    TopicSlidingWindow,
-};
+use crate::strategy::{BlockWindow, Maintainer, Schedule, Strategy, TopicSlidingWindow};
+use crate::threshold::ThresholdCalc;
 use arq_assoc::{DecayedPairCounts, LossyPairCounts};
 use arq_baselines::{
     expanding_ring, CommunityPolicy, FloodPolicy, InterestShortcuts, KRandomWalk, RoutingIndices,
@@ -269,8 +267,8 @@ impl<'a> ParamTable<'a> {
 /// Every value a constructor would assert on is checked here instead, so
 /// a bad one comes back as a [`RegistryError::BadSpec`] naming the
 /// parameter: the supports `s` and `t` and the counts `p` and `h` are at
-/// least 1 (`t` on `lossy` an integer), `c` is in [0, 1], `hl` is
-/// positive and `eps` is in (0, 1). `s` is accepted as an alias for `t`
+/// least 1 (`t` on `lossy` an integer), `c` and `i` are in [0, 1], `hl`
+/// is positive and `eps` is in (0, 1). `s` is accepted as an alias for `t`
 /// on the streaming maintainers, so a generic `--support` CLI flag maps
 /// onto every strategy.
 pub fn make_strategy(spec: &str) -> Result<Box<dyn Strategy + Send>, RegistryError> {
@@ -278,23 +276,27 @@ pub fn make_strategy(spec: &str) -> Result<Box<dyn Strategy + Send>, RegistryErr
     let table =
         |keys: &'static [(&'static str, f64)]| ParamTable::resolve(spec, &parsed, keys, &[]);
     let support = |p: &ParamTable| p.positive("s").map(|s| s as u64);
+    let window =
+        |support, confidence, schedule| Box::new(BlockWindow::new(support, confidence, schedule));
     Ok(match parsed.name.as_str() {
-        "static" => Box::new(StaticRuleset::new(support(&table(&[("s", 10.0)])?)?)),
+        "static" => window(support(&table(&[("s", 10.0)])?)?, 0.0, Schedule::Once),
         "sliding" => {
             let p = table(&[("s", 10.0), ("c", 0.0)])?;
-            Box::new(SlidingWindow::with_confidence(support(&p)?, p.unit("c")?))
+            window(support(&p)?, p.unit("c")?, Schedule::Every(1))
         }
         "lazy" => {
             let p = table(&[("s", 10.0), ("p", 10.0)])?;
-            Box::new(LazySlidingWindow::new(support(&p)?, p.positive("p")?))
+            window(support(&p)?, 0.0, Schedule::Every(p.positive("p")?))
         }
         "adaptive" => {
             let p = table(&[("s", 10.0), ("h", 10.0), ("i", 0.7)])?;
-            Box::new(AdaptiveSlidingWindow::new(
-                support(&p)?,
-                p.positive("h")?,
-                p.f64("i"),
-            ))
+            let s = support(&p)?;
+            let threshold = ThresholdCalc::mean_of_last(p.positive("h")?, p.unit("i")?);
+            let schedule = Schedule::Adaptive {
+                coverage: threshold.clone(),
+                success: threshold,
+            };
+            window(s, 0.0, schedule)
         }
         "incremental" | "lossy" => Box::new(maintainer(spec, &parsed)?),
         "topic-sliding" => Box::new(TopicSlidingWindow::new(support(&table(&[("s", 10.0)])?)?)),
@@ -811,6 +813,37 @@ mod tests {
         }
     }
 
+    /// A strategy's name is its full spec: rebuilding from the name
+    /// replays a seeded stream exactly as the original spec does.
+    #[test]
+    fn strategy_names_rebuild_the_same_strategy() {
+        use crate::eval::evaluate;
+        use crate::strategy::testutil::random_stream;
+        let specs = [
+            "static(s=3)",
+            "sliding(s=2,c=0.3)",
+            "lazy(s=2,p=3)",
+            "adaptive(s=2,h=3,i=0.2)",
+            "incremental(t=3,hl=50)",
+            "lossy(t=3,eps=0.01)",
+            "topic-sliding(s=3)",
+        ];
+        assert_eq!(specs.len(), STRATEGY_NAMES.len());
+        let mut rng = arq_simkern::Rng64::seed_from(0x4E4A);
+        let stream = random_stream(&mut rng, 600);
+        for (spec, name) in specs.iter().zip(STRATEGY_NAMES) {
+            assert!(spec.starts_with(name), "{spec} is not a `{name}` spec");
+            let named = make_strategy(spec).unwrap().name();
+            let a = evaluate(make_strategy(spec).unwrap().as_mut(), &stream, 60);
+            let b = evaluate(make_strategy(&named).unwrap().as_mut(), &stream, 60);
+            assert_eq!(a.strategy, b.strategy, "{spec}");
+            assert_eq!(a.coverage.ys(), b.coverage.ys(), "{spec} as {named}");
+            assert_eq!(a.success.ys(), b.success.ys(), "{spec} as {named}");
+            assert_eq!(a.rule_counts, b.rule_counts, "{spec} as {named}");
+            assert_eq!(a.regenerations, b.regenerations, "{spec} as {named}");
+        }
+    }
+
     fn strategy_err(spec: &str) -> String {
         match make_strategy(spec) {
             Err(e) => e.to_string(),
@@ -848,6 +881,7 @@ mod tests {
             ("sliding(s=0)", "s"),
             ("lazy(p=0)", "p"),
             ("adaptive(h=0)", "h"),
+            ("adaptive(i=1.5)", "i"),
             ("static(s=0)", "s"),
             ("topic-sliding(s=0)", "s"),
             ("incremental(t=0.5)", "t"),

@@ -26,7 +26,9 @@ pub struct EvalRun {
     pub coverage: TimeSeries,
     /// Success per trial.
     pub success: TimeSeries,
-    /// Rule-set size per trial.
+    /// Rule-set size per trial ([`Trial::rule_count`]): rules held for the
+    /// block strategies, tracked associations for `incremental` and
+    /// `lossy`.
     pub rule_counts: Vec<usize>,
     /// Mean coverage over all trials.
     pub avg_coverage: f64,
@@ -98,47 +100,7 @@ pub fn evaluate_with_obs<S: Strategy + ?Sized>(
         "need at least 2 complete blocks, trace has {}",
         blocks.len()
     );
-    strategy.warm_up(blocks.get(0));
-    let mut coverage = TimeSeries::new("coverage");
-    let mut success = TimeSeries::new("success");
-    let mut rule_counts = Vec::with_capacity(blocks.len() - 1);
-    let mut regenerations = 0usize;
-    for i in 1..blocks.len() {
-        let block = blocks.get(i);
-        obs.record(|| Event::BlockStart {
-            block: i,
-            pairs: block.len(),
-        });
-        let trial = strategy.test_and_update(block);
-        obs.record(|| Event::RuleTally {
-            block: i,
-            total: trial.measures.total,
-            covered: trial.measures.covered,
-            successes: trial.measures.successes,
-        });
-        coverage.push(i as f64, trial.measures.coverage());
-        success.push(i as f64, trial.measures.success());
-        rule_counts.push(trial.rule_count);
-        if trial.regenerated {
-            obs.record(|| Event::ReMine {
-                block: i,
-                rules_before: trial.rule_count,
-                rules_after: trial.rules_after,
-            });
-            regenerations += 1;
-        }
-    }
-    EvalRun {
-        strategy: strategy.name(),
-        block_size,
-        trials: blocks.len() - 1,
-        avg_coverage: coverage.mean(),
-        avg_success: success.mean(),
-        coverage,
-        success,
-        rule_counts,
-        regenerations,
-    }
+    replay(strategy, blocks.iter(), block_size, obs)
 }
 
 /// Replays `pairs` through `strategy` in fixed *time windows* instead of
@@ -165,24 +127,53 @@ pub fn evaluate_timed<S: Strategy + ?Sized>(
         "need at least 2 time windows, trace spans {}",
         blocks.len()
     );
-    strategy.warm_up(blocks.get(0));
+    let mean_block = pairs.len() / blocks.len();
+    replay(strategy, blocks.iter(), mean_block, &mut Obs::disabled())
+}
+
+/// The one replay loop: the first block warms `strategy` up, every later
+/// one is a trial.
+fn replay<'a, S: Strategy + ?Sized>(
+    strategy: &mut S,
+    blocks: impl Iterator<Item = &'a [PairRecord]>,
+    block_size: usize,
+    obs: &mut Obs,
+) -> EvalRun {
+    let mut blocks = blocks.enumerate();
+    let (_, warm_up) = blocks.next().expect("callers check for two blocks");
+    strategy.warm_up(warm_up);
     let mut coverage = TimeSeries::new("coverage");
     let mut success = TimeSeries::new("success");
-    let mut rule_counts = Vec::with_capacity(blocks.len() - 1);
+    let mut rule_counts = Vec::new();
     let mut regenerations = 0usize;
-    for i in 1..blocks.len() {
-        let trial = strategy.test_and_update(blocks.get(i));
+    for (i, block) in blocks {
+        obs.record(|| Event::BlockStart {
+            block: i,
+            pairs: block.len(),
+        });
+        let trial = strategy.test_and_update(block);
+        obs.record(|| Event::RuleTally {
+            block: i,
+            total: trial.measures.total,
+            covered: trial.measures.covered,
+            successes: trial.measures.successes,
+        });
         coverage.push(i as f64, trial.measures.coverage());
         success.push(i as f64, trial.measures.success());
         rule_counts.push(trial.rule_count);
         if trial.regenerated {
+            obs.record(|| Event::ReMine {
+                block: i,
+                rules_before: trial.rule_count,
+                rules_after: trial.rules_after,
+            });
             regenerations += 1;
         }
     }
     EvalRun {
         strategy: strategy.name(),
-        block_size: pairs.len() / blocks.len().max(1),
-        trials: blocks.len() - 1,
+        block_size,
+        trials: rule_counts.len(),
         avg_coverage: coverage.mean(),
         avg_success: success.mean(),
         coverage,
@@ -195,7 +186,7 @@ pub fn evaluate_timed<S: Strategy + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{SlidingWindow, StaticRuleset};
+    use crate::strategy::testutil::strategy;
     use arq_simkern::SimTime;
     use arq_trace::record::{Guid, HostId, QueryId};
 
@@ -224,8 +215,8 @@ mod tests {
     #[test]
     fn evaluator_shapes_and_counts() {
         let trace = flipping_trace(10, 50);
-        let mut s = SlidingWindow::new(2);
-        let run = evaluate(&mut s, &trace, 50);
+        let mut s = strategy("sliding(s=2)");
+        let run = evaluate(s.as_mut(), &trace, 50);
         assert_eq!(run.trials, 9);
         assert_eq!(run.coverage.len(), 9);
         assert_eq!(run.success.len(), 9);
@@ -239,8 +230,8 @@ mod tests {
     #[test]
     fn sliding_beats_static_on_a_flipping_trace() {
         let trace = flipping_trace(10, 50);
-        let sliding = evaluate(&mut SlidingWindow::new(2), &trace, 50);
-        let static_ = evaluate(&mut StaticRuleset::new(2), &trace, 50);
+        let sliding = evaluate(strategy("sliding(s=2)").as_mut(), &trace, 50);
+        let static_ = evaluate(strategy("static(s=2)").as_mut(), &trace, 50);
         // Static keeps full coverage (sources never change) but loses all
         // success after the flip; sliding loses only the flip trial.
         assert!(sliding.avg_success > static_.avg_success + 0.3);
@@ -254,7 +245,7 @@ mod tests {
     fn partial_trailing_block_is_ignored() {
         let mut trace = flipping_trace(4, 50);
         trace.truncate(4 * 50 - 7);
-        let run = evaluate(&mut SlidingWindow::new(2), &trace, 50);
+        let run = evaluate(strategy("sliding(s=2)").as_mut(), &trace, 50);
         assert_eq!(run.trials, 2);
     }
 
@@ -262,7 +253,7 @@ mod tests {
     #[should_panic(expected = "at least 2 complete blocks")]
     fn rejects_short_traces() {
         let trace = flipping_trace(1, 50);
-        evaluate(&mut SlidingWindow::new(2), &trace, 60);
+        evaluate(strategy("sliding(s=2)").as_mut(), &trace, 60);
     }
 
     #[test]
@@ -270,9 +261,9 @@ mod tests {
         // With one pair per tick, a 50-tick window is exactly a 50-pair
         // block, so both evaluators must agree trial for trial.
         let trace = flipping_trace(10, 50);
-        let by_count = evaluate(&mut SlidingWindow::new(2), &trace, 50);
+        let by_count = evaluate(strategy("sliding(s=2)").as_mut(), &trace, 50);
         let by_time = evaluate_timed(
-            &mut SlidingWindow::new(2),
+            strategy("sliding(s=2)").as_mut(),
             &trace,
             arq_simkern::time::Duration::from_ticks(50),
         );
@@ -292,7 +283,7 @@ mod tests {
         // Static rules survive the quiet gap; sliding rules are re-mined
         // from the empty windows and die.
         let run = evaluate_timed(
-            &mut StaticRuleset::new(2),
+            strategy("static(s=2)").as_mut(),
             &trace,
             arq_simkern::time::Duration::from_ticks(100),
         );
@@ -307,7 +298,7 @@ mod tests {
         assert!(run.coverage.ys().iter().any(|&c| c > 0.9));
 
         let sliding = evaluate_timed(
-            &mut SlidingWindow::new(2),
+            strategy("sliding(s=2)").as_mut(),
             &trace,
             arq_simkern::time::Duration::from_ticks(100),
         );
@@ -323,7 +314,7 @@ mod tests {
     fn timed_rejects_single_window() {
         let trace = flipping_trace(2, 50);
         evaluate_timed(
-            &mut SlidingWindow::new(2),
+            strategy("sliding(s=2)").as_mut(),
             &trace,
             arq_simkern::time::Duration::from_ticks(1_000_000),
         );
@@ -335,30 +326,22 @@ mod tests {
     /// stream (one fixed route per source) every one is perfect.
     #[test]
     fn every_strategy_scores_bounded_repeatable_measures() {
-        use crate::engine::registry::make_strategy;
         use crate::strategy::testutil::random_stream;
-        use crate::threshold::ThresholdCalc;
-        use crate::AdaptiveSlidingWindow;
         let strategies = || -> Vec<Box<dyn Strategy + Send>> {
-            let mut all: Vec<_> = [
+            [
                 "static(s=2)",
                 "sliding(s=2)",
                 "sliding(s=2,c=0.2)",
                 "lazy(s=2,p=3)",
                 "adaptive(s=2,h=5)",
+                "adaptive(s=2,h=1,i=0.9)",
                 "incremental(t=2,hl=100)",
                 "lossy(t=2,eps=0.01)",
                 "topic-sliding(s=2)",
             ]
             .iter()
-            .map(|spec| make_strategy(spec).unwrap())
-            .collect();
-            all.push(Box::new(AdaptiveSlidingWindow::with_thresholds(
-                2,
-                ThresholdCalc::ewma(0.3, 0.7),
-                ThresholdCalc::ewma(0.3, 0.7),
-            )));
-            all
+            .map(|spec| strategy(spec))
+            .collect()
         };
         let mut rng = arq_simkern::Rng64::seed_from(0x5EED_0C0E);
         for case in 0..40 {

@@ -6,15 +6,15 @@
 //! **Trace-driven evaluation** (how the paper validates the idea): a
 //! [`strategy::Strategy`] maintains a rule set over a stream of
 //! query–reply blocks and is scored by coverage α and success ρ per
-//! block. Five maintainers are provided:
+//! block. Every strategy is built from a spec string by
+//! [`engine::make_strategy`]:
 //!
-//! * [`strategy::StaticRuleset`] — mine once, use forever (§III-B.3);
-//! * [`strategy::SlidingWindow`] — re-mine from the previous block before
-//!   every trial (§III-B.4);
-//! * [`strategy::LazySlidingWindow`] — re-mine every *P* blocks
-//!   (§III-B.5);
-//! * [`strategy::AdaptiveSlidingWindow`] — re-mine only when measured
-//!   coverage or success falls below adaptive thresholds (§III-B.6);
+//! * [`strategy::BlockWindow`] — the paper's four block strategies, one
+//!   re-mining schedule each: `static` mines once and uses the rules
+//!   forever (§III-B.3), `sliding` re-mines from the previous block
+//!   before every trial (§III-B.4), `lazy(p)` every *p* blocks
+//!   (§III-B.5), and `adaptive(h,i)` only when measured coverage or
+//!   success falls below adaptive thresholds (§III-B.6);
 //! * [`strategy::Maintainer`] — the §VI future-work streaming maintainer:
 //!   decayed counts (`incremental`) or lossy counting (`lossy`) updated
 //!   on every pair. `arq serve` runs the same type live.
@@ -50,9 +50,6 @@ pub use eval::{evaluate, evaluate_timed, evaluate_with_obs, EvalRun, Trial};
 pub use hybrid::HybridPolicy;
 pub use online::{RouteDecision, RuleHandle};
 pub use policy::{AssocPolicy, AssocPolicyConfig};
-pub use strategy::{
-    AdaptiveSlidingWindow, LazySlidingWindow, Maintainer, SlidingWindow, StaticRuleset, Strategy,
-    TopicSlidingWindow,
-};
+pub use strategy::{BlockWindow, Maintainer, Strategy, TopicSlidingWindow};
 pub use sweep::{SweepJob, SweepPlan};
 pub use threshold::ThresholdCalc;

@@ -15,17 +15,14 @@
 //! frequency guarantees over the whole stream and adapts to churn only
 //! through its periodic eviction. Experiment E14 contrasts the two.
 //!
-//! Under evaluation each pair is **tested before it is observed** (no
-//! lookahead), with the same unique-query semantics as `RULESET-TEST`: a
-//! query is covered if its source has any association at or above the
-//! threshold, successful if its actual reply path matches one.
+//! Under evaluation `RULESET-TEST` ([`ruleset_test`]) scores each pair
+//! **before it is observed** (no lookahead): a query is covered if its
+//! source has any association at or above the threshold, successful if
+//! its actual reply path matches one.
 
 use super::{Strategy, Trial};
-use arq_assoc::measures::BlockMeasures;
-use arq_assoc::{DecayedPairCounts, LossyPairCounts, RuleSet};
-use arq_trace::record::{Guid, HostId, PairRecord};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use arq_assoc::{ruleset_test, DecayedPairCounts, LossyPairCounts, RuleLookup, RuleSet};
+use arq_trace::record::{HostId, PairRecord};
 
 /// The streaming rule state: decayed counts (`incremental`) or lossy
 /// counting (`lossy`).
@@ -122,37 +119,7 @@ impl Strategy for Maintainer {
     }
 
     fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
-        #[derive(Clone, Copy)]
-        struct QState {
-            covered: bool,
-            success: bool,
-        }
-        let mut measures = BlockMeasures::default();
-        let mut seen: HashMap<Guid, QState> = HashMap::with_capacity(block.len());
-        for p in block {
-            let state = match seen.entry(p.guid) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(v) => {
-                    // First sighting of this query: judge coverage with
-                    // the rules as they stand *now*.
-                    let covered = self.covered(p.src);
-                    measures.total += 1;
-                    if covered {
-                        measures.covered += 1;
-                    }
-                    v.insert(QState {
-                        covered,
-                        success: false,
-                    })
-                }
-            };
-            if state.covered && !state.success && self.matches(p.src, p.via) {
-                state.success = true;
-                measures.successes += 1;
-            }
-            // Only after testing does the pair become training data.
-            self.observe(p.src, p.via);
-        }
+        let measures = ruleset_test(&mut *self, block);
         Trial {
             measures,
             // Every pair updates the rules; by the paper's accounting the
@@ -161,6 +128,22 @@ impl Strategy for Maintainer {
             rule_count: self.len(),
             rules_after: self.len(),
         }
+    }
+}
+
+/// Each pair is judged against the rules as they stand, and only then
+/// becomes training data.
+impl RuleLookup for &mut Maintainer {
+    fn covered(&self, p: &PairRecord) -> bool {
+        Maintainer::covered(self, p.src)
+    }
+
+    fn matches(&self, p: &PairRecord) -> bool {
+        Maintainer::matches(self, p.src, p.via)
+    }
+
+    fn scored(&mut self, p: &PairRecord) {
+        self.observe(p.src, p.via);
     }
 }
 

@@ -7,24 +7,32 @@
 //! (`RULESET-TEST`, producing coverage and success), after which the
 //! strategy may regenerate its rule set — each strategy differs only in
 //! *when* it does so.
+//!
+//! Three types implement it, all scored by the one
+//! [`arq_assoc::ruleset_test`] loop: [`BlockWindow`] (the paper's four
+//! block strategies, one re-mining schedule each), [`TopicSlidingWindow`]
+//! (`(source, topic)` antecedents) and the streaming [`Maintainer`].
 
+#[cfg(test)]
 mod adaptive;
 #[cfg(test)]
 mod incremental;
+#[cfg(test)]
 mod lazy;
 #[cfg(test)]
 mod lossy_stream;
 mod maintainer;
+#[cfg(test)]
 mod sliding;
+#[cfg(test)]
 mod static_ruleset;
 mod topic;
+mod window;
 
-pub use adaptive::AdaptiveSlidingWindow;
-pub use lazy::LazySlidingWindow;
 pub use maintainer::Maintainer;
-pub use sliding::SlidingWindow;
-pub use static_ruleset::StaticRuleset;
 pub use topic::TopicSlidingWindow;
+pub use window::BlockWindow;
+pub(crate) use window::Schedule;
 
 use arq_assoc::measures::BlockMeasures;
 use arq_trace::record::PairRecord;
@@ -36,7 +44,9 @@ pub struct Trial {
     pub measures: BlockMeasures,
     /// Whether the strategy rebuilt its rule set after this trial.
     pub regenerated: bool,
-    /// Rules held while testing this block.
+    /// Rules held while testing this block. For the streaming
+    /// maintainers (`incremental`, `lossy`) this is the number of tracked
+    /// associations, not only those at or above the rule threshold.
     pub rule_count: usize,
     /// Rules held after the update step — differs from `rule_count`
     /// exactly when `regenerated` is set. Observability layers report
@@ -59,8 +69,14 @@ pub trait Strategy {
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use super::Strategy;
     use arq_simkern::{Rng64, SimTime};
     use arq_trace::record::{Guid, HostId, PairRecord, QueryId};
+
+    /// The strategy `spec` names, as the registry builds it.
+    pub fn strategy(spec: &str) -> Box<dyn Strategy + Send> {
+        crate::engine::make_strategy(spec).unwrap()
+    }
 
     /// `len` pairs with sources `0..6` answered via `50..56` at random:
     /// small host populations, so rules actually form.

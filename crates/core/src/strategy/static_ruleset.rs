@@ -1,71 +1,14 @@
-//! Static Ruleset (§III-B.3): mine once, use forever.
-//!
-//! ```text
-//! STATIC-RULESET
-//! 1 R ← GENERATE-RULESET
-//! 2 for each block b
-//! 3   do RULESET-TEST(R, b)
-//! ```
-//!
-//! "The benefit of Static Ruleset is its simplicity, and its main
-//! shortcoming is its lack of flexibility" — the paper measures its
-//! coverage collapsing to ≈0.18 and success to ≈0.02 as the network
-//! drifts away from the training snapshot (experiment E1).
-
-use super::{Strategy, Trial};
-use arq_assoc::pairs::{mine_pairs, RuleSet};
-use arq_assoc::ruleset_test;
-use arq_trace::record::PairRecord;
-
-/// The mine-once strategy.
-#[derive(Debug, Clone)]
-pub struct StaticRuleset {
-    min_support: u64,
-    rules: RuleSet,
-}
-
-impl StaticRuleset {
-    /// Creates the strategy with the given support-pruning threshold.
-    pub fn new(min_support: u64) -> Self {
-        StaticRuleset {
-            min_support,
-            rules: RuleSet::empty(),
-        }
-    }
-
-    /// The rule set currently in use (for inspection).
-    pub fn rules(&self) -> &RuleSet {
-        &self.rules
-    }
-}
-
-impl Strategy for StaticRuleset {
-    fn name(&self) -> String {
-        format!("static(s={})", self.min_support)
-    }
-
-    fn warm_up(&mut self, block: &[PairRecord]) {
-        self.rules = mine_pairs(block, self.min_support);
-    }
-
-    fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
-        Trial {
-            measures: ruleset_test(&self.rules, block),
-            regenerated: false,
-            rule_count: self.rules.rule_count(),
-            rules_after: self.rules.rule_count(),
-        }
-    }
-}
+//! Tests of the `static` schedule of [`BlockWindow`](super::BlockWindow):
+//! mine once, use forever (§III-B.3).
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::routed_block;
-    use super::*;
+    use super::super::testutil::{routed_block, strategy};
+    use arq_trace::record::PairRecord;
 
     #[test]
     fn perfect_on_identical_blocks() {
-        let mut s = StaticRuleset::new(2);
+        let mut s = strategy("static(s=2)");
         s.warm_up(&routed_block(0, 100, 5, 100));
         let t = s.test_and_update(&routed_block(1_000, 100, 5, 100));
         assert_eq!(t.measures.coverage(), 1.0);
@@ -76,7 +19,7 @@ mod tests {
 
     #[test]
     fn never_adapts_to_route_changes() {
-        let mut s = StaticRuleset::new(2);
+        let mut s = strategy("static(s=2)");
         s.warm_up(&routed_block(0, 100, 5, 100));
         // Same sources, all routes moved to a different neighbor range.
         let t = s.test_and_update(&routed_block(1_000, 100, 5, 200));
@@ -90,7 +33,7 @@ mod tests {
 
     #[test]
     fn never_adapts_to_source_changes() {
-        let mut s = StaticRuleset::new(2);
+        let mut s = strategy("static(s=2)");
         s.warm_up(&routed_block(0, 100, 5, 100));
         // Entirely new source population.
         let shifted: Vec<PairRecord> = routed_block(1_000, 100, 5, 100)
@@ -106,11 +49,10 @@ mod tests {
 
     #[test]
     fn support_pruning_applies_at_warmup() {
-        let mut s = StaticRuleset::new(1_000);
+        let mut s = strategy("static(s=1000)");
         s.warm_up(&routed_block(0, 100, 5, 100));
-        assert!(s.rules().is_empty(), "threshold 1000 should prune all");
         let t = s.test_and_update(&routed_block(1_000, 100, 5, 100));
+        assert_eq!(t.rule_count, 0, "threshold 1000 should prune all");
         assert_eq!(t.measures.coverage(), 0.0);
-        assert_eq!(t.rule_count, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Topic-dimension Sliding Window (§VI "query strings during rule
 //! generation").
 //!
-//! Identical schedule to [`super::SlidingWindow`] but with antecedents of
+//! The `sliding` schedule of [`super::BlockWindow`] but with antecedents of
 //! the form `(source host, query topic)` via [`arq_assoc::keyed`]. Rules
 //! become route-specific — when a covered query fires a rule, the rule
 //! points at the topic's own reply path instead of the source's most
@@ -10,7 +10,8 @@
 //! window.
 
 use super::{Strategy, Trial};
-use arq_assoc::keyed::{keyed_ruleset_test, mine_keyed, src_topic_key, KeyedRuleSet};
+use arq_assoc::keyed::{mine_keyed, src_topic_key, KeyedRuleSet};
+use arq_assoc::ruleset_test;
 use arq_trace::record::{HostId, PairRecord};
 
 /// Sliding window over `(src, topic)` antecedents.
@@ -28,11 +29,6 @@ impl TopicSlidingWindow {
             rules: KeyedRuleSet::empty(),
         }
     }
-
-    /// Number of rules currently held.
-    pub fn rule_count(&self) -> usize {
-        self.rules.rule_count()
-    }
 }
 
 impl Strategy for TopicSlidingWindow {
@@ -45,7 +41,7 @@ impl Strategy for TopicSlidingWindow {
     }
 
     fn test_and_update(&mut self, block: &[PairRecord]) -> Trial {
-        let measures = keyed_ruleset_test(&self.rules, block, src_topic_key);
+        let measures = ruleset_test(&self.rules, block);
         let rule_count = self.rules.rule_count();
         self.rules = mine_keyed(block, src_topic_key, self.min_support);
         Trial {

@@ -1,4 +1,4 @@
-//! Adaptive threshold calculators.
+//! The adaptive threshold calculator.
 //!
 //! The Adaptive Sliding Window regenerates its rule set when measured
 //! coverage or success falls below a threshold, and "in order to capture
@@ -6,31 +6,20 @@
 //! updated so that threshold values remain reasonable for all states of
 //! the network. One simple method would be to use the mean of the
 //! previous N values" (§III-B.6). [`ThresholdCalc`] implements exactly
-//! that (with the paper's 0.7 as the value used before any history
-//! exists); an EWMA variant is provided for the ablation benches.
+//! that, with the paper's 0.7 as the value used before any history
+//! exists.
 
-use arq_simkern::Ewma;
 use std::collections::VecDeque;
 
-/// A self-adjusting threshold over a stream of measured values.
+/// A self-adjusting threshold: the mean of the last `n` measured values.
 #[derive(Debug, Clone)]
-pub enum ThresholdCalc {
-    /// Mean of the last `n` observed values (the paper's method).
-    MeanOfLast {
-        /// Window length N.
-        n: usize,
-        /// Value returned before any observation arrives.
-        initial: f64,
-        /// Recent observations.
-        window: VecDeque<f64>,
-    },
-    /// Exponentially weighted moving average (ablation variant).
-    Ewma {
-        /// Value returned before any observation arrives.
-        initial: f64,
-        /// The smoother.
-        ewma: Ewma,
-    },
+pub struct ThresholdCalc {
+    /// Window length N.
+    n: usize,
+    /// Value returned before any observation arrives.
+    initial: f64,
+    /// Recent observations.
+    window: VecDeque<f64>,
 }
 
 impl ThresholdCalc {
@@ -38,19 +27,21 @@ impl ThresholdCalc {
     /// from `initial` (0.7 in the paper's experiments).
     pub fn mean_of_last(n: usize, initial: f64) -> Self {
         assert!(n >= 1, "window must hold at least one value");
-        ThresholdCalc::MeanOfLast {
+        ThresholdCalc {
             n,
             initial,
             window: VecDeque::with_capacity(n),
         }
     }
 
-    /// EWMA calculator with smoothing factor `alpha`.
-    pub fn ewma(alpha: f64, initial: f64) -> Self {
-        ThresholdCalc::Ewma {
-            initial,
-            ewma: Ewma::new(alpha),
-        }
+    /// The window length N.
+    pub fn history(&self) -> usize {
+        self.n
+    }
+
+    /// The value used before any history exists.
+    pub fn initial(&self) -> f64 {
+        self.initial
     }
 
     /// The current threshold (before seeing the next measurement).
@@ -63,33 +54,19 @@ impl ThresholdCalc {
     /// N). The initial is a stand-in for missing history, not a phantom
     /// N-th observation — it is never averaged in.
     pub fn value(&self) -> f64 {
-        match self {
-            ThresholdCalc::MeanOfLast {
-                initial, window, ..
-            } => {
-                if window.is_empty() {
-                    *initial
-                } else {
-                    window.iter().sum::<f64>() / window.len() as f64
-                }
-            }
-            ThresholdCalc::Ewma { initial, ewma } => ewma.value().unwrap_or(*initial),
+        if self.window.is_empty() {
+            self.initial
+        } else {
+            self.window.iter().sum::<f64>() / self.window.len() as f64
         }
     }
 
     /// Feeds the measurement taken this trial.
     pub fn push(&mut self, measured: f64) {
-        match self {
-            ThresholdCalc::MeanOfLast { n, window, .. } => {
-                if window.len() == *n {
-                    window.pop_front();
-                }
-                window.push_back(measured);
-            }
-            ThresholdCalc::Ewma { ewma, .. } => {
-                ewma.push(measured);
-            }
+        if self.window.len() == self.n {
+            self.window.pop_front();
         }
+        self.window.push_back(measured);
     }
 }
 
@@ -101,8 +78,6 @@ mod tests {
     fn starts_at_initial() {
         let t = ThresholdCalc::mean_of_last(10, 0.7);
         assert_eq!(t.value(), 0.7);
-        let e = ThresholdCalc::ewma(0.3, 0.7);
-        assert_eq!(e.value(), 0.7);
     }
 
     #[test]
@@ -170,23 +145,13 @@ mod tests {
     }
 
     #[test]
-    fn ewma_variant_converges() {
-        let mut e = ThresholdCalc::ewma(0.5, 0.7);
-        for _ in 0..30 {
-            e.push(0.4);
-        }
-        assert!((e.value() - 0.4).abs() < 1e-6);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one")]
     fn rejects_empty_window() {
         ThresholdCalc::mean_of_last(0, 0.7);
     }
 
-    /// After any history, both calculators stay inside the range of the
-    /// values they average: the last `n` for the mean, all of them for
-    /// the EWMA.
+    /// After any history, the threshold stays inside the range of the
+    /// last `n` values it averages.
     #[test]
     fn thresholds_within_observed_range() {
         let mut rng = arq_simkern::Rng64::seed_from(0x7E57);
@@ -194,17 +159,14 @@ mod tests {
             let n = 1 + rng.index(19);
             let values: Vec<f64> = (0..1 + rng.index(49)).map(|_| rng.f64()).collect();
             let mut mean = ThresholdCalc::mean_of_last(n, 0.7);
-            let mut ewma = ThresholdCalc::ewma(0.3, 0.7);
             for (i, &v) in values.iter().enumerate() {
                 mean.push(v);
-                ewma.push(v);
                 let range = |seen: &[f64], t: f64| {
                     let lo = seen.iter().copied().fold(f64::MAX, f64::min);
                     let hi = seen.iter().copied().fold(f64::MIN, f64::max);
                     t >= lo - 1e-12 && t <= hi + 1e-12
                 };
                 assert!(range(&values[(i + 1).saturating_sub(n)..=i], mean.value()));
-                assert!(range(&values[..=i], ewma.value()));
             }
         }
     }

@@ -17,7 +17,7 @@
 //!   [`rng::StreamFactory`] that derives independent, stable sub-streams
 //!   from one master seed;
 //! * [`stats`] — streaming statistics (Welford mean/variance, histograms,
-//!   exact quantiles, EWMA);
+//!   exact quantiles);
 //! * [`series`] — time-series containers used for per-trial coverage and
 //!   success measurements;
 //! * [`timer`] — deterministic exponential [`timer::Backoff`] schedules
@@ -51,6 +51,6 @@ pub use json::{Json, ToJson};
 pub use queue::{EventQueue, HeapQueue, SchedulePastError};
 pub use rng::{Rng64, SplitMix64, StreamFactory};
 pub use series::TimeSeries;
-pub use stats::{Ewma, Histogram, Summary, Welford};
+pub use stats::{Histogram, Summary, Welford};
 pub use time::SimTime;
 pub use timer::Backoff;

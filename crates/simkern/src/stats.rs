@@ -3,9 +3,8 @@
 //! Every experiment in the workspace reports summary statistics over
 //! per-trial measurements (coverage, success, messages per query, hop
 //! counts…). This module provides the accumulators used for that:
-//! numerically stable Welford mean/variance, a fixed-bucket histogram, an
-//! exact-quantile summary, and an exponentially weighted moving average
-//! (used by the adaptive strategy's threshold calculators).
+//! numerically stable Welford mean/variance, a fixed-bucket histogram and
+//! an exact-quantile summary.
 
 use crate::json::{Json, ToJson};
 
@@ -347,40 +346,6 @@ impl ToJson for Histogram {
     }
 }
 
-/// Exponentially weighted moving average.
-///
-/// `alpha` is the weight of the newest observation. The adaptive strategy
-/// offers this as an alternative threshold calculator to the paper's plain
-/// mean-of-last-N.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} out of (0,1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds one observation and returns the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, or `None` before any observation.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,27 +510,5 @@ mod tests {
             let e = parse(&bad).unwrap_err();
             assert!(e.contains(why), "{bad}: {e}");
         }
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut e = Ewma::new(0.3);
-        assert_eq!(e.value(), None);
-        for _ in 0..200 {
-            e.push(7.0);
-        }
-        assert!((e.value().unwrap() - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_first_observation_is_identity() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.push(42.0), 42.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of (0,1]")]
-    fn ewma_rejects_bad_alpha() {
-        Ewma::new(0.0);
     }
 }

@@ -126,6 +126,21 @@ mod tests {
         Blocks::new(&p, 0);
     }
 
+    /// Blocks cover the longest whole-block prefix exactly, in order,
+    /// with no overlap.
+    #[test]
+    fn blocks_partition_a_prefix_of_random_streams() {
+        let mut rng = arq_simkern::Rng64::seed_from(0xB10C);
+        for _ in 0..100 {
+            let pairs = crate::record::random::pairs(&mut rng, 300);
+            let block_size = 1 + rng.index(49);
+            let blocks = Blocks::new(&pairs, block_size);
+            let covered = (pairs.len() / block_size) * block_size;
+            let flat: Vec<PairRecord> = blocks.iter().flatten().copied().collect();
+            assert_eq!(&flat[..], &pairs[..covered]);
+        }
+    }
+
     #[test]
     fn blocks_are_contiguous_and_ordered() {
         let p = pairs(60);
@@ -290,5 +305,29 @@ mod time_tests {
         assert_eq!(tb.len(), 2);
         assert_eq!(tb.get(0).len(), 2); // [100, 110)
         assert_eq!(tb.get(1).len(), 1); // [110, 120)
+    }
+
+    /// Time windows partition the whole stream (nothing dropped, nothing
+    /// duplicated) and every pair lands in the window its timestamp
+    /// dictates.
+    #[test]
+    fn time_blocks_partition_random_streams() {
+        let mut rng = arq_simkern::Rng64::seed_from(0x71DE);
+        for _ in 0..100 {
+            let mut times: Vec<u64> = (0..rng.index(301)).map(|_| rng.below(5_000)).collect();
+            times.sort_unstable();
+            let pairs: Vec<PairRecord> = times.iter().map(|&t| pair_at(t)).collect();
+            let window = 1 + rng.below(499);
+            let tb = TimeBlocks::new(&pairs, Duration::from_ticks(window));
+            let total: usize = tb.iter().map(<[PairRecord]>::len).sum();
+            assert_eq!(total, pairs.len());
+            let origin = pairs.first().map_or(0, |p| p.time.ticks());
+            for (w, blk) in tb.iter().enumerate() {
+                for p in blk {
+                    let idx = ((p.time.ticks() - origin) / window) as usize;
+                    assert_eq!(idx, w, "pair at t={} in window {w}", p.time.ticks());
+                }
+            }
+        }
     }
 }

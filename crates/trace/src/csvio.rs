@@ -338,4 +338,23 @@ mod tests {
         write_pairs(&mut buf, &pairs).unwrap();
         assert_eq!(read_pairs(&buf[..]).unwrap(), pairs);
     }
+
+    /// Pair and raw CSV round-trips are exact for random records.
+    #[test]
+    fn csv_roundtrips_random_records() {
+        use crate::record::random;
+        let mut rng = arq_simkern::Rng64::seed_from(0xC5F);
+        for _ in 0..100 {
+            let pairs = random::pairs(&mut rng, 100);
+            let mut buf = Vec::new();
+            write_pairs(&mut buf, &pairs).unwrap();
+            assert_eq!(read_pairs(&buf[..]).unwrap(), pairs);
+
+            let queries = random::queries(&mut rng, 50);
+            let replies = random::replies(&mut rng, 50);
+            let mut buf = Vec::new();
+            write_raw(&mut buf, &queries, &replies).unwrap();
+            assert_eq!(read_raw(&buf[..]).unwrap(), (queries, replies));
+        }
+    }
 }

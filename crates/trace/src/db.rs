@@ -274,4 +274,42 @@ mod tests {
         assert_eq!(report, CleanReport::default());
         assert!(pairs.is_empty());
     }
+
+    /// Cleaning leaves one query per GUID, keeps its earliest use, and is
+    /// idempotent; join then yields one time-ordered pair per surviving
+    /// reply, each carrying its query's fields.
+    #[test]
+    fn clean_dedups_and_join_pairs_replies_on_random_traces() {
+        use crate::record::random;
+        let mut rng = arq_simkern::Rng64::seed_from(0xC1EA);
+        for case in 0..100 {
+            let queries = random::queries(&mut rng, 200);
+            let mut db = TraceDb::new();
+            db.extend(queries.clone(), random::replies(&mut rng, 200));
+            let report = db.clean();
+            let mut guids = std::collections::HashSet::new();
+            for q in db.queries() {
+                assert!(guids.insert(q.guid), "case {case}: duplicate GUID");
+                let earliest = queries.iter().filter(|x| x.guid == q.guid);
+                assert_eq!(Some(q.time), earliest.map(|x| x.time).min());
+            }
+            assert_eq!(
+                report.duplicate_queries as usize,
+                queries.len() - db.query_count()
+            );
+            let again = db.clean();
+            assert_eq!((again.duplicate_queries, again.orphan_replies), (0, 0));
+
+            let pairs = db.join();
+            assert_eq!(pairs.len(), db.reply_count(), "case {case}");
+            let by_guid: std::collections::HashMap<_, _> =
+                db.queries().iter().map(|q| (q.guid, q)).collect();
+            for p in &pairs {
+                let q = by_guid[&p.guid];
+                assert_eq!((p.src, p.query), (q.from, q.query));
+                assert!(p.time >= q.time);
+            }
+            assert!(pairs.windows(2).all(|w| w[0].time <= w[1].time));
+        }
+    }
 }

@@ -97,6 +97,57 @@ pub struct PairRecord {
     pub query: QueryId,
 }
 
+/// Seeded random records for the property loops beside the code: up to
+/// `max` of each, over small GUID and host ranges so that duplicates,
+/// orphans and shared sources occur.
+#[cfg(test)]
+pub(crate) mod random {
+    use super::*;
+    use arq_simkern::Rng64;
+
+    pub fn queries(rng: &mut Rng64, max: usize) -> Vec<QueryRecord> {
+        (0..rng.index(max + 1))
+            .map(|_| QueryRecord {
+                time: SimTime::from_ticks(rng.below(10_000)),
+                guid: Guid(rng.below(64).into()),
+                from: HostId(rng.below(32) as u32),
+                query: QueryId(rng.below(100) as u32),
+            })
+            .collect()
+    }
+
+    pub fn replies(rng: &mut Rng64, max: usize) -> Vec<ReplyRecord> {
+        (0..rng.index(max + 1))
+            .map(|_| ReplyRecord {
+                time: SimTime::from_ticks(rng.below(10_000)),
+                guid: Guid(rng.below(64).into()),
+                via: HostId(rng.below(32) as u32),
+                responder: HostId(rng.below(500) as u32),
+                file: QueryId(0),
+            })
+            .collect()
+    }
+
+    /// Time-sorted pairs (each pair's time is its GUID).
+    pub fn pairs(rng: &mut Rng64, max: usize) -> Vec<PairRecord> {
+        let mut pairs: Vec<PairRecord> = (0..rng.index(max + 1))
+            .map(|_| {
+                let g = rng.below(1_000_000);
+                PairRecord {
+                    time: SimTime::from_ticks(g),
+                    guid: Guid(g.into()),
+                    src: HostId(rng.below(64) as u32),
+                    via: HostId(rng.below(64) as u32),
+                    responder: HostId(rng.below(64) as u32),
+                    query: QueryId(rng.below(512) as u32),
+                }
+            })
+            .collect();
+        pairs.sort_by_key(|p| p.time);
+        pairs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

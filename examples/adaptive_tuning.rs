@@ -1,12 +1,13 @@
-//! Tuning the Adaptive Sliding Window: threshold history length, initial
-//! threshold, and the EWMA alternative — the trade-off between rule-set
-//! freshness and regeneration cost (§III-B.6).
+//! Tuning the Adaptive Sliding Window: threshold history length and
+//! initial threshold — the trade-off between rule-set freshness and
+//! regeneration cost (§III-B.6).
 //!
 //! ```text
 //! cargo run --release -p arq --example adaptive_tuning
 //! ```
 
-use arq::core::{evaluate, AdaptiveSlidingWindow, SlidingWindow, ThresholdCalc};
+use arq::core::engine::make_strategy;
+use arq::core::evaluate;
 use arq::trace::{SynthConfig, SynthTrace};
 
 fn main() {
@@ -18,51 +19,21 @@ fn main() {
         "configuration", "coverage", "success", "blocks/regen"
     );
 
-    // Reference point: Sliding Window regenerates every block.
-    let run = evaluate(&mut SlidingWindow::new(10), &pairs, block);
-    println!(
-        "{:<34} {:>9.3} {:>9.3} {:>12.2}",
-        "sliding (reference)", run.avg_coverage, run.avg_success, 1.0
-    );
-
-    // History-length sweep with the paper's 0.7 starting threshold.
-    for n in [5usize, 10, 25, 50, 100] {
-        let mut s = AdaptiveSlidingWindow::new(10, n, 0.7);
-        let run = evaluate(&mut s, &pairs, block);
+    // Sliding Window regenerates every block: the reference point. Then
+    // a history-length sweep with the paper's 0.7 starting threshold,
+    // and an initial-threshold sweep: a greedy 0.9 start regenerates
+    // more, a lax 0.5 start tolerates decay longer.
+    let histories = [5, 10, 25, 50, 100].map(|h| format!("adaptive(s=10,h={h},i=0.7)"));
+    let initials = [0.5, 0.7, 0.9].map(|i| format!("adaptive(s=10,h=10,i={i})"));
+    let specs = std::iter::once("sliding(s=10)".to_string())
+        .chain(histories)
+        .chain(initials);
+    for spec in specs {
+        let mut strategy = make_strategy(&spec).expect("a registered strategy");
+        let run = evaluate(strategy.as_mut(), &pairs, block);
         println!(
             "{:<34} {:>9.3} {:>9.3} {:>12.2}",
-            format!("adaptive, mean of last {n}"),
-            run.avg_coverage,
-            run.avg_success,
-            run.blocks_per_regen().unwrap_or(f64::INFINITY)
-        );
-    }
-
-    // Initial-threshold sweep: a greedy 0.9 start regenerates more, a lax
-    // 0.5 start tolerates decay longer.
-    for init in [0.5, 0.7, 0.9] {
-        let mut s = AdaptiveSlidingWindow::new(10, 10, init);
-        let run = evaluate(&mut s, &pairs, block);
-        println!(
-            "{:<34} {:>9.3} {:>9.3} {:>12.2}",
-            format!("adaptive, initial threshold {init}"),
-            run.avg_coverage,
-            run.avg_success,
-            run.blocks_per_regen().unwrap_or(f64::INFINITY)
-        );
-    }
-
-    // EWMA threshold calculators (ablation beyond the paper).
-    for alpha in [0.1, 0.3, 0.6] {
-        let mut s = AdaptiveSlidingWindow::with_thresholds(
-            10,
-            ThresholdCalc::ewma(alpha, 0.7),
-            ThresholdCalc::ewma(alpha, 0.7),
-        );
-        let run = evaluate(&mut s, &pairs, block);
-        println!(
-            "{:<34} {:>9.3} {:>9.3} {:>12.2}",
-            format!("adaptive, EWMA alpha {alpha}"),
+            run.strategy,
             run.avg_coverage,
             run.avg_success,
             run.blocks_per_regen().unwrap_or(f64::INFINITY)

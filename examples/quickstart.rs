@@ -5,7 +5,8 @@
 //! cargo run --release -p arq --example quickstart
 //! ```
 
-use arq::core::{evaluate, SlidingWindow};
+use arq::core::engine::make_strategy;
+use arq::core::evaluate;
 use arq::simkern::chart::{render, ChartOptions};
 use arq::trace::{SynthConfig, SynthTrace};
 
@@ -18,8 +19,8 @@ fn main() {
 
     // The paper's workhorse: re-mine the rule set from the previous
     // block before testing each new block (support threshold 10).
-    let mut strategy = SlidingWindow::new(10);
-    let run = evaluate(&mut strategy, &pairs, 10_000);
+    let mut strategy = make_strategy("sliding(s=10)").expect("a registered strategy");
+    let run = evaluate(strategy.as_mut(), &pairs, 10_000);
 
     println!(
         "\n{} over {} trials:\n  average coverage α = {:.3}\n  average success  ρ = {:.3}\n",

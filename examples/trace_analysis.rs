@@ -7,10 +7,8 @@
 //! ```
 
 use arq::assoc::mine_pairs;
-use arq::core::strategy::Strategy;
-use arq::core::{
-    evaluate, AdaptiveSlidingWindow, LazySlidingWindow, Maintainer, SlidingWindow, StaticRuleset,
-};
+use arq::core::engine::make_strategy;
+use arq::core::evaluate;
 use arq::trace::stats::{pair_stats, raw_stats};
 use arq::trace::{SynthConfig, SynthTrace, TraceDb};
 
@@ -64,15 +62,15 @@ fn main() {
         "{:<28} {:>9} {:>9} {:>12}",
         "strategy", "coverage", "success", "regens"
     );
-    let mut strategies: Vec<Box<dyn Strategy>> = vec![
-        Box::new(StaticRuleset::new(10)),
-        Box::new(SlidingWindow::new(10)),
-        Box::new(LazySlidingWindow::new(10, 10)),
-        Box::new(AdaptiveSlidingWindow::new(10, 10, 0.7)),
-        Box::new(Maintainer::from_spec("incremental(t=10,hl=20000)").unwrap()),
-    ];
-    for s in strategies.iter_mut() {
-        let run = evaluate(s.as_mut(), &pairs, 10_000);
+    for spec in [
+        "static(s=10)",
+        "sliding(s=10)",
+        "lazy(s=10,p=10)",
+        "adaptive(s=10,h=10,i=0.7)",
+        "incremental(t=10,hl=20000)",
+    ] {
+        let mut strategy = make_strategy(spec).expect("a registered strategy");
+        let run = evaluate(strategy.as_mut(), &pairs, 10_000);
         println!(
             "{:<28} {:>9.3} {:>9.3} {:>12}",
             run.strategy, run.avg_coverage, run.avg_success, run.regenerations

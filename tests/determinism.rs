@@ -1,7 +1,8 @@
 //! Whole-system determinism: identical seeds must reproduce identical
 //! traces, evaluations, and simulations; different seeds must not.
 
-use arq::core::{evaluate, AdaptiveSlidingWindow, SlidingWindow};
+use arq::core::engine::make_strategy;
+use arq::core::evaluate;
 use arq::gnutella::sim::{Network, SimConfig};
 use arq::gnutella::FloodPolicy;
 use arq::trace::{SynthConfig, SynthTrace};
@@ -26,12 +27,12 @@ fn raw_traces_are_reproducible() {
 #[test]
 fn evaluations_are_reproducible() {
     let pairs = SynthTrace::new(SynthConfig::paper_default(60_000, 3)).pairs();
-    let a = evaluate(&mut SlidingWindow::new(10), &pairs, 10_000);
-    let b = evaluate(&mut SlidingWindow::new(10), &pairs, 10_000);
+    let eval = |spec| evaluate(make_strategy(spec).unwrap().as_mut(), &pairs, 10_000);
+    let (a, b) = (eval("sliding(s=10)"), eval("sliding(s=10)"));
     assert_eq!(a.coverage.ys(), b.coverage.ys());
     assert_eq!(a.success.ys(), b.success.ys());
-    let c = evaluate(&mut AdaptiveSlidingWindow::new(10, 10, 0.7), &pairs, 10_000);
-    let d = evaluate(&mut AdaptiveSlidingWindow::new(10, 10, 0.7), &pairs, 10_000);
+    let c = eval("adaptive(s=10,h=10,i=0.7)");
+    let d = eval("adaptive(s=10,h=10,i=0.7)");
     assert_eq!(c.regenerations, d.regenerations);
     assert_eq!(c.coverage.ys(), d.coverage.ys());
 }

@@ -5,9 +5,9 @@
 
 use arq::baselines::SuperPeerPolicy;
 use arq::content::CatalogConfig;
+use arq::core::engine::make_strategy;
 use arq::core::{
-    evaluate, evaluate_timed, AssocPolicyConfig, HybridPolicy, Maintainer, SlidingWindow,
-    TopicSlidingWindow,
+    evaluate, evaluate_timed, AssocPolicyConfig, HybridPolicy, Maintainer, TopicSlidingWindow,
 };
 use arq::gnutella::sim::{Network, SimConfig, Topology};
 use arq::gnutella::FloodPolicy;
@@ -23,7 +23,11 @@ fn trace(blocks: usize, seed: u64) -> Vec<arq::trace::PairRecord> {
 #[test]
 fn topic_rules_trade_coverage_for_specificity() {
     let pairs = trace(25, 5);
-    let host = evaluate(&mut SlidingWindow::new(30), &pairs, BLOCK);
+    let host = evaluate(
+        make_strategy("sliding(s=30)").unwrap().as_mut(),
+        &pairs,
+        BLOCK,
+    );
     let topic = evaluate(&mut TopicSlidingWindow::new(30), &pairs, BLOCK);
     // At a high threshold, splitting support across topics prunes more
     // antecedents (lower coverage) but the surviving rules are
@@ -71,9 +75,13 @@ fn time_windowed_evaluation_tracks_count_blocks_on_this_trace() {
     let cfg = SynthConfig::paper_default(12 * BLOCK, 7);
     let mean_interarrival = cfg.mean_interarrival;
     let pairs = SynthTrace::new(cfg).pairs();
-    let by_count = evaluate(&mut SlidingWindow::new(10), &pairs, BLOCK);
+    let by_count = evaluate(
+        make_strategy("sliding(s=10)").unwrap().as_mut(),
+        &pairs,
+        BLOCK,
+    );
     let by_time = evaluate_timed(
-        &mut SlidingWindow::new(10),
+        make_strategy("sliding(s=10)").unwrap().as_mut(),
         &pairs,
         Duration::from_ticks(mean_interarrival * BLOCK as u64),
     );

@@ -5,7 +5,8 @@
 
 use arq::assoc::{mine_pairs, ruleset_test};
 use arq::content::CatalogConfig;
-use arq::core::{evaluate, SlidingWindow};
+use arq::core::engine::make_strategy;
+use arq::core::evaluate;
 use arq::gnutella::sim::{Network, SimConfig};
 use arq::gnutella::FloodPolicy;
 use arq::overlay::NodeId;
@@ -83,7 +84,11 @@ fn simulate_collect_clean_join_mine_evaluate() {
 
     // And the full evaluator runs over it.
     let block = (pairs.len() / 6).max(1);
-    let run = evaluate(&mut SlidingWindow::new(2), &pairs, block);
+    let run = evaluate(
+        make_strategy("sliding(s=2)").unwrap().as_mut(),
+        &pairs,
+        block,
+    );
     assert!(run.trials >= 4);
     assert!(run.avg_coverage > 0.4, "avg coverage {}", run.avg_coverage);
 }

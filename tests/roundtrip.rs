@@ -1,7 +1,8 @@
 //! Serialization round-trips: CSV trace files, JSON evaluation runs, and
 //! TraceDb cleaning idempotence on generator output.
 
-use arq::core::{evaluate, SlidingWindow};
+use arq::core::engine::make_strategy;
+use arq::core::evaluate;
 use arq::simkern::{Json, ToJson};
 use arq::trace::csvio;
 use arq::trace::{SynthConfig, SynthTrace, TraceDb};
@@ -56,7 +57,11 @@ fn cleaning_is_idempotent_on_generator_output() {
 #[test]
 fn eval_run_json_roundtrip() {
     let pairs = SynthTrace::new(SynthConfig::paper_default(30_000, 4)).pairs();
-    let run = evaluate(&mut SlidingWindow::new(10), &pairs, 10_000);
+    let run = evaluate(
+        make_strategy("sliding(s=10)").unwrap().as_mut(),
+        &pairs,
+        10_000,
+    );
     let text = run.to_json().to_string();
     let back = arq::simkern::json::parse(&text).unwrap();
     assert_eq!(

@@ -4,28 +4,24 @@
 //! success in the right neighborhoods. This is the headline reproduction
 //! assertion, run at reduced scale (60 trials instead of 365).
 
-use arq::core::strategy::Strategy;
-use arq::core::{
-    evaluate, AdaptiveSlidingWindow, EvalRun, LazySlidingWindow, Maintainer, SlidingWindow,
-    StaticRuleset,
-};
+use arq::core::engine::make_strategy;
+use arq::core::{evaluate, EvalRun};
 use arq::trace::{SynthConfig, SynthTrace};
 
 const BLOCK: usize = 10_000;
 const BLOCKS: usize = 61;
 
-fn run(strategy: &mut dyn Strategy, pairs: &[arq::trace::PairRecord]) -> EvalRun {
-    evaluate(strategy, pairs, BLOCK)
+fn run(spec: &str, pairs: &[arq::trace::PairRecord]) -> EvalRun {
+    evaluate(make_strategy(spec).unwrap().as_mut(), pairs, BLOCK)
 }
 
 #[test]
 fn paper_quality_ordering_holds() {
     let pairs = SynthTrace::new(SynthConfig::paper_default(BLOCKS * BLOCK, 99)).pairs();
-    let sliding = run(&mut SlidingWindow::new(10), &pairs);
-    let lazy = run(&mut LazySlidingWindow::new(10, 10), &pairs);
-    let adaptive = run(&mut AdaptiveSlidingWindow::new(10, 10, 0.7), &pairs);
-    let spec = format!("incremental(t=10,hl={})", 2 * BLOCK);
-    let incremental = run(&mut Maintainer::from_spec(&spec).unwrap(), &pairs);
+    let sliding = run("sliding(s=10)", &pairs);
+    let lazy = run("lazy(s=10,p=10)", &pairs);
+    let adaptive = run("adaptive(s=10,h=10,i=0.7)", &pairs);
+    let incremental = run(&format!("incremental(t=10,hl={})", 2 * BLOCK), &pairs);
 
     // Figure 1: sliding window strong on both measures.
     assert!(
@@ -82,7 +78,7 @@ fn paper_quality_ordering_holds() {
 #[test]
 fn static_ruleset_decays_after_upheaval() {
     let pairs = SynthTrace::new(SynthConfig::paper_static(BLOCKS * BLOCK, 99)).pairs();
-    let run = run(&mut StaticRuleset::new(10), &pairs);
+    let run = run("static(s=10)", &pairs);
     // Early trials are strong…
     assert!(
         run.coverage.ys()[0] > 0.75,
@@ -120,7 +116,7 @@ fn block_size_sweep_keeps_coverage_similar() {
     let pairs = SynthTrace::new(SynthConfig::paper_default(BLOCKS * BLOCK, 7)).pairs();
     let mut coverages = Vec::new();
     for bs in [5_000usize, 10_000, 20_000] {
-        let run = evaluate(&mut SlidingWindow::new(10), &pairs, bs);
+        let run = evaluate(make_strategy("sliding(s=10)").unwrap().as_mut(), &pairs, bs);
         coverages.push(run.avg_coverage);
     }
     let max = coverages.iter().cloned().fold(f64::MIN, f64::max);
@@ -134,7 +130,7 @@ fn support_threshold_sweep_keeps_coverage_similar() {
     let pairs = SynthTrace::new(SynthConfig::paper_default(31 * BLOCK, 13)).pairs();
     let mut coverages = Vec::new();
     for t in [2u64, 10, 30] {
-        let run = evaluate(&mut SlidingWindow::new(t), &pairs, BLOCK);
+        let run = run(&format!("sliding(s={t})"), &pairs);
         coverages.push(run.avg_coverage);
     }
     let max = coverages.iter().cloned().fold(f64::MIN, f64::max);
