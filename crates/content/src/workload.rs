@@ -21,14 +21,31 @@ pub struct QueryKey {
     pub topic: Topic,
 }
 
-/// The set of files one node shares: a sorted, duplicate-free `Vec`.
-/// Libraries hold tens of files and are probed on every query delivery,
-/// so one contiguous binary search beats a tree walk. Sampling builds it
-/// without sorting or shifting: draws are deduplicated in a catalog-wide
-/// bitmap and the `Vec` is read off its set bits in id order.
+/// The set of files one node shares: a sorted, duplicate-free `Vec`
+/// plus a 64-bit summary of the id ranges it covers. Libraries hold
+/// tens of files and are probed on every query delivery. Most probes
+/// miss, and the summary answers most misses without reading the file
+/// list; the rest take one contiguous binary search, which beats a tree
+/// walk. Sampling builds the list without sorting or shifting: draws
+/// are deduplicated in a catalog-wide bitmap and the `Vec` is read off
+/// its set bits in id order.
 #[derive(Debug, Clone, Default)]
 pub struct Library {
     files: Vec<FileId>,
+    /// Bit [`summary_bit`] of every file held. A clear bit proves a file
+    /// absent; a set bit proves nothing.
+    summary: u64,
+}
+
+/// File ids per summary bit. A catalog numbers each topic's files
+/// contiguously and a library draws from a few topics, so its files
+/// fall in few runs of ids; ids past `64 × SUMMARY_SPAN` wrap around.
+const SUMMARY_SPAN: u32 = 128;
+
+/// The summary bit of the id range `f` falls in.
+#[inline]
+fn summary_bit(f: FileId) -> u64 {
+    1 << ((f.0 / SUMMARY_SPAN) % 64)
 }
 
 impl Library {
@@ -67,22 +84,27 @@ impl Library {
             guard += 1;
         }
         let mut files = Vec::with_capacity(distinct);
+        let mut summary = 0;
         for (w, word) in seen.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
-                files.push(FileId((w * 64) as u32 + bits.trailing_zeros()));
+                let f = FileId((w * 64) as u32 + bits.trailing_zeros());
+                files.push(f);
+                summary |= summary_bit(f);
                 bits &= bits - 1;
             }
         }
-        Library { files }
+        Library { files, summary }
     }
 
     /// Whether the library contains `f`.
+    #[inline]
     pub fn contains(&self, f: FileId) -> bool {
-        self.files.binary_search(&f).is_ok()
+        self.summary & summary_bit(f) != 0 && self.files.binary_search(&f).is_ok()
     }
 
     /// Whether this library can answer `q`.
+    #[inline]
     pub fn matches(&self, q: QueryKey) -> bool {
         self.contains(q.file)
     }
@@ -109,6 +131,7 @@ impl Library {
             Ok(_) => false,
             Err(pos) => {
                 self.files.insert(pos, f);
+                self.summary |= summary_bit(f);
                 true
             }
         }
@@ -313,6 +336,46 @@ mod tests {
                         assert_eq!(got.files, want.files, "n {n} seed {seed}");
                         assert_eq!(a.next_u64(), b.next_u64(), "n {n} seed {seed}: draws");
                         assert!(seen.iter().all(|&w| w == 0), "bitmap left dirty");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The summary prefilter never changes an answer: for every file id,
+    /// `contains` equals a linear scan of the file list, on sampled
+    /// libraries and after inserts, over a catalog that leaves summary
+    /// bits unused and one past the summary's range, where ids wrap onto
+    /// the same bits.
+    #[test]
+    fn contains_equals_a_linear_scan() {
+        let mut rng = Rng64::seed_from(0x5A5);
+        for (topics, files_per_topic) in [(3, 40), (30, 500)] {
+            let catalog = Catalog::generate(
+                CatalogConfig {
+                    topics,
+                    files_per_topic,
+                    ..Default::default()
+                },
+                &mut rng,
+            );
+            let n = catalog.len() as u32;
+            assert_eq!(n > 64 * SUMMARY_SPAN, topics == 30, "one catalog wraps");
+            let empty = Library::empty();
+            assert!((0..n).all(|f| !empty.contains(FileId(f))));
+            for _ in 0..20 {
+                let profile = InterestProfile::sample(catalog.topic_count(), 3, &mut rng);
+                let mut lib = Library::sample(&catalog, &profile, 1 + rng.index(90), &mut rng);
+                for _ in 0..3 {
+                    let mut held = vec![false; n as usize];
+                    for f in lib.iter() {
+                        held[f.0 as usize] = true;
+                    }
+                    for f in 0..n {
+                        assert_eq!(lib.contains(FileId(f)), held[f as usize], "file {f}");
+                    }
+                    for _ in 0..10 {
+                        lib.insert(FileId(rng.below(u64::from(n)) as u32));
                     }
                 }
             }

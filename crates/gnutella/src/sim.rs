@@ -424,8 +424,8 @@ pub struct Network<P: ForwardingPolicy> {
     /// [`Network::depart`], [`Network::rejoin`] and `deliver_hit`.
     live_holders: LiveHolders,
     policy: P,
-    /// Network-wide GUID dedup + reverse-path memory in struct-of-arrays
-    /// layout (one open-addressed table instead of a HashMap per node).
+    /// Network-wide GUID dedup + reverse-path memory, GUID-major: one
+    /// table per GUID, per-node FIFOs in one arena (see [`GuidStore`]).
     store: GuidStore,
     guid_gens: Vec<GuidGen>,
     churn: Option<ChurnProcess>,
@@ -453,6 +453,12 @@ pub struct Network<P: ForwardingPolicy> {
     /// Reused selection buffer, filled by
     /// [`ForwardingPolicy::select_into`] on every relay.
     selected_scratch: Vec<NodeId>,
+    /// Per node, the last relay generation that made it a candidate, so
+    /// the relay checks "selected ⊆ candidates" in O(candidates +
+    /// selected) instead of scanning the candidates per target.
+    candidate_stamps: Vec<u32>,
+    /// The current relay's generation; 0 is never current.
+    relay_generation: u32,
 }
 
 impl<P: ForwardingPolicy> Network<P> {
@@ -629,6 +635,8 @@ impl<P: ForwardingPolicy> Network<P> {
             obs: Obs::disabled(),
             candidate_scratch: Vec::new(),
             selected_scratch: Vec::new(),
+            candidate_stamps: vec![0; graph.len()],
+            relay_generation: 0,
             graph,
             catalog,
             workload,
@@ -942,9 +950,18 @@ impl<P: ForwardingPolicy> Network<P> {
             candidates: candidates.len(),
             selected: selected.len(),
         });
+        self.relay_generation = self.relay_generation.wrapping_add(1);
+        if self.relay_generation == 0 {
+            self.candidate_stamps.fill(0);
+            self.relay_generation = 1;
+        }
+        let generation = self.relay_generation;
+        for c in &candidates {
+            self.candidate_stamps[c.index()] = generation;
+        }
         for &target in &selected {
             assert!(
-                candidates.contains(&target),
+                self.candidate_stamps.get(target.index()) == Some(&generation),
                 "policy {} selected non-candidate {target} at {node}",
                 self.policy.name()
             );
@@ -2216,5 +2233,91 @@ mod tests {
         let b = Network::new(cfg(), ProposeEverywhere).run();
         assert_eq!(a.metrics.digest(), b.metrics.digest());
         assert_eq!(a.end_time, b.end_time);
+    }
+
+    /// The node outside `ctx.candidates` that a [`Rogue`] policy adds.
+    #[derive(Clone, Copy)]
+    enum Stray {
+        NonNeighbor,
+        From,
+        Departed,
+    }
+
+    /// Floods, and wherever it can also selects its stray node — a
+    /// non-candidate the relay's check must reject. Its departed
+    /// neighbor was a candidate at some earlier relay, so the check must
+    /// tell this relay's candidates from earlier ones.
+    struct Rogue {
+        stray: Stray,
+        first_neighbors: Vec<Vec<NodeId>>,
+        alive: Vec<bool>,
+        was_candidate: Vec<bool>,
+    }
+
+    impl ForwardingPolicy for Rogue {
+        fn name(&self) -> &'static str {
+            "rogue"
+        }
+
+        fn init(&mut self, graph: &Graph, _: &WorkloadGen, _: &Catalog) {
+            self.first_neighbors = graph.nodes().map(|n| graph.neighbors(n).to_vec()).collect();
+            self.alive = vec![true; graph.len()];
+            self.was_candidate = vec![false; graph.len()];
+        }
+
+        fn on_topology_change(&mut self, graph: &Graph) {
+            self.alive = graph.nodes().map(|n| graph.is_alive(n)).collect();
+        }
+
+        fn select(&mut self, ctx: &ForwardCtx<'_>, _rng: &mut Rng64) -> Vec<NodeId> {
+            for c in ctx.candidates {
+                self.was_candidate[c.index()] = true;
+            }
+            let stray = match self.stray {
+                Stray::NonNeighbor => (0..self.alive.len() as u32).map(NodeId).find(|&n| {
+                    n != ctx.node && Some(n) != ctx.from && !ctx.candidates.contains(&n)
+                }),
+                Stray::From => ctx.from,
+                Stray::Departed => self.first_neighbors[ctx.node.index()]
+                    .iter()
+                    .copied()
+                    .find(|n| !self.alive[n.index()] && self.was_candidate[n.index()]),
+            };
+            ctx.candidates.iter().copied().chain(stray).collect()
+        }
+    }
+
+    fn run_rogue(stray: Stray) {
+        let mut cfg = tiny_cfg(101);
+        cfg.churn = Some(ChurnConfig {
+            mean_session: Duration::from_ticks(20_000),
+            mean_downtime: Duration::from_ticks(10_000),
+            pinned: vec![],
+        });
+        let rogue = Rogue {
+            stray,
+            first_neighbors: Vec::new(),
+            alive: Vec::new(),
+            was_candidate: Vec::new(),
+        };
+        Network::new(cfg, rogue).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "selected non-candidate")]
+    fn relay_rejects_a_selected_non_neighbor() {
+        run_rogue(Stray::NonNeighbor);
+    }
+
+    #[test]
+    #[should_panic(expected = "selected non-candidate")]
+    fn relay_rejects_selecting_the_sender() {
+        run_rogue(Stray::From);
+    }
+
+    #[test]
+    #[should_panic(expected = "selected non-candidate")]
+    fn relay_rejects_a_departed_neighbor() {
+        run_rogue(Stray::Departed);
     }
 }

@@ -116,6 +116,8 @@ pub fn mean_path_length(g: &Graph, samples: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::generate::{clique, ring};
+    use crate::graph::random_graph;
+    use arq_simkern::Rng64;
 
     #[test]
     fn bfs_on_ring() {
@@ -183,6 +185,55 @@ mod tests {
         assert!(is_connected(&g));
         assert_eq!(estimate_diameter(&g, 3), 0);
         assert_eq!(mean_path_length(&g, 3), 0.0);
+    }
+
+    /// BFS distances differ by at most one across every edge, and no edge
+    /// joins a reached node to an unreached one.
+    #[test]
+    fn bfs_distances_are_lipschitz() {
+        let mut rng = Rng64::seed_from(0xBF5);
+        for _ in 0..64 {
+            let n = 2 + rng.index(28);
+            let g = random_graph(n, rng.index(150), &mut rng);
+            let src = NodeId(rng.index(n) as u32);
+            let d = bfs_distances(&g, src);
+            assert_eq!(d[src.index()], 0);
+            for u in g.nodes() {
+                for &v in g.neighbors(u) {
+                    let (du, dv) = (d[u.index()], d[v.index()]);
+                    assert_eq!(
+                        du == u32::MAX,
+                        dv == u32::MAX,
+                        "edge {u}-{v} leaves the ball"
+                    );
+                    if du != u32::MAX {
+                        assert!(du.abs_diff(dv) <= 1, "edge {u}-{v}: {du} vs {dv}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Components partition the live nodes.
+    #[test]
+    fn components_partition_live_nodes() {
+        let mut rng = Rng64::seed_from(0xC0C);
+        for _ in 0..64 {
+            let n = 1 + rng.index(29);
+            let mut g = random_graph(n, rng.index(100), &mut rng);
+            for _ in 0..rng.index(10) {
+                g.depart(NodeId(rng.index(n) as u32));
+            }
+            let mut seen = vec![false; n];
+            for node in components(&g).into_iter().flatten() {
+                assert!(g.is_alive(node));
+                assert!(
+                    !std::mem::replace(&mut seen[node.index()], true),
+                    "{node} twice"
+                );
+            }
+            assert_eq!(seen.iter().filter(|&&s| s).count(), g.live_count());
+        }
     }
 }
 

@@ -161,7 +161,8 @@ pub fn ensure_connected(g: &mut Graph, rng: &mut Rng64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::components;
+    use crate::algo::{components, is_connected};
+    use crate::graph::random_graph;
 
     fn rng() -> Rng64 {
         Rng64::seed_from(0xDEAD_BEEF)
@@ -257,6 +258,56 @@ mod tests {
         assert_eq!(components(&g).len(), 1);
         // Idempotent.
         assert_eq!(ensure_connected(&mut g, &mut rng()), 0);
+    }
+
+    /// Barabási–Albert graphs are simple and connected, with exactly the
+    /// predicted edge count and minimum degree `m`.
+    #[test]
+    fn barabasi_albert_structure() {
+        let mut rng = rng();
+        for _ in 0..64 {
+            let m = 1 + rng.index(3);
+            let n = m + 2 + rng.index(78 - m);
+            let g = barabasi_albert(n, m, &mut Rng64::seed_from(rng.next_u64()));
+            g.check_invariants().unwrap();
+            assert!(is_connected(&g));
+            assert_eq!(g.edge_count(), m * (m + 1) / 2 + (n - m - 1) * m);
+            assert!(g.nodes().all(|v| g.degree(v) >= m));
+        }
+    }
+
+    /// `ensure_connected` always leaves one component.
+    #[test]
+    fn ensure_connected_connects() {
+        let mut rng = rng();
+        for _ in 0..64 {
+            let n = 2 + rng.index(38);
+            let mut g = random_graph(n, rng.index(40), &mut rng);
+            ensure_connected(&mut g, &mut rng);
+            assert!(is_connected(&g));
+            g.check_invariants().unwrap();
+        }
+    }
+
+    /// Superpeer topologies are connected two-tier graphs: every leaf has
+    /// exactly one edge, to its assigned superpeer in the core.
+    #[test]
+    fn superpeer_topology_structure() {
+        let mut rng = rng();
+        for _ in 0..64 {
+            let n_super = 2 + rng.index(10);
+            let degree = 1 + rng.index(3.min(n_super - 1));
+            let n = n_super + 1 + rng.index(59);
+            let (g, assignment) = superpeer(n, n_super, degree, &mut rng);
+            g.check_invariants().unwrap();
+            assert!(is_connected(&g));
+            assert_eq!(assignment.len(), n);
+            for (leaf, &sp) in assignment.iter().enumerate().skip(n_super) {
+                let leaf = NodeId(leaf as u32);
+                assert_eq!(g.neighbors(leaf), &[sp]);
+                assert!(sp.index() < n_super, "{leaf} assigned to a leaf");
+            }
+        }
     }
 }
 

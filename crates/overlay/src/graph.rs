@@ -254,9 +254,21 @@ fn remove_sorted(v: &mut Vec<NodeId>, x: NodeId) -> bool {
     }
 }
 
+/// Test input for the seeded property loops: `n` nodes and `draws`
+/// random endpoint pairs, self loops and repeats dropped.
+#[cfg(test)]
+pub(crate) fn random_graph(n: usize, draws: usize, rng: &mut arq_simkern::Rng64) -> Graph {
+    let mut g = Graph::new(n);
+    for _ in 0..draws {
+        g.add_edge(NodeId(rng.index(n) as u32), NodeId(rng.index(n) as u32));
+    }
+    g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arq_simkern::Rng64;
 
     #[test]
     fn add_and_remove_edges() {
@@ -365,5 +377,46 @@ mod tests {
         assert_eq!(g.mean_degree(), 0.0);
         assert_eq!(g.degree_distribution(), vec![0]);
         g.check_invariants().unwrap();
+    }
+
+    /// Random edge insertions and removals never break an invariant.
+    #[test]
+    fn graph_invariants_under_random_ops() {
+        let mut rng = Rng64::seed_from(0x6A1);
+        for _ in 0..64 {
+            let n = 2 + rng.index(38);
+            let mut g = Graph::new(n);
+            for _ in 0..rng.index(200) {
+                let a = NodeId(rng.index(n) as u32);
+                let b = NodeId(rng.index(n) as u32);
+                if rng.chance(0.5) {
+                    g.add_edge(a, b);
+                } else {
+                    g.remove_edge(a, b);
+                }
+            }
+            g.check_invariants().unwrap();
+        }
+    }
+
+    /// Departing removes exactly the node's edges; rejoining restores
+    /// liveness with no edges until the caller rewires it.
+    #[test]
+    fn depart_rejoin_cycle() {
+        let mut rng = Rng64::seed_from(0x6A2);
+        for _ in 0..64 {
+            let n = 2 + rng.index(28);
+            let mut g = random_graph(n, rng.index(100), &mut rng);
+            let v = NodeId(rng.index(n) as u32);
+            let edges = g.edge_count();
+            let removed = g.depart(v);
+            assert_eq!(g.edge_count(), edges - removed.len());
+            assert!(!g.is_alive(v));
+            assert_eq!(g.live_count(), n - 1);
+            g.rejoin(v);
+            assert!(g.is_alive(v));
+            assert_eq!(g.degree(v), 0);
+            g.check_invariants().unwrap();
+        }
     }
 }

@@ -338,4 +338,36 @@ mod tests {
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
     }
+
+    /// `below(bound)` stays in range and repeats per seed, for any bound.
+    #[test]
+    fn rng_below_in_range() {
+        let mut shape = Rng64::seed_from(0x3E3);
+        for _ in 0..64 {
+            let seed = shape.next_u64();
+            let bound = 1 + shape.below(1_000_000);
+            let (mut a, mut b) = (Rng64::seed_from(seed), Rng64::seed_from(seed));
+            for _ in 0..50 {
+                let x = a.below(bound);
+                assert!(x < bound);
+                assert_eq!(x, b.below(bound));
+            }
+        }
+    }
+
+    /// `sample_indices(n, k)` returns `min(k, n)` distinct indices below
+    /// `n`, for any `n` and `k`, either one zero.
+    #[test]
+    fn sample_indices_properties() {
+        let mut rng = Rng64::seed_from(0x3E4);
+        for _ in 0..64 {
+            let (n, k) = (rng.index(200), rng.index(200));
+            let mut s = rng.sample_indices(n, k);
+            assert_eq!(s.len(), k.min(n));
+            assert!(s.iter().all(|&i| i < n));
+            s.sort_unstable();
+            s.dedup();
+            assert_eq!(s.len(), k.min(n), "repeated index");
+        }
+    }
 }

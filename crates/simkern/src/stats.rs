@@ -349,6 +349,7 @@ impl ToJson for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rng64;
 
     #[test]
     fn welford_matches_naive() {
@@ -509,6 +510,44 @@ mod tests {
         ] {
             let e = parse(&bad).unwrap_err();
             assert!(e.contains(why), "{bad}: {e}");
+        }
+    }
+
+    /// Merging two accumulators equals one accumulation over the whole
+    /// sample, at any split point.
+    #[test]
+    fn welford_merge_any_split() {
+        let mut rng = Rng64::seed_from(0x3E1);
+        for _ in 0..64 {
+            let xs: Vec<f64> = (0..2 + rng.index(298))
+                .map(|_| (rng.f64() * 2.0 - 1.0) * 1e6)
+                .collect();
+            let split = rng.index(xs.len() + 1);
+            let (mut whole, mut a, mut b) = (Welford::new(), Welford::new(), Welford::new());
+            xs.iter().for_each(|&x| whole.push(x));
+            xs[..split].iter().for_each(|&x| a.push(x));
+            xs[split..].iter().for_each(|&x| b.push(x));
+            a.merge(&b);
+            assert_eq!(a.count(), whole.count());
+            assert!((a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
+            assert!(
+                (a.variance() - whole.variance()).abs() < 1e-5 * (1.0 + whole.variance().abs())
+            );
+        }
+    }
+
+    /// Summary quantiles are ordered and bounded by the min and max.
+    #[test]
+    fn summary_quantiles_are_monotone() {
+        let mut rng = Rng64::seed_from(0x3E2);
+        for _ in 0..64 {
+            let xs: Vec<f64> = (0..1 + rng.index(199))
+                .map(|_| (rng.f64() * 2.0 - 1.0) * 1e4)
+                .collect();
+            let s = Summary::of(&xs).unwrap();
+            let chain = [s.min, s.p25, s.p50, s.p75, s.p95, s.max];
+            assert!(chain.windows(2).all(|w| w[0] <= w[1] + 1e-12), "{chain:?}");
+            assert!(s.mean >= s.min - 1e-12 && s.mean <= s.max + 1e-12);
         }
     }
 }

@@ -152,4 +152,17 @@ mod tests {
         assert_eq!(SimTime::from_ticks(42).to_string(), "t=42");
         assert_eq!(Duration::from_ticks(9).to_string(), "9 ticks");
     }
+
+    /// Adding two durations to a time in either grouping lands on the
+    /// same time.
+    #[test]
+    fn simtime_addition_associative() {
+        let mut rng = crate::Rng64::seed_from(0x3E5);
+        for _ in 0..64 {
+            let t = SimTime::from_ticks(rng.below(1 << 40));
+            let b = Duration::from_ticks(rng.below(1 << 20));
+            let c = Duration::from_ticks(rng.below(1 << 20));
+            assert_eq!((t + b) + c, t + (b + c));
+        }
+    }
 }
