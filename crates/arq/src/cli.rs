@@ -357,7 +357,7 @@ fn mine(args: &[String]) -> Result<String, CliError> {
         }
     );
     let mut rows: Vec<_> = rules.iter().collect();
-    rows.sort_by_key(|&(_, _, c)| std::cmp::Reverse(c));
+    rows.sort_unstable_by_key(|&(src, via, c)| (std::cmp::Reverse(c), src, via));
     for (src, via, count) in rows.into_iter().take(top) {
         let _ = writeln!(report, "  {{{src}}} -> {{{via}}}   support {count}");
     }

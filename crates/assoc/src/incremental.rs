@@ -10,13 +10,26 @@
 //!
 //! Decay is applied lazily: each entry stores `(value, last_update)` and
 //! is brought forward only when touched, so `observe` is O(1); queries
-//! (`covered`, `matches`, `top_k`) scan only the handful of consequents
-//! recorded for one source. An amortized sweep drops entries that have
-//! decayed to dust, bounding memory by the active association set.
+//! (`covered`, `matches`, `ranked_into`) scan only the handful of
+//! consequents recorded for one source. An amortized sweep drops entries
+//! that have decayed to dust, bounding memory by the active association
+//! set.
+//!
+//! Bringing an entry forward costs a `powf`, and the lookups skip it
+//! wherever the answer cannot depend on it. The decay factor
+//! `0.5^(age/hl)` is at most 1 (and `powf` rounds it to at most 1), so a
+//! decayed count never exceeds the stored `value`: an entry whose stored
+//! value is already below a threshold is below it after decay too, and
+//! only entries whose stored value clears the threshold pay for the
+//! `powf`. The skip is exact; a seeded differential against a naive
+//! every-entry reference pins that. Both maps use the workspace's seeded
+//! integer hasher (`arq_simkern::hash`), and no answer depends on their
+//! iteration order: rankings are total orders, and the confidence gate's
+//! total is summed in rank order.
 
 use crate::pairs::RuleSet;
+use arq_simkern::hash::IntMap;
 use arq_trace::record::{HostId, PairRecord};
-use std::collections::HashMap;
 
 /// Tolerance for threshold comparisons: decayed counts of logically
 /// integer observations accumulate ~1e-9 of floating-point shortfall per
@@ -55,7 +68,7 @@ pub struct DecayedSnapshot {
 pub struct DecayedPairCounts {
     half_life: f64,
     clock: u64,
-    counts: HashMap<HostId, HashMap<HostId, Entry>>,
+    counts: IntMap<HostId, IntMap<HostId, Entry>>,
     entries: usize,
     observations_since_sweep: u64,
 }
@@ -68,7 +81,7 @@ impl DecayedPairCounts {
         DecayedPairCounts {
             half_life,
             clock: 0,
-            counts: HashMap::new(),
+            counts: IntMap::default(),
             entries: 0,
             observations_since_sweep: 0,
         }
@@ -150,50 +163,95 @@ impl DecayedPairCounts {
 
     /// Current decayed count for one association.
     pub fn count(&self, src: HostId, via: HostId) -> f64 {
-        self.counts
-            .get(&src)
-            .and_then(|inner| inner.get(&via))
-            .map(|&e| self.decayed(e))
-            .unwrap_or(0.0)
+        self.entry(src, via).map(|e| self.decayed(e)).unwrap_or(0.0)
+    }
+
+    fn entry(&self, src: HostId, via: HostId) -> Option<Entry> {
+        self.counts.get(&src)?.get(&via).copied()
     }
 
     /// Whether `src` has any consequent with decayed count ≥ `threshold` —
     /// i.e. whether a materialized rule set would cover it.
     pub fn covered(&self, src: HostId, threshold: f64) -> bool {
+        let floor = threshold - THRESHOLD_EPS;
         self.counts.get(&src).is_some_and(|inner| {
             inner
                 .values()
-                .any(|&e| self.decayed(e) >= threshold - THRESHOLD_EPS)
+                .any(|&e| e.value >= floor && self.decayed(e) >= floor)
         })
     }
 
     /// Whether the rule `{src} → {via}` would be present at `threshold`.
     pub fn matches(&self, src: HostId, via: HostId, threshold: f64) -> bool {
-        self.count(src, via) >= threshold - THRESHOLD_EPS
+        let floor = threshold - THRESHOLD_EPS;
+        match self.entry(src, via) {
+            Some(e) => e.value >= floor && self.decayed(e) >= floor,
+            None => 0.0 >= floor,
+        }
+    }
+
+    /// Ranks `src`'s consequents into `out` (cleared first) as `(via,
+    /// decayed count)` rows, by descending count with ties by host id,
+    /// keeping those whose count is at least `support` and whose
+    /// confidence is at least `min_confidence`. Returns how many
+    /// support-qualified consequents the confidence gate removed.
+    ///
+    /// The confidence of `{src} → {via}` is its decayed count over the
+    /// decayed total of *all* of `src`'s consequents, summed in rank
+    /// order so its bits do not depend on map order. With
+    /// `min_confidence == 0.0` no total is needed, and only consequents
+    /// whose stored count clears `support` are decayed. Each decayed
+    /// count is computed once. Never changes counter state, so
+    /// snapshot/restore and sweep schedules are unaffected.
+    pub fn ranked_into(
+        &self,
+        src: HostId,
+        support: f64,
+        min_confidence: f64,
+        out: &mut Vec<(HostId, f64)>,
+    ) -> usize {
+        out.clear();
+        let Some(inner) = self.counts.get(&src) else {
+            return 0;
+        };
+        let floor = support - THRESHOLD_EPS;
+        let by_rank =
+            |a: &(HostId, f64), b: &(HostId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        if min_confidence <= 0.0 {
+            out.extend(
+                inner
+                    .iter()
+                    .filter(|(_, e)| e.value >= floor)
+                    .map(|(&via, &e)| (via, self.decayed(e)))
+                    .filter(|&(_, v)| v >= floor),
+            );
+            out.sort_unstable_by(by_rank);
+            return 0;
+        }
+        out.extend(inner.iter().map(|(&via, &e)| (via, self.decayed(e))));
+        out.sort_unstable_by(by_rank);
+        let total: f64 = out.iter().map(|&(_, v)| v).sum();
+        let gate = min_confidence - THRESHOLD_EPS;
+        let mut pruned = 0;
+        out.retain(|&(_, v)| {
+            if v < floor {
+                return false;
+            }
+            let confident = total > 0.0 && v / total >= gate;
+            pruned += usize::from(!confident);
+            confident
+        });
+        pruned
     }
 
     /// The top-`k` consequents of `src` with decayed count ≥ `threshold`,
     /// ranked by descending count (ties by host id).
     pub fn top_k(&self, src: HostId, k: usize, threshold: f64) -> Vec<HostId> {
-        let Some(inner) = self.counts.get(&src) else {
-            return Vec::new();
-        };
-        let mut ranked: Vec<(HostId, f64)> = inner
-            .iter()
-            .map(|(&via, &e)| (via, self.decayed(e)))
-            .filter(|&(_, v)| v >= threshold - THRESHOLD_EPS)
-            .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        ranked.into_iter().take(k).map(|(h, _)| h).collect()
+        self.top_k_confident(src, k, threshold, 0.0)
     }
 
-    /// [`Self::top_k`] with an additional minimum-confidence gate: the
-    /// confidence of `{src} → {via}` is its decayed count divided by the
-    /// decayed total over *all* of `src`'s consequents, and consequents
-    /// below `min_confidence` are pruned before ranking. Confidence is
-    /// computed on the fly from the stored entries — calling this never
-    /// changes counter state, so snapshot/restore and sweep schedules
-    /// are unaffected. `min_confidence = 0.0` reduces exactly to
+    /// [`Self::top_k`] with an additional minimum-confidence gate (see
+    /// [`Self::ranked_into`]). `min_confidence = 0.0` is exactly
     /// [`Self::top_k`].
     pub fn top_k_confident(
         &self,
@@ -202,21 +260,8 @@ impl DecayedPairCounts {
         threshold: f64,
         min_confidence: f64,
     ) -> Vec<HostId> {
-        let Some(inner) = self.counts.get(&src) else {
-            return Vec::new();
-        };
-        let total: f64 = inner.values().map(|&e| self.decayed(e)).sum();
-        if total <= 0.0 {
-            return Vec::new();
-        }
-        let mut ranked: Vec<(HostId, f64)> = inner
-            .iter()
-            .map(|(&via, &e)| (via, self.decayed(e)))
-            .filter(|&(_, v)| {
-                v >= threshold - THRESHOLD_EPS && v / total >= min_confidence - THRESHOLD_EPS
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        let mut ranked = Vec::new();
+        self.ranked_into(src, threshold, min_confidence, &mut ranked);
         ranked.into_iter().take(k).map(|(h, _)| h).collect()
     }
 
@@ -227,11 +272,11 @@ impl DecayedPairCounts {
         for inner in self.counts.values_mut() {
             inner.retain(|_, e| {
                 let age = (clock - e.at) as f64;
-                e.value * 0.5f64.powf(age / half_life) >= floor
+                e.value >= floor && e.value * 0.5f64.powf(age / half_life) >= floor
             });
         }
         self.counts.retain(|_, inner| !inner.is_empty());
-        self.entries = self.counts.values().map(HashMap::len).sum();
+        self.entries = self.counts.values().map(|inner| inner.len()).sum();
     }
 
     /// Number of live (un-swept) associations.
@@ -288,12 +333,17 @@ impl DecayedPairCounts {
     /// pruning semantics match block mining with an integer threshold.
     pub fn ruleset(&self, threshold: f64) -> RuleSet {
         assert!(threshold >= 1.0, "threshold below one count is meaningless");
-        let rows = self.counts.iter().flat_map(|(&src, inner)| {
+        let min_support = threshold.floor().max(1.0) as u64;
+        let rounded = |v: f64| (v + THRESHOLD_EPS).floor() as u64;
+        // A row whose stored value rounds below the support is pruned by
+        // `from_rows` however far it decays; skip its `powf`.
+        let rows = self.counts.iter().flat_map(move |(&src, inner)| {
             inner
                 .iter()
-                .map(move |(&via, &e)| (src, via, (self.decayed(e) + THRESHOLD_EPS).floor() as u64))
+                .filter(move |(_, e)| rounded(e.value) >= min_support)
+                .map(move |(&via, &e)| (src, via, rounded(self.decayed(e))))
         });
-        RuleSet::from_rows(rows, threshold.floor().max(1.0) as u64, self.clock as usize)
+        RuleSet::from_rows(rows, min_support, self.clock as usize)
     }
 }
 
@@ -428,6 +478,145 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The naive reference for the lookups: every entry decayed with its
+    /// own `powf` (through `count`), no skips. Returns `(via, decayed)`
+    /// for all of `src`'s consequents, ranked.
+    fn naive_ranked(c: &DecayedPairCounts, src: HostId) -> Vec<(HostId, f64)> {
+        let mut all: Vec<(HostId, f64)> = c
+            .snapshot()
+            .entries
+            .iter()
+            .filter(|e| e.0 == src)
+            .map(|&(_, via, _, _)| (via, c.count(src, via)))
+            .collect();
+        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        all
+    }
+
+    /// `ranked_into`'s contract computed from [`naive_ranked`]: the rows
+    /// clearing both gates, and how many only the confidence gate cut.
+    fn naive_gated(
+        c: &DecayedPairCounts,
+        src: HostId,
+        support: f64,
+        minconf: f64,
+    ) -> (Vec<(HostId, f64)>, usize) {
+        let all = naive_ranked(c, src);
+        let total: f64 = all.iter().map(|&(_, v)| v).sum();
+        let supported: Vec<(HostId, f64)> = all
+            .into_iter()
+            .filter(|&(_, v)| v >= support - THRESHOLD_EPS)
+            .collect();
+        if minconf <= 0.0 {
+            return (supported, 0);
+        }
+        let kept: Vec<(HostId, f64)> = supported
+            .iter()
+            .copied()
+            .filter(|&(_, v)| total > 0.0 && v / total >= minconf - THRESHOLD_EPS)
+            .collect();
+        let pruned = supported.len() - kept.len();
+        (kept, pruned)
+    }
+
+    fn bits(rows: &[(HostId, f64)]) -> Vec<(HostId, u64)> {
+        rows.iter().map(|&(h, v)| (h, v.to_bits())).collect()
+    }
+
+    /// The `powf` skips are exact: on random streams with penalties
+    /// (evictions among them), automatic sweeps, and support thresholds
+    /// that land exactly on integer counts or on a live decayed count,
+    /// `covered`, `matches`, `top_k`, `top_k_confident`, `ranked_into`
+    /// and `ruleset` equal a reference that decays every entry.
+    #[test]
+    fn powf_skips_match_naive_reference() {
+        let mut rng = arq_simkern::Rng64::seed_from(0x5C1F_2026);
+        let mut out = Vec::new();
+        for case in 0..80u64 {
+            let half_life = [1e12, 3.0, 17.0, 250.0][case as usize % 4];
+            let mut c = DecayedPairCounts::new(half_life);
+            for _ in 0..(20 + rng.below(600)) {
+                let (src, via) = (
+                    HostId(rng.below(4) as u32),
+                    HostId(100 + rng.below(8) as u32),
+                );
+                if rng.chance(0.1) {
+                    let factor = [0.0, 0.25, 0.5, 1.0][rng.index(4)];
+                    c.penalize(src, via, factor);
+                } else {
+                    c.observe(src, via);
+                }
+            }
+            for s in 0..5u32 {
+                let src = HostId(s);
+                let live = naive_ranked(&c, src);
+                let mut supports: Vec<f64> = (1..=6).map(f64::from).collect();
+                supports.extend(live.iter().map(|&(_, v)| v));
+                supports.push(0.5 + rng.f64() * 4.0);
+                for &support in &supports {
+                    let floor = support - THRESHOLD_EPS;
+                    assert_eq!(
+                        c.covered(src, support),
+                        live.iter().any(|&(_, v)| v >= floor),
+                        "case {case}: covered({s}, {support})"
+                    );
+                    for v in 100..109u32 {
+                        let via = HostId(v);
+                        assert_eq!(
+                            c.matches(src, via, support),
+                            c.count(src, via) >= floor,
+                            "case {case}: matches({s}, {v}, {support})"
+                        );
+                    }
+                    for minconf in [0.0, 0.05, 0.2, 0.5, rng.f64()] {
+                        let (want, want_pruned) = naive_gated(&c, src, support, minconf);
+                        let pruned = c.ranked_into(src, support, minconf, &mut out);
+                        assert_eq!(bits(&out), bits(&want), "case {case}: ranked_into");
+                        assert_eq!(pruned, want_pruned, "case {case}: pruned count");
+                        for k in [1, 2, 5, usize::MAX] {
+                            let hosts: Vec<HostId> = want.iter().take(k).map(|&(h, _)| h).collect();
+                            assert_eq!(c.top_k_confident(src, k, support, minconf), hosts);
+                            if minconf == 0.0 {
+                                assert_eq!(c.top_k(src, k, support), hosts);
+                            }
+                        }
+                    }
+                }
+            }
+            let t = 1.0 + rng.below(4) as f64;
+            let rows = c.snapshot().entries.into_iter().map(|(src, via, _, _)| {
+                (src, via, (c.count(src, via) + THRESHOLD_EPS).floor() as u64)
+            });
+            let naive = RuleSet::from_rows(rows, t as u64, c.observations() as usize);
+            assert_eq!(
+                c.ruleset(t).digest(),
+                naive.digest(),
+                "case {case}: ruleset"
+            );
+        }
+    }
+
+    /// A counter and its `restore(&snapshot())` hash with different seeds,
+    /// so their maps iterate in different orders; the confidence gate's
+    /// total is summed in rank order, so both rank bit-identically.
+    #[test]
+    fn ranking_does_not_depend_on_map_order() {
+        let mut rng = arq_simkern::Rng64::seed_from(0x0DE2);
+        let mut c = DecayedPairCounts::new(37.0);
+        for _ in 0..5_000 {
+            c.observe(HostId(rng.below(3) as u32), HostId(rng.below(60) as u32));
+        }
+        let restored = DecayedPairCounts::restore(&c.snapshot());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for s in 0..3u32 {
+            for minconf in [0.0, 0.01, 0.02, 0.05] {
+                let pa = c.ranked_into(HostId(s), 1.0, minconf, &mut a);
+                let pb = restored.ranked_into(HostId(s), 1.0, minconf, &mut b);
+                assert_eq!((bits(&a), pa), (bits(&b), pb), "src {s}, minconf {minconf}");
             }
         }
     }

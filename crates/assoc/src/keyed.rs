@@ -13,14 +13,14 @@
 //! quantifies the trade-off.
 
 use crate::measures::RuleLookup;
+use arq_simkern::hash::IntMap;
 use arq_trace::record::{HostId, PairRecord};
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A rule set whose antecedent is an arbitrary key.
 #[derive(Debug, Clone)]
 pub struct KeyedRuleSet<K> {
-    rules: HashMap<K, Vec<(HostId, u64)>>,
+    rules: IntMap<K, Vec<(HostId, u64)>>,
     min_support: u64,
     source_pairs: usize,
 }
@@ -29,7 +29,7 @@ impl<K: Eq + Hash + Copy> KeyedRuleSet<K> {
     /// An empty rule set.
     pub fn empty() -> Self {
         KeyedRuleSet {
-            rules: HashMap::new(),
+            rules: IntMap::default(),
             min_support: 0,
             source_pairs: 0,
         }
@@ -90,11 +90,11 @@ where
     F: Fn(&PairRecord) -> K,
 {
     assert!(min_support >= 1, "support threshold must be at least 1");
-    let mut counts: HashMap<(K, HostId), u64> = HashMap::new();
+    let mut counts: IntMap<(K, HostId), u64> = IntMap::default();
     for p in block {
         *counts.entry((key(p), p.via)).or_insert(0) += 1;
     }
-    let mut rules: HashMap<K, Vec<(HostId, u64)>> = HashMap::new();
+    let mut rules: IntMap<K, Vec<(HostId, u64)>> = IntMap::default();
     for ((k, via), count) in counts {
         if count >= min_support {
             rules.entry(k).or_default().push((via, count));

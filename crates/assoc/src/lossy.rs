@@ -19,8 +19,8 @@
 //! recency weighting. Experiment E14 compares the two.
 
 use crate::pairs::RuleSet;
+use arq_simkern::hash::IntMap;
 use arq_trace::record::{HostId, PairRecord};
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -54,7 +54,7 @@ pub struct LossyPairCounts {
     bucket_width: u64,
     current_bucket: u64,
     seen: u64,
-    counts: HashMap<HostId, HashMap<HostId, Entry>>,
+    counts: IntMap<HostId, IntMap<HostId, Entry>>,
     entries: usize,
 }
 
@@ -71,7 +71,7 @@ impl LossyPairCounts {
             bucket_width: (1.0 / epsilon).ceil() as u64,
             current_bucket: 1,
             seen: 0,
-            counts: HashMap::new(),
+            counts: IntMap::default(),
             entries: 0,
         }
     }
@@ -117,7 +117,7 @@ impl LossyPairCounts {
                 inner.retain(|_, e| e.count + e.delta > b);
             }
             self.counts.retain(|_, inner| !inner.is_empty());
-            self.entries = self.counts.values().map(HashMap::len).sum();
+            self.entries = self.counts.values().map(|inner| inner.len()).sum();
             self.current_bucket += 1;
         }
     }
@@ -437,7 +437,7 @@ mod tests {
             let eps = (5 + rng.below(195)) as f64 / 1000.0;
             let n = 1 + rng.index(2_000);
             let mut lossy = LossyPairCounts::new(eps);
-            let mut exact: HashMap<(HostId, HostId), u64> = HashMap::new();
+            let mut exact: IntMap<(HostId, HostId), u64> = IntMap::default();
             for _ in 0..n {
                 let (s, v) = (
                     HostId(rng.below(6) as u32),

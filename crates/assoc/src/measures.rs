@@ -16,9 +16,9 @@
 //! once, and succeeds if *any* of its replies came via a rule consequent.
 
 use crate::pairs::RuleSet;
+use arq_simkern::hash::IntMap;
 use arq_trace::record::{Guid, PairRecord};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Counts from evaluating one rule set against one test block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,7 +107,8 @@ pub fn ruleset_test<R: RuleLookup>(mut rules: R, block: &[PairRecord]) -> BlockM
         success: bool,
     }
     let mut m = BlockMeasures::default();
-    let mut per_query: HashMap<Guid, PerQuery> = HashMap::with_capacity(block.len());
+    let mut per_query: IntMap<Guid, PerQuery> =
+        IntMap::with_capacity_and_hasher(block.len(), Default::default());
     for p in block {
         let q = match per_query.entry(p.guid) {
             Entry::Occupied(e) => e.into_mut(),

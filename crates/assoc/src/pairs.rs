@@ -14,15 +14,15 @@
 //! > messages in response to queries sent from the node that forwarded
 //! > the query."
 
+use arq_simkern::hash::IntMap;
 use arq_trace::columns::{pack_pair, unpack_pair};
 use arq_trace::record::{HostId, PairRecord};
-use std::collections::HashMap;
 
 /// A mined rule set: antecedent host → consequent hosts ranked by
 /// descending support (ties broken by host id for determinism).
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    rules: HashMap<HostId, Vec<(HostId, u64)>>,
+    rules: IntMap<HostId, Vec<(HostId, u64)>>,
     min_support: u64,
     source_pairs: usize,
 }
@@ -41,13 +41,13 @@ impl RuleSet {
         min_support: u64,
         source_pairs: usize,
     ) -> Self {
-        let counts: HashMap<(HostId, HostId), u64> =
+        let counts: IntMap<(HostId, HostId), u64> =
             rows.into_iter().map(|(s, v, c)| ((s, v), c)).collect();
         Self::from_counts(counts, min_support, source_pairs)
     }
 
     fn from_counts(
-        counts: HashMap<(HostId, HostId), u64>,
+        counts: IntMap<(HostId, HostId), u64>,
         min_support: u64,
         source_pairs: usize,
     ) -> Self {
@@ -68,7 +68,7 @@ impl RuleSet {
         min_support: u64,
         source_pairs: usize,
     ) -> Self {
-        let mut rules: HashMap<HostId, Vec<(HostId, u64)>> = HashMap::new();
+        let mut rules: IntMap<HostId, Vec<(HostId, u64)>> = IntMap::default();
         for (src, via, count) in rows {
             if count >= min_support {
                 rules.entry(src).or_default().push((via, count));
@@ -92,7 +92,7 @@ impl RuleSet {
     /// the caller for the next block.
     fn from_packed_rows(rows: &mut [(u64, u64)], min_support: u64, source_pairs: usize) -> Self {
         rows.sort_unstable_by_key(|&(key, _)| key);
-        let mut rules: HashMap<HostId, Vec<(HostId, u64)>> = HashMap::new();
+        let mut rules: IntMap<HostId, Vec<(HostId, u64)>> = IntMap::default();
         let mut i = 0;
         while i < rows.len() {
             let src = rows[i].0 >> 32;
@@ -161,7 +161,9 @@ impl RuleSet {
         self.source_pairs
     }
 
-    /// Iterates over `(antecedent, consequent, support)` rows.
+    /// Iterates over `(antecedent, consequent, support)` rows, in map
+    /// order: it differs between two equal sets, so sort the rows before
+    /// anything observable depends on their order.
     pub fn iter(&self) -> impl Iterator<Item = (HostId, HostId, u64)> + '_ {
         self.rules
             .iter()
@@ -195,7 +197,7 @@ impl RuleSet {
 /// prunes those seen fewer than `min_support` times.
 pub fn mine_pairs(block: &[PairRecord], min_support: u64) -> RuleSet {
     assert!(min_support >= 1, "support threshold must be at least 1");
-    let mut counts: HashMap<(HostId, HostId), u64> = HashMap::new();
+    let mut counts: IntMap<(HostId, HostId), u64> = IntMap::default();
     for p in block {
         *counts.entry((p.src, p.via)).or_insert(0) += 1;
     }
@@ -215,8 +217,8 @@ pub fn mine_pairs_with_confidence(
         (0.0..=1.0).contains(&min_confidence),
         "confidence threshold out of range"
     );
-    let mut counts: HashMap<(HostId, HostId), u64> = HashMap::new();
-    let mut src_totals: HashMap<HostId, u64> = HashMap::new();
+    let mut counts: IntMap<(HostId, HostId), u64> = IntMap::default();
+    let mut src_totals: IntMap<HostId, u64> = IntMap::default();
     for p in block {
         *counts.entry((p.src, p.via)).or_insert(0) += 1;
         *src_totals.entry(p.src).or_insert(0) += 1;

@@ -92,6 +92,8 @@ pub struct AssocPolicy {
     dead_demotions: u64,
     failure_remines: u64,
     pruned_consequents: u64,
+    /// `select_into`'s ranking buffer, reused across calls.
+    ranked: Vec<(HostId, f64)>,
 }
 
 impl AssocPolicy {
@@ -120,6 +122,7 @@ impl AssocPolicy {
             dead_demotions: 0,
             failure_remines: 0,
             pruned_consequents: 0,
+            ranked: Vec::new(),
         }
     }
 
@@ -160,11 +163,7 @@ impl AssocPolicy {
     }
 
     fn learner(&mut self, node: NodeId) -> &mut DecayedPairCounts {
-        let idx = node.index();
-        if idx >= self.learners.len() {
-            self.learners.resize_with(idx + 1, || None);
-        }
-        self.learners[idx].get_or_insert_with(|| DecayedPairCounts::new(self.cfg.half_life))
+        learner_in(&mut self.learners, self.cfg.half_life, node)
     }
 
     /// Folds one issuer-side query outcome into the node's tumbling
@@ -201,10 +200,14 @@ impl AssocPolicy {
     /// collecting traffic can mine its trace and install the rules
     /// before routing its first query, instead of flooding through a
     /// cold-start phase. Each rule's support count is injected as that
-    /// many observations.
+    /// many observations, rule by rule in `(src, via)` order: under decay
+    /// the order decides which rules clear `min_support`, so it must not
+    /// be the rule set's map order.
     pub fn seed_rules(&mut self, node: NodeId, rules: &arq_assoc::RuleSet) {
+        let mut rows: Vec<(HostId, HostId, u64)> = rules.iter().collect();
+        rows.sort_unstable_by_key(|&(src, via, _)| (src, via));
         let learner = self.learner(node);
-        for (src, via, count) in rules.iter() {
+        for (src, via, count) in rows {
             for _ in 0..count {
                 learner.observe(src, via);
             }
@@ -225,6 +228,19 @@ impl AssocPolicy {
     }
 }
 
+/// `node`'s learner, created on first use.
+fn learner_in(
+    learners: &mut Vec<Option<DecayedPairCounts>>,
+    half_life: f64,
+    node: NodeId,
+) -> &mut DecayedPairCounts {
+    let idx = node.index();
+    if idx >= learners.len() {
+        learners.resize_with(idx + 1, || None);
+    }
+    learners[idx].get_or_insert_with(|| DecayedPairCounts::new(half_life))
+}
+
 impl ForwardingPolicy for AssocPolicy {
     fn name(&self) -> &'static str {
         if self.cfg.adaptive() {
@@ -235,53 +251,48 @@ impl ForwardingPolicy for AssocPolicy {
     }
 
     fn select(&mut self, ctx: &ForwardCtx<'_>, rng: &mut Rng64) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.select_into(ctx, rng, &mut out);
+        out
+    }
+
+    fn select_into(&mut self, ctx: &ForwardCtx<'_>, rng: &mut Rng64, out: &mut Vec<NodeId>) {
         let antecedent = host(ctx.from.unwrap_or(ctx.node));
-        let k = self.cfg.k;
-        let min_support = self.cfg.min_support;
-        let min_confidence = self.cfg.min_confidence;
-        let top_by_support = self.cfg.top_by_support;
-        let demote = self.cfg.demote;
-        let learner = self.learner(ctx.node);
-        let confident =
-            learner.top_k_confident(antecedent, usize::MAX, min_support, min_confidence);
-        if min_confidence > 0.0 {
-            // Count how many support-qualified rules the confidence gate
-            // removed; with the gate off the two sets are identical and
-            // the extra scan is skipped.
-            let supported = learner.top_k(antecedent, usize::MAX, min_support).len();
-            self.pruned_consequents += (supported - confident.len()) as u64;
-        }
-        let learner = self.learner(ctx.node);
-        let all: Vec<NodeId> = confident.into_iter().map(|h| NodeId(h.0)).collect();
-        // Qualifying consequents that are no longer live candidates are
-        // observed dead; with demotion enabled, shrink them on the spot
-        // so stale rules decay faster than their half-life alone allows.
-        let mut demoted = 0;
-        if demote < 1.0 {
-            for n in all.iter().filter(|n| !ctx.candidates.contains(n)) {
-                learner.penalize(antecedent, host(*n), demote);
-                demoted += 1;
+        let cfg = &self.cfg;
+        let learner = learner_in(&mut self.learners, cfg.half_life, ctx.node);
+        // Support- and confidence-qualified consequents, best first; the
+        // return value counts those only the confidence gate removed.
+        let pruned = learner.ranked_into(
+            antecedent,
+            cfg.min_support,
+            cfg.min_confidence,
+            &mut self.ranked,
+        );
+        self.pruned_consequents += pruned as u64;
+        // Qualifying consequents that are live candidates are eligible.
+        // The others are observed dead; with demotion enabled, shrink them
+        // on the spot so stale rules decay faster than their half-life
+        // alone allows.
+        let start = out.len();
+        for &(via, _) in &self.ranked {
+            let n = NodeId(via.0);
+            if ctx.candidates.contains(&n) {
+                out.push(n);
+            } else if cfg.demote < 1.0 {
+                learner.penalize(antecedent, via, cfg.demote);
+                self.dead_demotions += 1;
             }
         }
-        self.dead_demotions += demoted;
-        // Qualifying consequents that are actually live candidates.
-        let mut qualifying: Vec<NodeId> = all
-            .into_iter()
-            .filter(|n| ctx.candidates.contains(n))
-            .collect();
-        if top_by_support {
-            qualifying.truncate(k);
-        } else {
-            rng.shuffle(&mut qualifying);
-            qualifying.truncate(k);
+        if !cfg.top_by_support {
+            rng.shuffle(&mut out[start..]);
         }
-        if qualifying.is_empty() {
+        out.truncate(start + cfg.k);
+        if out.len() == start {
             // No applicable rule: revert to flooding.
             self.flood_fallbacks += 1;
-            ctx.candidates.to_vec()
+            out.extend_from_slice(ctx.candidates);
         } else {
             self.rule_forwards += 1;
-            qualifying
         }
     }
 
@@ -743,6 +754,138 @@ mod tests {
         });
     }
 
+    /// `select`'s body before `select_into` existed, kept as the
+    /// reference `select_into` must reproduce.
+    fn reference_select(p: &mut AssocPolicy, ctx: &ForwardCtx<'_>, rng: &mut Rng64) -> Vec<NodeId> {
+        let antecedent = host(ctx.from.unwrap_or(ctx.node));
+        let k = p.cfg.k;
+        let min_support = p.cfg.min_support;
+        let min_confidence = p.cfg.min_confidence;
+        let top_by_support = p.cfg.top_by_support;
+        let demote = p.cfg.demote;
+        let learner = p.learner(ctx.node);
+        let confident =
+            learner.top_k_confident(antecedent, usize::MAX, min_support, min_confidence);
+        if min_confidence > 0.0 {
+            let supported = learner.top_k(antecedent, usize::MAX, min_support).len();
+            p.pruned_consequents += (supported - confident.len()) as u64;
+        }
+        let learner = p.learner(ctx.node);
+        let all: Vec<NodeId> = confident.into_iter().map(|h| NodeId(h.0)).collect();
+        let mut demoted = 0;
+        if demote < 1.0 {
+            for n in all.iter().filter(|n| !ctx.candidates.contains(n)) {
+                learner.penalize(antecedent, host(*n), demote);
+                demoted += 1;
+            }
+        }
+        p.dead_demotions += demoted;
+        let mut qualifying: Vec<NodeId> = all
+            .into_iter()
+            .filter(|n| ctx.candidates.contains(n))
+            .collect();
+        if top_by_support {
+            qualifying.truncate(k);
+        } else {
+            rng.shuffle(&mut qualifying);
+            qualifying.truncate(k);
+        }
+        if qualifying.is_empty() {
+            p.flood_fallbacks += 1;
+            ctx.candidates.to_vec()
+        } else {
+            p.rule_forwards += 1;
+            qualifying
+        }
+    }
+
+    /// `select_into` (and `select`, which delegates to it) picks the same
+    /// targets as the reference body and leaves the RNG in the same
+    /// state, under top-k and random-k, with demotion and with the
+    /// confidence gate, on random reply/failure/selection streams.
+    #[test]
+    fn select_into_equals_reference_select() {
+        let mut draws = Rng64::seed_from(0x5E1E_C7ED);
+        let m = msg();
+        for case in 0..24usize {
+            let cfg = AssocPolicyConfig {
+                k: 1 + case % 3,
+                min_support: [1.0, 2.0, 3.0][case % 3],
+                min_confidence: [0.0, 0.2][case % 2],
+                half_life: [1e9, 40.0][case / 2 % 2],
+                top_by_support: case / 4 % 2 == 0,
+                demote: [1.0, 0.5, 0.0][case / 8],
+                fail_window: 0,
+                fail_threshold: 0.75,
+            };
+            let (mut fast, mut slow) = (AssocPolicy::new(cfg.clone()), AssocPolicy::new(cfg));
+            let (mut rng_fast, mut rng_slow) =
+                (Rng64::seed_from(case as u64), Rng64::seed_from(case as u64));
+            let mut out = Vec::new();
+            for step in 0..400 {
+                let node = NodeId(draws.below(2) as u32);
+                let upstream = NodeId(10 + draws.below(2) as u32);
+                if draws.chance(0.6) {
+                    // Skewed towards low ids, so confidences spread out.
+                    let spread = 1 + draws.below(6);
+                    let via = NodeId(20 + draws.below(spread) as u32);
+                    fast.on_reply(node, Some(upstream), via, key());
+                    slow.on_reply(node, Some(upstream), via, key());
+                    continue;
+                }
+                if draws.chance(0.1) {
+                    let target = NodeId(20 + draws.below(6) as u32);
+                    fast.on_failure(node, target);
+                    slow.on_failure(node, target);
+                    continue;
+                }
+                let candidates: Vec<NodeId> =
+                    (20..26).map(NodeId).filter(|_| draws.chance(0.7)).collect();
+                let ctx = ForwardCtx {
+                    node,
+                    from: Some(upstream),
+                    query: &m,
+                    candidates: &candidates,
+                };
+                out.clear();
+                if step % 2 == 0 {
+                    fast.select_into(&ctx, &mut rng_fast, &mut out);
+                } else {
+                    out = fast.select(&ctx, &mut rng_fast);
+                }
+                let want = reference_select(&mut slow, &ctx, &mut rng_slow);
+                assert_eq!(out, want, "case {case}, step {step}");
+            }
+            assert_eq!(fast.stats(), slow.stats(), "case {case}");
+            assert_eq!(
+                fast.pruned_consequents(),
+                slow.pruned_consequents(),
+                "case {case}"
+            );
+            assert_eq!(
+                rng_fast.next_u64(),
+                rng_slow.next_u64(),
+                "case {case}: rng state"
+            );
+            // Every case both routes by rules and floods, and each gate
+            // under test acts.
+            assert!(
+                fast.rule_forwards() > 0 && fast.flood_fallbacks() > 0,
+                "case {case}"
+            );
+            assert_eq!(
+                fast.pruned_consequents() > 0,
+                fast.cfg.min_confidence > 0.0,
+                "case {case}"
+            );
+            assert_eq!(
+                fast.dead_demotions() > 0,
+                fast.cfg.demote < 1.0,
+                "case {case}"
+            );
+        }
+    }
+
     #[test]
     fn shortcut_hooks_track_rule_life() {
         let mut p = AssocPolicy::new(AssocPolicyConfig {
@@ -798,6 +941,29 @@ mod seed_tests {
     use arq_gnutella::QueryMsg;
     use arq_simkern::SimTime;
     use arq_trace::record::{Guid, PairRecord, QueryId};
+
+    /// Two equal rule sets built from rows in different orders (so their
+    /// maps iterate differently) warm-start identical learners: the rows
+    /// are observed in `(src, via)` order, not map order. A short
+    /// half-life makes the observation order matter.
+    #[test]
+    fn seed_rules_does_not_depend_on_map_order() {
+        let rows: Vec<(HostId, HostId, u64)> = (0..40u32)
+            .map(|i| (HostId(i % 7), HostId(100 + i), u64::from(1 + i % 5)))
+            .collect();
+        let forward = arq_assoc::RuleSet::from_rows(rows.iter().copied(), 1, 0);
+        let backward = arq_assoc::RuleSet::from_rows(rows.iter().rev().copied(), 1, 0);
+        assert_eq!(forward.digest(), backward.digest());
+        let snapshot = |rules: &arq_assoc::RuleSet| {
+            let mut p = AssocPolicy::new(AssocPolicyConfig {
+                half_life: 5.0,
+                ..Default::default()
+            });
+            p.seed_rules(NodeId(3), rules);
+            p.learners[3].as_ref().unwrap().snapshot()
+        };
+        assert_eq!(snapshot(&forward), snapshot(&backward));
+    }
 
     #[test]
     fn seeded_policy_routes_from_the_first_query() {

@@ -42,12 +42,11 @@
 
 use crate::node::Upstream;
 use arq_overlay::NodeId;
+use arq_simkern::hash::IntMap;
 use arq_simkern::time::Duration;
 use arq_simkern::SimTime;
 use arq_trace::record::Guid;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Upstream encoding for [`Upstream::Origin`]; real neighbors use their
 /// node id (table indices, ≤ tens of millions, so the top two values are
@@ -74,43 +73,6 @@ const CHUNK: usize = 4096;
 
 /// End of a cell list.
 const NIL: u32 = u32::MAX;
-
-/// One multiply-fold over an integer key. Keys are node ids and GUIDs
-/// minted by the simulator itself, never outside input, and the result
-/// only feeds slot choice; observable behavior never depends on it.
-#[derive(Default)]
-struct IntHasher(u64);
-
-impl IntHasher {
-    #[inline]
-    fn fold(&mut self, x: u64) {
-        let m = u128::from(self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = (m as u64) ^ ((m >> 64) as u64);
-    }
-}
-
-impl Hasher for IntHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("GuidStore keys are u32 and u128");
-    }
-
-    #[inline]
-    fn write_u32(&mut self, x: u32) {
-        self.fold(u64::from(x));
-    }
-
-    #[inline]
-    fn write_u128(&mut self, x: u128) {
-        self.fold((x as u64) ^ ((x >> 64) as u64).rotate_left(32));
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// One GUID's memory: the encoded upstream (`ORIGIN` or a neighbor id)
 /// of every node that remembers it.

@@ -24,6 +24,8 @@
 //!   for retry/timeout lifecycles;
 //! * [`chart`] — ASCII line charts used to render the paper's figures into
 //!   `EXPERIMENTS.md`;
+//! * [`hash`] — one seeded integer hasher ([`hash::IntMap`]) for the
+//!   maps keyed by host ids, host pairs and GUIDs;
 //! * [`json`] — dependency-free JSON values and serialization with
 //!   insertion-ordered objects, so experiment artifacts are byte-stable;
 //! * [`fsio`] — crash-safe artifact output (write-temp, fsync, rename),
@@ -38,6 +40,7 @@
 
 pub mod chart;
 pub mod fsio;
+pub mod hash;
 pub mod json;
 pub mod queue;
 pub mod rng;
