@@ -11,7 +11,7 @@
 //! arq gen-trace --pairs 200000 --seed 7 --out trace.csv [--raw] [--upheaval]
 //! arq stats     --trace trace.csv [--raw]
 //! arq clean-join --raw capture.csv --out pairs.csv
-//! arq evaluate  --trace pairs.csv --strategy sliding --block 10000 --support 10 [--chart]
+//! arq evaluate  --trace pairs.csv --strategy "sliding(s=10)" --block 10000 [--chart]
 //! arq simulate  --nodes 400 --queries 2000 --policy assoc --seed 1
 //! arq run       --exp e3 --trace-events events.jsonl --out artifacts.json
 //! arq report    --in artifacts.json --timeline
@@ -115,8 +115,9 @@ impl Flags {
     }
 }
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
+/// The usage text, with the registry's strategy and policy names filled
+/// in at `<strategies>` and `<policies>`.
+const USAGE: &str = "\
 arq — adaptively routing P2P queries using association analysis
 
 USAGE: arq <COMMAND> [FLAGS]
@@ -131,16 +132,16 @@ COMMANDS:
   mine        mine one block's association rules and print the strongest
               --trace FILE [--block N] [--support N] [--confidence F] [--top N]
   evaluate    replay a trace through a rule-maintenance strategy
-              --trace FILE [--strategy SPEC] [--block N] [--support N] [--chart]
-              strategies: static | sliding | lazy | adaptive | incremental | lossy | topic
-              SPEC may also carry registry parameters, e.g. sliding(s=10,c=0.05)
+              --trace FILE [--strategy SPEC] [--block N] [--chart]
+              strategies: <strategies>
+              SPEC may also carry registry parameters, e.g.
+              sliding(s=10,c=0.05); a bare name runs at the registry's
+              defaults
   simulate    run a live overlay simulation with a forwarding policy
               (alias: live)
               [--nodes N] [--queries N] [--policy SPEC] [--seed S]
               [--faults SPEC] [--retry SPEC] [--links SPEC] [--adapt SPEC]
-              policies: flood | expanding-ring | k-walk | shortcuts |
-                        routing-index | superpeer | assoc | assoc-adaptive |
-                        hybrid | community
+              policies: <policies>
               SPEC accepts registry parameters too, e.g.
               assoc(k=4,hl=500,minconf=0.6) forwards to up to 4
               consequents whose confidence clears 0.6
@@ -214,10 +215,27 @@ COMMANDS:
   help        print this text
 ";
 
+/// Top-level usage text.
+pub fn usage() -> String {
+    let mut text = USAGE.to_string();
+    let lists = [
+        ("<strategies>", engine::STRATEGY_NAMES),
+        ("<policies>", engine::POLICY_NAMES),
+    ];
+    for (marker, names) in lists {
+        let at = text.find(marker).expect("a marker in the usage text");
+        let column = at - text[..at].rfind('\n').map_or(0, |n| n + 1);
+        let rows: Vec<String> = names.chunks(4).map(|row| row.join(" | ")).collect();
+        let list = rows.join(&format!(" |\n{}", " ".repeat(column)));
+        text = text.replacen(marker, &list, 1);
+    }
+    text
+}
+
 /// Executes one CLI invocation and returns its stdout-style report.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
-        return Ok(USAGE.to_string());
+        return Ok(usage());
     };
     match command.as_str() {
         "gen-trace" => gen_trace(rest),
@@ -231,8 +249,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "gen-events" => cmd_gen_events(rest),
         "serve" => cmd_serve(rest),
         "sweep" => cmd_sweep(rest),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(err(format!("unknown command `{other}`\n\n{USAGE}"))),
+        "help" | "--help" | "-h" => Ok(usage()),
+        other => Err(err(format!("unknown command `{other}`\n\n{}", usage()))),
     }
 }
 
@@ -364,29 +382,11 @@ fn mine(args: &[String]) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// Maps the CLI's strategy flags onto a registry spec string. A full
-/// spec like `sliding(s=10,c=0.05)` passes through verbatim; a bare
-/// name composes `--support` (and, for the streaming maintainers,
-/// `--block`-derived defaults) into parameters.
-fn strategy_spec(name: &str, support: u64, block: usize) -> String {
-    if name.contains('(') {
-        return name.to_string();
-    }
-    match name {
-        // Historical CLI shorthand for `topic-sliding`.
-        "topic" => format!("topic-sliding(s={support})"),
-        "incremental" => format!("incremental(t={support},hl={})", 2 * block),
-        "lossy" => format!("lossy(t={support},eps={})", 1.0 / (2.0 * block as f64)),
-        other => format!("{other}(s={support})"),
-    }
-}
-
 fn cmd_evaluate(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args, &["trace", "block", "support", "strategy"], &["chart"])?;
+    let flags = Flags::parse(args, &["trace", "block", "strategy"], &["chart"])?;
     let path = flags.required("trace")?;
     let block: usize = flags.parse_num("block", 10_000)?;
-    let support: u64 = flags.parse_num("support", 10)?;
-    let name = flags.get("strategy").unwrap_or("sliding");
+    let spec = flags.get("strategy").unwrap_or("sliding");
     let file = File::open(path).map_err(|e| err(format!("opening {path}: {e}")))?;
     let pairs = csvio::read_pairs(BufReader::new(file)).map_err(|e| err(e.to_string()))?;
     if pairs.len() / block < 2 {
@@ -395,8 +395,7 @@ fn cmd_evaluate(args: &[String]) -> Result<String, CliError> {
             pairs.len()
         )));
     }
-    let mut strategy = engine::make_strategy(&strategy_spec(name, support, block))
-        .map_err(|e| err(e.to_string()))?;
+    let mut strategy = engine::make_strategy(spec).map_err(|e| err(e.to_string()))?;
     let run = evaluate(strategy.as_mut(), &pairs, block);
     let mut report = String::new();
     let _ = writeln!(report, "strategy:        {}", run.strategy);
@@ -1122,8 +1121,22 @@ mod tests {
 
     #[test]
     fn no_args_prints_usage() {
-        assert_eq!(run(&[]).unwrap(), USAGE);
-        assert_eq!(run(&args("help")).unwrap(), USAGE);
+        assert_eq!(run(&[]).unwrap(), usage());
+        assert_eq!(run(&args("help")).unwrap(), usage());
+    }
+
+    /// The help's strategy and policy lists are the registry's, so a
+    /// deleted name cannot linger there.
+    #[test]
+    fn usage_lists_the_registered_names() {
+        let flat = usage().split_whitespace().collect::<Vec<_>>().join(" ");
+        for (label, names) in [
+            ("strategies", engine::STRATEGY_NAMES),
+            ("policies", engine::POLICY_NAMES),
+        ] {
+            let list = format!("{label}: {} SPEC", names.join(" | "));
+            assert!(flat.contains(&list), "`{list}` missing from:\n{flat}");
+        }
     }
 
     #[test]
@@ -1145,7 +1158,7 @@ mod tests {
         assert!(out.contains("pairs:               30000"));
 
         let out = run(&args(&format!(
-            "evaluate --trace {trace} --strategy sliding --block 10000 --support 10"
+            "evaluate --trace {trace} --strategy sliding(s=10) --block 10000"
         )))
         .unwrap();
         assert!(out.contains("avg coverage"));
@@ -1218,31 +1231,42 @@ mod tests {
             "gen-trace --pairs 20000 --seed 4 --out {trace}"
         )))
         .unwrap();
-        for s in [
-            "static",
-            "sliding",
-            "lazy",
-            "adaptive",
-            "incremental",
-            "lossy",
-            "topic",
-        ] {
+        // A bare name runs at the registry's defaults, as in a plan.
+        for s in engine::STRATEGY_NAMES {
             let out = run(&args(&format!(
-                "evaluate --trace {trace} --strategy {s} --block 5000 --support 5"
+                "evaluate --trace {trace} --strategy {s} --block 5000"
             )))
             .unwrap_or_else(|e| panic!("strategy {s}: {e}"));
+            let want = engine::make_strategy(s).unwrap().name();
+            assert!(
+                out.contains(&format!("strategy:        {want}\n")),
+                "strategy {s} output:\n{out}"
+            );
             assert!(out.contains("avg success"), "strategy {s} output:\n{out}");
         }
+        // `--support` belongs to `mine`; on `evaluate` it is an unknown
+        // flag, not a value that a parenthesised spec silently ignores.
+        let e = run(&args(&format!(
+            "evaluate --trace {trace} --strategy sliding(c=0) --support 50"
+        )))
+        .unwrap_err();
+        assert!(e.0.contains("--support"), "{e}");
+        assert!(e.0.contains("(valid: "), "{e}");
     }
 
     #[test]
     fn simulate_policies() {
-        for p in ["flood", "assoc", "hybrid", "community(n=8)"] {
+        for p in ["flood", "assoc", "hybrid", "assoc(demote=0.5)"] {
             let out = run(&args(&format!(
                 "simulate --nodes 60 --queries 150 --policy {p} --seed 9"
             )))
             .unwrap_or_else(|e| panic!("policy {p}: {e}"));
             assert!(out.contains("messages/query"), "policy {p} output:\n{out}");
+            // The report names the run by its canonical spec.
+            assert!(
+                out.contains(&format!("policy:            {p}\n")),
+                "policy {p} output:\n{out}"
+            );
         }
         let e = run(&args("simulate --policy bogus")).unwrap_err();
         assert!(e.0.contains("unknown policy"));
@@ -1319,9 +1343,8 @@ mod tests {
         // that understands the knob.
         for p in [
             "assoc(k=4,minconf=1.5)",
-            "assoc-adaptive(minconf=-0.1)",
+            "assoc(demote=0.5,minconf=-0.1)",
             "hybrid(minconf=2)",
-            "community(minconf=1.01)",
         ] {
             let e = run(&args(&format!(
                 "simulate --nodes 40 --queries 50 --policy {p}"
@@ -1355,7 +1378,7 @@ mod tests {
         plan.set_base("nodes", 60usize).unwrap();
         plan.set_base("queries", 120usize).unwrap();
         let jobs = sweep::expand(&plan).unwrap();
-        assert_eq!(jobs.len(), 28, "7 policies x 2 worlds x 2 adapt modes");
+        assert_eq!(jobs.len(), 24, "6 policies x 2 worlds x 2 adapt modes");
         let mut reports = Vec::new();
         for threads in [1usize, 4, 20] {
             let dir = tmp(&format!("e18-threads-{threads}"));
@@ -1525,7 +1548,8 @@ mod tests {
     /// stops in the flag parser without running anything.
     #[test]
     fn every_usage_flag_is_accepted_by_its_command() {
-        let body = USAGE.split_once("COMMANDS:\n").unwrap().1;
+        let text = usage();
+        let body = text.split_once("COMMANDS:\n").unwrap().1;
         let mut blocks: Vec<(&str, String)> = Vec::new();
         for line in body.lines() {
             match line.strip_prefix("  ") {

@@ -36,26 +36,14 @@ impl RuleSet {
     /// Builds a rule set from explicit `(src, via, count)` rows, applying
     /// the same support pruning and ranking as [`mine_pairs`]. Used by
     /// alternative counting backends (e.g. the streaming maintainer).
+    /// Each `(src, via)` pair must appear at most once: rows are not
+    /// merged, so a repeated pair would be ranked twice.
     pub fn from_rows(
         rows: impl IntoIterator<Item = (HostId, HostId, u64)>,
         min_support: u64,
         source_pairs: usize,
     ) -> Self {
-        let counts: IntMap<(HostId, HostId), u64> =
-            rows.into_iter().map(|(s, v, c)| ((s, v), c)).collect();
-        Self::from_counts(counts, min_support, source_pairs)
-    }
-
-    fn from_counts(
-        counts: IntMap<(HostId, HostId), u64>,
-        min_support: u64,
-        source_pairs: usize,
-    ) -> Self {
-        Self::from_count_rows(
-            counts.into_iter().map(|((s, v), c)| (s, v, c)),
-            min_support,
-            source_pairs,
-        )
+        Self::from_count_rows(rows.into_iter(), min_support, source_pairs)
     }
 
     /// The shared build step behind every counting backend: support
@@ -201,7 +189,11 @@ pub fn mine_pairs(block: &[PairRecord], min_support: u64) -> RuleSet {
     for p in block {
         *counts.entry((p.src, p.via)).or_insert(0) += 1;
     }
-    RuleSet::from_counts(counts, min_support, block.len())
+    RuleSet::from_count_rows(
+        counts.into_iter().map(|((s, v), c)| (s, v, c)),
+        min_support,
+        block.len(),
+    )
 }
 
 /// Mines with an additional confidence cut (§VI extension, experiment
@@ -224,7 +216,11 @@ pub fn mine_pairs_with_confidence(
         *src_totals.entry(p.src).or_insert(0) += 1;
     }
     counts.retain(|(src, _), count| *count as f64 / src_totals[src] as f64 >= min_confidence);
-    RuleSet::from_counts(counts, min_support, block.len())
+    RuleSet::from_count_rows(
+        counts.into_iter().map(|((s, v), c)| (s, v, c)),
+        min_support,
+        block.len(),
+    )
 }
 
 /// Fibonacci multiplicative mix of the packed pair key: one xor-fold so

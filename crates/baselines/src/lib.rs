@@ -14,16 +14,12 @@
 //!   [`routing_index::RoutingIndices`];
 //! * **superpeer networks** (Yang & Garcia-Molina) —
 //!   [`superpeer::SuperPeerPolicy`] over
-//!   [`arq_overlay::generate::superpeer`] topologies;
-//! * **community routing** — [`community::CommunityPolicy`], the
-//!   superpeer/association-rule hybrid: the same two-tier structure, but
-//!   the core consults learned rules before flooding.
+//!   [`arq_overlay::generate::superpeer`] topologies.
 //!
 //! [`ForwardingPolicy`]: arq_gnutella::policy::ForwardingPolicy
 
 #![warn(missing_docs)]
 
-pub mod community;
 pub mod ring;
 pub mod routing_index;
 pub mod shortcuts;
@@ -31,7 +27,6 @@ pub mod superpeer;
 pub mod walk;
 
 pub use arq_gnutella::FloodPolicy;
-pub use community::CommunityPolicy;
 pub use ring::expanding_ring;
 pub use routing_index::RoutingIndices;
 pub use shortcuts::InterestShortcuts;

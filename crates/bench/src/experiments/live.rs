@@ -235,7 +235,7 @@ pub fn e13_hybrid(scale: Scale, seed: u64) -> ExperimentReport {
 /// grid expands faults-major, so the historical policy-major rows are
 /// recovered by param lookup.
 pub fn e16_degradation(scale: Scale, seed: u64) -> ExperimentReport {
-    const POLICIES: [&str; 3] = ["flood", "assoc", "assoc-adaptive"];
+    const POLICIES: [&str; 3] = ["flood", "assoc", "assoc(demote=0.5,fw=20)"];
     const LOSSES: [f64; 4] = [0.0, 0.05, 0.15, 0.30];
     let plan = plan_at(
         include_str!("../../../../plans/e16.toml"),
@@ -315,7 +315,7 @@ pub fn e16_degradation(scale: Scale, seed: u64) -> ExperimentReport {
 /// baselines that have no link layer at all. The plan zips interval,
 /// link plan, and obs on one axis; rows are recovered by param lookup.
 pub fn e17_offered_load(scale: Scale, seed: u64) -> ExperimentReport {
-    const POLICIES: [&str; 3] = ["flood", "assoc", "assoc-adaptive"];
+    const POLICIES: [&str; 3] = ["flood", "assoc", "assoc(demote=0.5,fw=20)"];
     /// Mean inter-query intervals in ticks, highest load last. The
     /// default workload spaces queries 2000 ticks apart; 4× and 16×
     /// that rate drive the bounded per-node uplinks into queueing and
@@ -415,23 +415,22 @@ pub fn e17_offered_load(scale: Scale, seed: u64) -> ExperimentReport {
 }
 
 /// E18 — routing-science sweep (§VI): top-k consequent fan-out,
-/// minimum-confidence pruning, live topology adaptation, and the
-/// community/super-peer hybrid, all on one shared two-tier overlay so
-/// the policies differ only in how they route. The zipped axis flips
-/// the world from calm (no faults, slow churn) to stressed (10% loss,
-/// 4× faster churn); the adapt axis turns the tumbling
-/// topology-adaptation schedule on. Flood's rows are asserted
+/// minimum-confidence pruning, failure adaptation, live topology
+/// adaptation, and the shortcuts/rules hybrid, all on one shared
+/// two-tier overlay so the policies differ only in how they route. The
+/// zipped axis flips the world from calm (no faults, slow churn) to
+/// stressed (10% loss, 4× faster churn); the adapt axis turns the
+/// tumbling topology-adaptation schedule on. Flood's rows are asserted
 /// byte-identical with adaptation on and off — a policy that proposes
 /// no shortcuts must not perturb the run.
 pub fn e18_routing(scale: Scale, seed: u64) -> ExperimentReport {
-    const POLICIES: [&str; 7] = [
+    const POLICIES: [&str; 6] = [
         "flood",
         "assoc(k=1,minconf=0)",
         "assoc(k=4,minconf=0)",
         "assoc(k=4,minconf=0.6)",
-        "assoc-adaptive(k=4,minconf=0.6)",
+        "assoc(k=4,minconf=0.6,demote=0.5,fw=20)",
         "hybrid(cap=5,k=4,minconf=0.6)",
-        "community(n=16,k=4,minconf=0.6)",
     ];
     const WORLDS: [(&str, &str); 2] = [("calm", "none"), ("stressed", "faults(loss=0.1)")];
     const ADAPTS: [(&str, &str); 2] = [
@@ -524,7 +523,7 @@ pub fn e18_routing(scale: Scale, seed: u64) -> ExperimentReport {
     }
     ExperimentReport {
         id: "E18".into(),
-        title: "Routing science: top-k, confidence pruning, adaptation, community".into(),
+        title: "Routing science: top-k, confidence pruning, adaptation".into(),
         paper_claim: "queries can be sent to the k neighbors with the highest support, pruned \
                       by minimum confidence (§III-B.1), and making a forwarding target a new \
                       neighbor would save one hop on future queries (§VI)"

@@ -289,13 +289,13 @@ mod tests {
         assert!(r.rows[0].1.contains("recall"));
     }
 
-    // 7 policies × 2 worlds × 2 adapt modes; the flood-is-unperturbed
+    // 6 policies × 2 worlds × 2 adapt modes; the flood-is-unperturbed
     // assertion inside the experiment runs as part of this smoke test.
     #[test]
     fn e18_smoke() {
         let r = e18_routing(tiny(), 3);
         assert_eq!(r.id, "E18");
-        assert_eq!(r.rows.len(), 28);
+        assert_eq!(r.rows.len(), 24);
         assert!(r.rows[0].0.starts_with("flood calm static"));
         assert!(r.rows[1].0.starts_with("flood calm adaptive"));
         assert!(r.rows[1].1.contains("shortcuts +"), "{:?}", r.rows[1]);

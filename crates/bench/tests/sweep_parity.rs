@@ -122,7 +122,7 @@ fn e16_plan_reproduces_the_handcoded_sweep() {
         obs: None,
     };
     let mut legacy_specs = Vec::new();
-    for policy in ["flood", "assoc", "assoc-adaptive"] {
+    for policy in ["flood", "assoc", "assoc(demote=0.5,fw=20)"] {
         legacy_specs.push(live(&cfg, policy));
         for loss in [0.0f64, 0.05, 0.15, 0.30] {
             let mut faulted = cfg.clone();

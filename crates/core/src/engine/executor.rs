@@ -347,8 +347,9 @@ mod tests {
         };
         let artifacts = execute_with_threads(std::slice::from_ref(&spec), 1).unwrap();
         let m = artifacts[0].metrics().unwrap();
-        assert_eq!(m.policy, "expanding-ring");
-        assert_eq!(artifacts[0].label, "expanding-ring");
+        // The label is the canonical spec: defaults (`start=2`) dropped.
+        assert_eq!(m.policy, "expanding-ring(step=3,max=5,wait=1000)");
+        assert_eq!(artifacts[0].label, m.policy);
         assert_eq!(m.queries, 100);
     }
 }

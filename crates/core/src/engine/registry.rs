@@ -18,8 +18,7 @@ use crate::strategy::{BlockWindow, Maintainer, Schedule, Strategy, TopicSlidingW
 use crate::threshold::ThresholdCalc;
 use arq_assoc::{DecayedPairCounts, LossyPairCounts};
 use arq_baselines::{
-    expanding_ring, CommunityPolicy, FloodPolicy, InterestShortcuts, KRandomWalk, RoutingIndices,
-    SuperPeerPolicy,
+    expanding_ring, FloodPolicy, InterestShortcuts, KRandomWalk, RoutingIndices, SuperPeerPolicy,
 };
 use arq_gnutella::policy::ForwardingPolicy;
 use arq_gnutella::sim::{AdaptPlan, RetryPolicy, RingSchedule, SimConfig};
@@ -47,9 +46,7 @@ pub const POLICY_NAMES: &[&str] = &[
     "routing-index",
     "superpeer",
     "assoc",
-    "assoc-adaptive",
     "hybrid",
-    "community",
 ];
 
 /// A spec failed to parse or named something unregistered.
@@ -241,6 +238,24 @@ impl<'a> ParamTable<'a> {
         Ok(v)
     }
 
+    /// The canonical spec: `name`, then each parameter whose value
+    /// differs from its default, in table order; the bare name when
+    /// none does.
+    fn label(&self, name: &str) -> String {
+        let changed: Vec<String> = self
+            .keys
+            .iter()
+            .zip(&self.values)
+            .filter(|((_, default), value)| *value != default)
+            .map(|((key, _), value)| format!("{key}={value}"))
+            .collect();
+        if changed.is_empty() {
+            name.to_string()
+        } else {
+            format!("{name}({})", changed.join(","))
+        }
+    }
+
     /// A fraction in `[0, 1]` (confidences, attenuations, shares).
     fn unit(&self, key: &str) -> Result<f64, RegistryError> {
         self.check(key, |v| (0.0..=1.0).contains(&v), "in [0, 1]")
@@ -269,7 +284,7 @@ impl<'a> ParamTable<'a> {
 /// parameter: the supports `s` and `t` and the counts `p` and `h` are at
 /// least 1 (`t` on `lossy` an integer), `c` and `i` are in [0, 1], `hl`
 /// is positive and `eps` is in (0, 1). `s` is accepted as an alias for `t`
-/// on the streaming maintainers, so a generic `--support` CLI flag maps
+/// on the streaming maintainers, so a sweep plan's `strategy.s` axis maps
 /// onto every strategy.
 pub fn make_strategy(spec: &str) -> Result<Box<dyn Strategy + Send>, RegistryError> {
     let parsed = parse_spec(spec)?;
@@ -360,9 +375,10 @@ pub struct BuiltPolicy {
     pub ring: Option<RingSchedule>,
     /// TTL the scheme requires, overriding the run configuration.
     pub ttl: Option<u32>,
-    /// Canonical label for metrics. Usually `policy.name()`; differs for
-    /// schemes defined by their riders (expanding ring floods, but is
-    /// reported as `expanding-ring`).
+    /// Canonical spec for metrics: the registered name, then every
+    /// parameter whose value differs from its default, in table order —
+    /// `assoc(k=1)`, or bare `assoc` at the defaults. [`make_policy`]
+    /// builds the same policy from it.
     pub label: String,
 }
 
@@ -378,6 +394,40 @@ impl BuiltPolicy {
     }
 }
 
+const ASSOC: AssocPolicyConfig = AssocPolicyConfig::DEFAULT;
+
+/// `assoc`'s parameters, at [`AssocPolicyConfig::DEFAULT`]'s values.
+const ASSOC_KEYS: &[(&str, f64)] = &[
+    ("k", ASSOC.k as f64),
+    ("s", ASSOC.min_support),
+    ("hl", ASSOC.half_life),
+    ("top", ASSOC.top_by_support as u8 as f64),
+    ("minconf", ASSOC.min_confidence),
+    ("demote", ASSOC.demote),
+    ("fw", ASSOC.fail_window as f64),
+    ("ft", ASSOC.fail_threshold),
+];
+
+/// `hybrid`'s parameters: its shortcut cap, then the learner's.
+const HYBRID_KEYS: &[(&str, f64)] = &[
+    ("cap", 5.0),
+    ("k", ASSOC.k as f64),
+    ("s", ASSOC.min_support),
+    ("hl", ASSOC.half_life),
+    ("minconf", ASSOC.min_confidence),
+];
+
+/// The association learner's keys that `assoc` and `hybrid` share.
+fn learner(p: &ParamTable) -> Result<AssocPolicyConfig, RegistryError> {
+    Ok(AssocPolicyConfig {
+        k: p.positive("k")?,
+        min_support: p.at_least_one("s")?,
+        half_life: p.check("hl", |v| v > 0.0, "positive")?,
+        min_confidence: p.unit("minconf")?,
+        ..ASSOC
+    })
+}
+
 /// Constructs a forwarding policy (plus config riders) from a spec
 /// string.
 ///
@@ -389,189 +439,77 @@ impl BuiltPolicy {
 /// | `shortcuts` | `cap` per-topic shortcut cap (5), `k` fan-out (2) |
 /// | `routing-index` | `horizon` (3), `atten` attenuation (0.5), `k` fan-out (2) |
 /// | `superpeer` | `n` core size (16) |
-/// | `assoc` | `k` fan-out (2), `s` min decayed support (3), `hl` half-life (500), `top` top-by-support 1/0 (1), `minconf` min confidence (0) |
-/// | `assoc-adaptive` | `assoc` params plus `demote` dead-rule factor (0.5), `fw` failure window (20), `ft` miss threshold (0.75) |
+/// | `assoc` | `k` fan-out (2), `s` min decayed support (3), `hl` half-life (500), `top` top-by-support 1/0 (1), `minconf` min confidence (0), `demote` dead-rule factor (1, off), `fw` failure window (0, off), `ft` miss threshold (0.75) |
 /// | `hybrid` | `cap` (5), `k` (2), `s` (3), `hl` (500), `minconf` (0) |
-/// | `community` | `n` core size (16), `k` (2), `s` (3), `hl` (500), `minconf` (0) |
 ///
-/// `minconf`, `demote`, `ft` and `atten` (each in [0, 1]), the support
-/// `s` and the counts a constructor asserts to be at least 1 (`k`,
-/// `cap`, `n`, `horizon`) are validated here, at spec-parse time, so a
-/// bad value comes back as a [`RegistryError::BadSpec`] rather than a
-/// panic from the policy constructor deep inside a run.
+/// `minconf`, `demote`, `ft` and `atten` (each in [0, 1]), the positive
+/// half-life `hl`, the support `s` and the counts a constructor asserts
+/// to be at least 1 (`k`, `cap`, `n`, `horizon`) are validated here, at
+/// spec-parse time, so a bad value comes back as a
+/// [`RegistryError::BadSpec`] rather than a panic from the policy
+/// constructor deep inside a run.
 pub fn make_policy(spec: &str) -> Result<BuiltPolicy, RegistryError> {
     let parsed = parse_spec(spec)?;
-    let minconf = |p: &ParamTable| p.unit("minconf");
-    let support = |p: &ParamTable| p.at_least_one("s");
-    let plain = |policy: Box<dyn ForwardingPolicy + Send>| {
-        let label = policy.name().to_string();
-        BuiltPolicy {
-            policy,
-            ring: None,
-            ttl: None,
-            label,
-        }
+    let keys: &[(&str, f64)] = match parsed.name.as_str() {
+        "flood" => &[],
+        "expanding-ring" => &[
+            ("start", 2.0),
+            ("step", 2.0),
+            ("max", 6.0),
+            ("wait", 1_500.0),
+        ],
+        "k-walk" => &[("k", 4.0), ("ttl", 48.0)],
+        "shortcuts" => &[("cap", 5.0), ("k", 2.0)],
+        "routing-index" => &[("horizon", 3.0), ("atten", 0.5), ("k", 2.0)],
+        "superpeer" => &[("n", 16.0)],
+        "assoc" => ASSOC_KEYS,
+        "hybrid" => HYBRID_KEYS,
+        other => return Err(RegistryError::UnknownPolicy(other.to_string())),
     };
-    Ok(match parsed.name.as_str() {
-        "flood" => {
-            ParamTable::resolve(spec, &parsed, &[], &[])?;
-            plain(Box::new(FloodPolicy))
-        }
+    let p = ParamTable::resolve(spec, &parsed, keys, &[])?;
+    let (mut ring, mut ttl) = (None, None);
+    let policy: Box<dyn ForwardingPolicy + Send> = match parsed.name.as_str() {
+        "flood" => Box::new(FloodPolicy),
         "expanding-ring" => {
-            let p = ParamTable::resolve(
-                spec,
-                &parsed,
-                &[
-                    ("start", 2.0),
-                    ("step", 2.0),
-                    ("max", 6.0),
-                    ("wait", 1_500.0),
-                ],
-                &[],
-            )?;
-            let (policy, ring) = expanding_ring(
+            let (policy, schedule) = expanding_ring(
                 p.u64("start")? as u32,
                 p.u64("step")? as u32,
                 p.u64("max")? as u32,
                 Duration::from_ticks(p.u64("wait")?),
             );
-            BuiltPolicy {
-                policy: Box::new(policy),
-                ring: Some(ring),
-                ttl: None,
-                label: "expanding-ring".to_string(),
-            }
+            ring = Some(schedule);
+            Box::new(policy)
         }
         "k-walk" => {
-            let p = ParamTable::resolve(spec, &parsed, &[("k", 4.0), ("ttl", 48.0)], &[])?;
-            BuiltPolicy {
-                policy: Box::new(KRandomWalk::new(p.positive("k")?)),
-                ring: None,
-                ttl: Some(p.u64("ttl")? as u32),
-                label: "k-walk".to_string(),
-            }
+            ttl = Some(p.u64("ttl")? as u32);
+            Box::new(KRandomWalk::new(p.positive("k")?))
         }
-        "shortcuts" => {
-            let p = ParamTable::resolve(spec, &parsed, &[("cap", 5.0), ("k", 2.0)], &[])?;
-            plain(Box::new(InterestShortcuts::new(
-                p.positive("cap")?,
-                p.positive("k")?,
-            )))
-        }
-        "routing-index" => {
-            let p = ParamTable::resolve(
-                spec,
-                &parsed,
-                &[("horizon", 3.0), ("atten", 0.5), ("k", 2.0)],
-                &[],
-            )?;
-            plain(Box::new(RoutingIndices::new(
-                p.positive("horizon")? as u32,
-                p.unit("atten")?,
-                p.positive("k")?,
-            )))
-        }
-        "superpeer" => {
-            let p = ParamTable::resolve(spec, &parsed, &[("n", 16.0)], &[])?;
-            plain(Box::new(SuperPeerPolicy::new(p.positive("n")?)))
-        }
-        "assoc" => {
-            let p = ParamTable::resolve(
-                spec,
-                &parsed,
-                &[
-                    ("k", 2.0),
-                    ("s", 3.0),
-                    ("hl", 500.0),
-                    ("top", 1.0),
-                    ("minconf", 0.0),
-                ],
-                &[],
-            )?;
-            plain(Box::new(AssocPolicy::new(AssocPolicyConfig {
-                k: p.positive("k")?,
-                min_support: support(&p)?,
-                min_confidence: minconf(&p)?,
-                half_life: p.f64("hl"),
-                top_by_support: p.f64("top") != 0.0,
-                ..Default::default()
-            })))
-        }
-        "assoc-adaptive" => {
-            let p = ParamTable::resolve(
-                spec,
-                &parsed,
-                &[
-                    ("k", 2.0),
-                    ("s", 3.0),
-                    ("hl", 500.0),
-                    ("top", 1.0),
-                    ("minconf", 0.0),
-                    ("demote", 0.5),
-                    ("fw", 20.0),
-                    ("ft", 0.75),
-                ],
-                &[],
-            )?;
-            plain(Box::new(AssocPolicy::new(AssocPolicyConfig {
-                k: p.positive("k")?,
-                min_support: support(&p)?,
-                min_confidence: minconf(&p)?,
-                half_life: p.f64("hl"),
-                top_by_support: p.f64("top") != 0.0,
-                demote: p.unit("demote")?,
-                fail_window: p.usize("fw")?,
-                fail_threshold: p.unit("ft")?,
-            })))
-        }
-        "hybrid" => {
-            let p = ParamTable::resolve(
-                spec,
-                &parsed,
-                &[
-                    ("cap", 5.0),
-                    ("k", 2.0),
-                    ("s", 3.0),
-                    ("hl", 500.0),
-                    ("minconf", 0.0),
-                ],
-                &[],
-            )?;
-            plain(Box::new(HybridPolicy::new(
-                p.positive("cap")?,
-                p.positive("k")?,
-                AssocPolicyConfig {
-                    k: p.positive("k")?,
-                    min_support: support(&p)?,
-                    min_confidence: minconf(&p)?,
-                    half_life: p.f64("hl"),
-                    top_by_support: true,
-                    ..Default::default()
-                },
-            )))
-        }
-        "community" => {
-            let p = ParamTable::resolve(
-                spec,
-                &parsed,
-                &[
-                    ("n", 16.0),
-                    ("k", 2.0),
-                    ("s", 3.0),
-                    ("hl", 500.0),
-                    ("minconf", 0.0),
-                ],
-                &[],
-            )?;
-            plain(Box::new(CommunityPolicy::new(
-                p.positive("n")?,
-                p.positive("k")?,
-                support(&p)?,
-                minconf(&p)?,
-                p.f64("hl"),
-            )))
-        }
-        other => return Err(RegistryError::UnknownPolicy(other.to_string())),
+        "shortcuts" => Box::new(InterestShortcuts::new(p.positive("cap")?, p.positive("k")?)),
+        "routing-index" => Box::new(RoutingIndices::new(
+            p.positive("horizon")? as u32,
+            p.unit("atten")?,
+            p.positive("k")?,
+        )),
+        "superpeer" => Box::new(SuperPeerPolicy::new(p.positive("n")?)),
+        "assoc" => Box::new(AssocPolicy::new(AssocPolicyConfig {
+            top_by_support: p.f64("top") != 0.0,
+            demote: p.unit("demote")?,
+            fail_window: p.usize("fw")?,
+            fail_threshold: p.unit("ft")?,
+            ..learner(&p)?
+        })),
+        "hybrid" => Box::new(HybridPolicy::new(
+            p.positive("cap")?,
+            p.positive("k")?,
+            learner(&p)?,
+        )),
+        _ => unreachable!("every name with a parameter table is built"),
+    };
+    Ok(BuiltPolicy {
+        policy,
+        ring,
+        ttl,
+        label: p.label(&parsed.name),
     })
 }
 
@@ -1067,11 +1005,55 @@ mod tests {
 
     #[test]
     fn adaptive_assoc_builds_with_its_own_label() {
-        let built = make_policy("assoc-adaptive(demote=0.25,fw=10)").unwrap();
-        assert_eq!(built.label, "assoc-adaptive");
-        // Plain assoc stays plain — adaptive defaults must not leak in.
-        let plain = make_policy("assoc").unwrap();
-        assert_eq!(plain.label, "assoc");
+        // Table order, defaults dropped, whatever order the spec wrote.
+        let built = make_policy("assoc(fw=10,ft=0.75,demote=0.25)").unwrap();
+        assert_eq!(built.label, "assoc(demote=0.25,fw=10)");
+        // Plain assoc stays plain, and switching adaptation off
+        // explicitly is plain assoc.
+        assert_eq!(make_policy("assoc").unwrap().label, "assoc");
+        assert_eq!(make_policy("assoc(demote=1,fw=0)").unwrap().label, "assoc");
+    }
+
+    /// A policy's label is its canonical spec: rebuilding from the label
+    /// gives back the same label and replays a run exactly.
+    #[test]
+    fn policy_labels_rebuild_the_same_policy() {
+        let specs = [
+            "flood()",
+            "expanding-ring(start=1,max=5)",
+            "k-walk(k=3,ttl=20)",
+            "shortcuts(cap=3,k=1)",
+            "routing-index(atten=0.25)",
+            "superpeer(n=8)",
+            "assoc(k=1,hl=200,demote=0.5,fw=20)",
+            "hybrid(cap=3,minconf=0.2)",
+        ];
+        assert_eq!(specs.len(), POLICY_NAMES.len());
+        for (spec, name) in specs.iter().zip(POLICY_NAMES) {
+            assert!(spec.starts_with(name), "{spec} is not a `{name}` spec");
+            let label = make_policy(spec).unwrap().label;
+            assert_eq!(make_policy(&label).unwrap().label, label, "{spec}");
+            // Two tiers, so `superpeer` has a core to route through.
+            let mut cfg = SimConfig::default_with(200, 100, 3);
+            cfg.topology = arq_gnutella::sim::Topology::SuperPeer {
+                n_super: 8,
+                super_degree: 4,
+            };
+            let run = |spec: &str| crate::engine::run_live(cfg.clone(), spec, None).unwrap().0;
+            let (a, b) = (run(spec), run(&label));
+            assert_eq!(a.policy, label, "{spec}");
+            assert_eq!(a.digest(), b.digest(), "{spec} as {label}");
+        }
+    }
+
+    /// E10's four specs are four rows, and each row says which.
+    #[test]
+    fn e10_specs_get_distinct_labels() {
+        let label = |spec| make_policy(spec).unwrap().label;
+        assert_eq!(label("assoc(k=1,top=1)"), "assoc(k=1)");
+        assert_eq!(label("assoc(k=2,top=1)"), "assoc");
+        assert_eq!(label("assoc(k=3,top=1)"), "assoc(k=3)");
+        assert_eq!(label("assoc(k=2,top=0)"), "assoc(top=0)");
     }
 
     #[test]
@@ -1081,9 +1063,8 @@ mod tests {
         for spec in [
             "assoc(minconf=1.5)",
             "assoc(minconf=-0.1)",
-            "assoc-adaptive(minconf=2)",
+            "assoc(demote=0.5,minconf=2)",
             "hybrid(minconf=-1)",
-            "community(minconf=1.01)",
         ] {
             let e = match make_policy(spec) {
                 Err(e) => e,
@@ -1099,9 +1080,8 @@ mod tests {
         // In-range values build on every policy that accepts the key.
         for spec in [
             "assoc(k=4,minconf=0.6)",
-            "assoc-adaptive(minconf=1)",
+            "assoc(fw=20,minconf=1)",
             "hybrid(minconf=0.5)",
-            "community(n=8,minconf=0.25)",
         ] {
             make_policy(spec).unwrap();
         }
@@ -1132,14 +1112,11 @@ mod tests {
         for (spec, key) in [
             ("k-walk(k=0)", "k"),
             ("assoc(k=0)", "k"),
-            ("assoc-adaptive(k=0)", "k"),
             ("shortcuts(cap=0)", "cap"),
             ("shortcuts(k=0)", "k"),
             ("hybrid(cap=0)", "cap"),
             ("hybrid(k=0)", "k"),
             ("superpeer(n=0)", "n"),
-            ("community(n=0)", "n"),
-            ("community(k=0)", "k"),
             ("routing-index(k=0)", "k"),
             ("routing-index(horizon=0)", "horizon"),
         ] {
@@ -1152,12 +1129,7 @@ mod tests {
     #[test]
     fn sub_unit_support_is_rejected_at_spec_parse_time() {
         // Each of these was a panic from the policy constructor.
-        for spec in [
-            "assoc(s=0)",
-            "assoc-adaptive(s=0.5)",
-            "hybrid(s=0)",
-            "community(s=-1)",
-        ] {
+        for spec in ["assoc(s=0)", "assoc(s=0.5)", "hybrid(s=-1)"] {
             let msg = policy_err(spec);
             assert!(
                 msg.contains("parameter `s` must be at least 1, got"),
@@ -1169,22 +1141,30 @@ mod tests {
 
     #[test]
     fn demote_is_validated_at_spec_parse_time() {
-        let msg = policy_err("assoc-adaptive(demote=1.5)");
+        let msg = policy_err("assoc(demote=1.5)");
         assert!(
             msg.contains("parameter `demote` must be in [0, 1], got 1.5"),
             "{msg}"
         );
-        make_policy("assoc-adaptive(demote=1)").unwrap();
+        make_policy("assoc(demote=1)").unwrap();
     }
 
     #[test]
     fn fail_threshold_is_validated_at_spec_parse_time() {
-        let msg = policy_err("assoc-adaptive(ft=2)");
+        let msg = policy_err("assoc(ft=2)");
         assert!(
             msg.contains("parameter `ft` must be in [0, 1], got 2"),
             "{msg}"
         );
-        make_policy("assoc-adaptive(ft=0)").unwrap();
+        make_policy("assoc(ft=0)").unwrap();
+    }
+
+    #[test]
+    fn half_life_is_validated_at_spec_parse_time() {
+        for spec in ["assoc(hl=0)", "assoc(hl=-5)", "hybrid(hl=nan)"] {
+            let msg = policy_err(spec);
+            assert!(msg.contains("parameter `hl` must be positive"), "{msg}");
+        }
     }
 
     #[test]
@@ -1197,12 +1177,6 @@ mod tests {
             );
         }
         make_policy("routing-index(atten=1)").unwrap();
-    }
-
-    #[test]
-    fn community_policy_builds_with_its_own_label() {
-        let built = make_policy("community(n=8,k=3)").unwrap();
-        assert_eq!(built.label, "community");
     }
 
     #[test]
@@ -1229,7 +1203,7 @@ mod tests {
     #[test]
     fn riders_are_applied() {
         let built = make_policy("expanding-ring(start=2,step=2,max=7,wait=500)").unwrap();
-        assert_eq!(built.label, "expanding-ring");
+        assert_eq!(built.label, "expanding-ring(max=7,wait=500)");
         let mut cfg = SimConfig::default_with(50, 10, 1);
         built.apply_to(&mut cfg);
         assert_eq!(cfg.ring.as_ref().unwrap().ttls, vec![2, 4, 6, 7]);

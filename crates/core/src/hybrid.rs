@@ -8,6 +8,12 @@
 //! try the node's per-topic interest shortcuts first; if the topic is
 //! cold, consult the learned association rules; only when both are empty
 //! does the node flood. Both learners feed from the same reply stream.
+//!
+//! The hybrid is its own policy rather than an `assoc(shortcuts=…)`
+//! parameter: as a parameter, `AssocPolicy::select` would branch on a
+//! second learner (the per-topic shortcut table) on every relay
+//! decision of every `assoc` run. As a wrapper, `assoc` keeps one
+//! learner and one path, and this type composes the two.
 
 use crate::policy::{AssocPolicy, AssocPolicyConfig};
 use arq_baselines::InterestShortcuts;

@@ -59,24 +59,23 @@ pub struct AssocPolicyConfig {
 
 impl Default for AssocPolicyConfig {
     fn default() -> Self {
-        AssocPolicyConfig {
-            k: 2,
-            min_support: 3.0,
-            min_confidence: 0.0,
-            half_life: 500.0,
-            top_by_support: true,
-            demote: 1.0,
-            fail_window: 0,
-            fail_threshold: 0.75,
-        }
+        AssocPolicyConfig::DEFAULT
     }
 }
 
 impl AssocPolicyConfig {
-    /// Whether any failure-adaptation mechanism is active.
-    pub fn adaptive(&self) -> bool {
-        self.demote < 1.0 || self.fail_window > 0
-    }
+    /// The defaults, as a constant so the registry's `assoc` parameter
+    /// table can be built from them.
+    pub const DEFAULT: AssocPolicyConfig = AssocPolicyConfig {
+        k: 2,
+        min_support: 3.0,
+        min_confidence: 0.0,
+        half_life: 500.0,
+        top_by_support: true,
+        demote: 1.0,
+        fail_window: 0,
+        fail_threshold: 0.75,
+    };
 }
 
 /// Per-node learned rules + rule-or-flood forwarding.
@@ -243,11 +242,7 @@ fn learner_in(
 
 impl ForwardingPolicy for AssocPolicy {
     fn name(&self) -> &'static str {
-        if self.cfg.adaptive() {
-            "assoc-adaptive"
-        } else {
-            "assoc"
-        }
+        "assoc"
     }
 
     fn select(&mut self, ctx: &ForwardCtx<'_>, rng: &mut Rng64) -> Vec<NodeId> {
@@ -331,7 +326,8 @@ impl ForwardingPolicy for AssocPolicy {
         if self.cfg.min_confidence > 0.0 {
             stats.push(("pruned_consequents".into(), self.pruned_consequents as f64));
         }
-        if self.cfg.adaptive() {
+        // Failure adaptation is on: report what it did.
+        if self.cfg.demote < 1.0 || self.cfg.fail_window > 0 {
             stats.push(("dead_demotions".into(), self.dead_demotions as f64));
             stats.push(("failure_remines".into(), self.failure_remines as f64));
         }
@@ -559,7 +555,6 @@ mod tests {
             fail_window: 0,
             fail_threshold: 0.75,
         });
-        assert_eq!(p.name(), "assoc-adaptive");
         let mut rng = Rng64::seed_from(7);
         // Node 5 learned (self -> 11) from its own issued queries.
         for _ in 0..8 {
@@ -633,7 +628,6 @@ mod tests {
             fail_window: 4,
             fail_threshold: 0.75,
         });
-        assert_eq!(p.name(), "assoc-adaptive");
         teach(&mut p, NodeId(5), NodeId(2), NodeId(11), 10);
         // Four straight timeouts fill node 5's window and discard its rules.
         for _ in 0..4 {

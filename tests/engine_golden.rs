@@ -104,3 +104,27 @@ fn expanding_ring() {
         0x58c5_b76f_f5c9_31d9,
     );
 }
+
+/// The learning policy's failure adaptation under crashes and retries:
+/// timeouts demote the rules that blamed a dead consequent, and a
+/// window of misses discards a node's rules. The run's policy string is
+/// overwritten with a fixed one, so the constant does not depend on how
+/// the spec is spelt.
+#[test]
+fn assoc_demote_and_failure_window() {
+    let mut cfg = small(400, 400, 16);
+    cfg.ttl = 4;
+    cfg.catalog.topics = 20;
+    cfg.catalog.files_per_topic = 40;
+    cfg.retry = Some(make_retry_policy("retry(deadline=2000,attempts=3,maxttl=8)").unwrap());
+    cfg.faults = Some(make_fault_plan("faults(crash=0.05)").unwrap());
+    let built = make_policy("assoc(k=2,demote=0.5,fw=20)").unwrap();
+    built.apply_to(&mut cfg);
+    let mut metrics = Network::new(cfg, built.policy).run().metrics;
+    metrics.policy = "assoc-demote".to_string();
+    let got = metrics.digest();
+    assert_eq!(
+        got, 0x3b3f_ade6_1f80_24f7,
+        "digest moved: measured {got:#018x}"
+    );
+}
