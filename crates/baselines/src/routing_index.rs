@@ -204,9 +204,9 @@ mod tests {
         );
         // Node 3: 10 docs of topic 0. Node 1: 1 doc of topic 1.
         for r in 0..10 {
-            workload.library_mut(3).insert(catalog.file_at(Topic(0), r));
+            workload.add_file(3, catalog.file_at(Topic(0), r));
         }
-        workload.library_mut(1).insert(catalog.file_at(Topic(1), 0));
+        workload.add_file(1, catalog.file_at(Topic(1), 0));
         let mut p = RoutingIndices::new(3, 0.5, 1);
         p.init(&g, &workload, &catalog);
         (g, workload, catalog, p)

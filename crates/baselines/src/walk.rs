@@ -37,16 +37,19 @@ impl ForwardingPolicy for KRandomWalk {
     }
 
     fn select(&mut self, ctx: &ForwardCtx<'_>, rng: &mut Rng64) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.select_into(ctx, rng, &mut out);
+        out
+    }
+
+    fn select_into(&mut self, ctx: &ForwardCtx<'_>, rng: &mut Rng64, out: &mut Vec<NodeId>) {
         if ctx.from.is_none() {
             // Issuer: dispatch k walkers to distinct random neighbors.
-            let k = self.k.min(ctx.candidates.len());
-            rng.sample_indices(ctx.candidates.len(), k)
-                .into_iter()
-                .map(|i| ctx.candidates[i])
-                .collect()
+            let n = ctx.candidates.len();
+            rng.sample_into(n, self.k.min(n), out, |i| ctx.candidates[i]);
         } else {
             // Relay: the walker moves to one random neighbor.
-            vec![*rng.pick(ctx.candidates)]
+            out.push(*rng.pick(ctx.candidates));
         }
     }
 }
@@ -120,6 +123,58 @@ mod tests {
             candidates: &candidates,
         };
         assert_eq!(p.select(&ctx, &mut rng).len(), 2);
+    }
+
+    /// The allocating selection `select_into` replaced, on the issuer
+    /// path and the relay path.
+    fn reference_select(k: usize, ctx: &ForwardCtx<'_>, rng: &mut Rng64) -> Vec<NodeId> {
+        if ctx.from.is_none() {
+            let k = k.min(ctx.candidates.len());
+            rng.sample_indices(ctx.candidates.len(), k)
+                .into_iter()
+                .map(|i| ctx.candidates[i])
+                .collect()
+        } else {
+            vec![*rng.pick(ctx.candidates)]
+        }
+    }
+
+    /// Over seeded contexts, `select_into` appends exactly the targets
+    /// the allocating selection returned, after whatever the buffer
+    /// held, and leaves the stream where it did; `select` agrees.
+    #[test]
+    fn select_into_equals_the_allocating_selection() {
+        let mut shape = Rng64::seed_from(0xA1C);
+        let m = msg();
+        let mut out = Vec::new();
+        for _ in 0..2_000 {
+            let k = 1 + shape.index(6);
+            let candidates: Vec<NodeId> = (0..1 + shape.index(12))
+                .map(|_| NodeId(shape.below(1_000) as u32))
+                .collect();
+            let from = shape.chance(0.5).then(|| NodeId(shape.below(1_000) as u32));
+            let ctx = ForwardCtx {
+                node: NodeId(5_000),
+                from,
+                query: &m,
+                candidates: &candidates,
+            };
+            let seed = shape.next_u64();
+            let (mut a, mut b, mut c) = (
+                Rng64::seed_from(seed),
+                Rng64::seed_from(seed),
+                Rng64::seed_from(seed),
+            );
+            out.truncate(shape.index(out.len() + 1));
+            let held = out.len();
+            let mut p = KRandomWalk::new(k);
+            p.select_into(&ctx, &mut a, &mut out);
+            let want = reference_select(k, &ctx, &mut b);
+            assert_eq!(out[held..], want[..], "k {k} from {from:?}");
+            assert_eq!(p.select(&ctx, &mut c), want);
+            let next = b.next_u64();
+            assert_eq!((a.next_u64(), c.next_u64()), (next, next), "draws");
+        }
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //!   --quick            CI-sized runs (61 blocks instead of 366)
 //!   --exp e1,e2,...    run only the named experiments
 //!   --seed N           master seed (default 20060814)
-//!   --out PATH         write the Markdown report here
-//!                      (default: EXPERIMENTS.md in the workspace root)
+//!   --out PATH         write the Markdown report here, creating its
+//!                      directory (default: EXPERIMENTS.md in the cwd)
 //!   --json DIR         write raw series JSON here (default: results/)
 //! ```
+//!
+//! A report that cannot be written exits 1 with the I/O error.
 
 use arq_bench::experiments::{run_all, Scale};
 use arq_bench::report::{render_markdown, save_json};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 struct Args {
     quick: bool,
@@ -97,9 +99,13 @@ fn main() {
         args.seed,
     );
     let md = render_markdown(&reports, &header);
-    arq::simkern::write_atomic_str(&args.out, &md).expect("writing the Markdown report");
+    let out_dir = args.out.parent().filter(|d| !d.as_os_str().is_empty());
+    out_dir
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| arq::simkern::write_atomic_str(&args.out, &md))
+        .unwrap_or_else(|e| fail(&args.out, e));
     for r in &reports {
-        save_json(&args.json_dir, r).expect("writing JSON series");
+        save_json(&args.json_dir, r).unwrap_or_else(|e| fail(&args.json_dir, e));
     }
     println!("{md}");
     eprintln!(
@@ -108,4 +114,10 @@ fn main() {
         reports.len(),
         args.json_dir.display()
     );
+}
+
+/// Reports an output that could not be written and exits 1.
+fn fail(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("error: writing {}: {e}", path.display());
+    std::process::exit(1);
 }

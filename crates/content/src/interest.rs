@@ -7,6 +7,12 @@
 //! Profiles can **drift**: at each drift step, with some probability one
 //! interest is replaced by a fresh topic. Drift plus churn together
 //! produce the slow decay of rule-set quality the paper measures.
+//!
+//! Drawing and drifting work on a topic slice and a weight slice, so one
+//! implementation serves an owned
+//! [`InterestProfile`] and the flat per-network profile table of
+//! [`crate::WorkloadGen`], where every node's topics sit in one `Vec`
+//! and all nodes share one weight vector.
 
 use crate::catalog::Topic;
 use arq_simkern::Rng64;
@@ -22,15 +28,9 @@ impl InterestProfile {
     /// Samples a profile of `k` distinct topics from `topic_count`,
     /// weighted by a geometric decay (the first interest dominates).
     pub fn sample(topic_count: usize, k: usize, rng: &mut Rng64) -> Self {
-        assert!(topic_count > 0, "no topics to choose from");
-        let k = k.clamp(1, topic_count);
-        let picks = rng.sample_indices(topic_count, k);
-        let topics: Vec<Topic> = picks.into_iter().map(|t| Topic(t as u16)).collect();
-        let mut weights: Vec<f64> = (0..k).map(|i| 0.6f64.powi(i as i32)).collect();
-        let total: f64 = weights.iter().sum();
-        for w in &mut weights {
-            *w /= total;
-        }
+        let weights = sampled_weights(topic_count, k);
+        let mut topics = Vec::with_capacity(weights.len());
+        sample_topics(topic_count, weights.len(), rng, &mut topics);
         InterestProfile { topics, weights }
     }
 
@@ -59,6 +59,11 @@ impl InterestProfile {
         &self.topics
     }
 
+    /// The normalized weights, matching [`InterestProfile::topics`].
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
     /// The normalized weight of topic at position `i`.
     pub fn weight(&self, i: usize) -> f64 {
         self.weights[i]
@@ -66,53 +71,14 @@ impl InterestProfile {
 
     /// Draws a topic according to the profile weights.
     pub fn sample_topic(&self, rng: &mut Rng64) -> Topic {
-        self.topics[self.topic_index(rng.f64())]
-    }
-
-    /// The position of the first topic whose running weight exceeds `u`,
-    /// or the last topic. The weights are non-negative, so the running
-    /// sums never decrease and counting the sums `<= u` finds that
-    /// position without a data-dependent branch.
-    fn topic_index(&self, u: f64) -> usize {
-        let mut acc = 0.0;
-        let mut i = 0;
-        for w in &self.weights {
-            acc += w;
-            i += usize::from(acc <= u);
-        }
-        i.min(self.weights.len() - 1)
+        sample_topic(&self.topics, &self.weights, rng)
     }
 
     /// One drift step: with probability `p`, replaces the least-weighted
-    /// interest with a uniformly random topic not already present. Returns
-    /// whether a replacement happened.
+    /// interest with a uniformly random topic not already present.
+    /// Returns whether a replacement happened.
     pub fn drift(&mut self, topic_count: usize, p: f64, rng: &mut Rng64) -> bool {
-        if !rng.chance(p) {
-            return false;
-        }
-        if topic_count <= self.topics.len() {
-            return false; // nothing new to drift to
-        }
-        let mut guard = 0;
-        let new_topic = loop {
-            let cand = Topic(rng.below(topic_count as u64) as u16);
-            if !self.topics.contains(&cand) {
-                break cand;
-            }
-            guard += 1;
-            if guard > 10_000 {
-                return false;
-            }
-        };
-        // Replace the entry with the smallest weight.
-        let (idx, _) = self
-            .weights
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
-        self.topics[idx] = new_topic;
-        true
+        drift(&mut self.topics, &self.weights, topic_count, p, rng)
     }
 
     /// Jaccard overlap of the topic sets of two profiles — used by tests
@@ -128,6 +94,80 @@ impl InterestProfile {
             inter as f64 / union as f64
         }
     }
+}
+
+/// The weights of every sampled profile of `min(k, topic_count)`
+/// interests (at least one), normalized: a geometric decay, so the
+/// first interest dominates.
+pub(crate) fn sampled_weights(topic_count: usize, k: usize) -> Vec<f64> {
+    assert!(topic_count > 0, "no topics to choose from");
+    let k = k.clamp(1, topic_count);
+    let mut weights: Vec<f64> = (0..k).map(|i| 0.6f64.powi(i as i32)).collect();
+    let total: f64 = weights.iter().sum();
+    for w in &mut weights {
+        *w /= total;
+    }
+    weights
+}
+
+/// Appends `k <= topic_count` distinct topics drawn uniformly to `out`.
+pub(crate) fn sample_topics(topic_count: usize, k: usize, rng: &mut Rng64, out: &mut Vec<Topic>) {
+    rng.sample_into(topic_count, k, out, |t| Topic(t as u16));
+}
+
+/// Draws one of `topics` with the matching normalized `weights`.
+pub(crate) fn sample_topic(topics: &[Topic], weights: &[f64], rng: &mut Rng64) -> Topic {
+    topics[topic_index(weights, rng.f64())]
+}
+
+/// The position of the first topic whose running weight exceeds `u`,
+/// or the last topic. The weights are non-negative, so the running
+/// sums never decrease and counting the sums `<= u` finds that
+/// position without a data-dependent branch.
+fn topic_index(weights: &[f64], u: f64) -> usize {
+    let mut acc = 0.0;
+    let mut i = 0;
+    for w in weights {
+        acc += w;
+        i += usize::from(acc <= u);
+    }
+    i.min(weights.len() - 1)
+}
+
+/// [`InterestProfile::drift`] over `topics` with the matching
+/// `weights`.
+pub(crate) fn drift(
+    topics: &mut [Topic],
+    weights: &[f64],
+    topic_count: usize,
+    p: f64,
+    rng: &mut Rng64,
+) -> bool {
+    if !rng.chance(p) {
+        return false;
+    }
+    if topic_count <= topics.len() {
+        return false; // nothing new to drift to
+    }
+    let mut guard = 0;
+    let new_topic = loop {
+        let cand = Topic(rng.below(topic_count as u64) as u16);
+        if !topics.contains(&cand) {
+            break cand;
+        }
+        guard += 1;
+        if guard > 10_000 {
+            return false;
+        }
+    };
+    // Replace the entry with the smallest weight.
+    let (idx, _) = weights
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .unwrap();
+    topics[idx] = new_topic;
+    true
 }
 
 #[cfg(test)]
@@ -199,7 +239,11 @@ mod tests {
             }
             us.extend((0..20_000).map(|_| rng.f64()));
             for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
-                assert_eq!(p.topic_index(u), reference_index(p, u), "{p:?} u {u:e}");
+                assert_eq!(
+                    topic_index(&p.weights, u),
+                    reference_index(p, u),
+                    "{p:?} u {u:e}"
+                );
             }
         }
     }

@@ -29,5 +29,5 @@ pub mod zipf;
 pub use catalog::{Catalog, CatalogConfig, FileId, Topic};
 pub use interest::InterestProfile;
 pub use keywords::{KeywordIndex, KeywordQuery};
-pub use workload::{Library, QueryKey, WorkloadConfig, WorkloadGen};
+pub use workload::{Libraries, Library, QueryKey, WorkloadConfig, WorkloadGen};
 pub use zipf::Zipf;

@@ -4,11 +4,14 @@
 //! owns one library + interest profile per node and produces the query
 //! stream that drives a simulation. Both draw from the same interest
 //! profile, producing the interest-based locality the routing heuristic
-//! exploits.
+//! exploits. Per-node state lives in per-network tables, not a heap
+//! block per node: the libraries in one arena ([`Libraries`]), the
+//! profiles as one `nodes × k` topic table beside the one weight vector
+//! they all share.
 
 use crate::catalog::{Catalog, FileId, Topic};
-use crate::interest::InterestProfile;
-use arq_simkern::Rng64;
+use crate::interest;
+use arq_simkern::{Rng64, Rows};
 
 /// What a query asks for. Matching is by exact file — the Gnutella
 /// analogue of "this set of keywords identifies the song I want". The
@@ -21,17 +24,15 @@ pub struct QueryKey {
     pub topic: Topic,
 }
 
-/// The set of files one node shares: a sorted, duplicate-free `Vec`
-/// plus a 64-bit summary of the id ranges it covers. Libraries hold
-/// tens of files and are probed on every query delivery. Most probes
-/// miss, and the summary answers most misses without reading the file
-/// list; the rest take one contiguous binary search, which beats a tree
-/// walk. Sampling builds the list without sorting or shifting: draws
-/// are deduplicated in a catalog-wide bitmap and the `Vec` is read off
-/// its set bits in id order.
-#[derive(Debug, Clone, Default)]
-pub struct Library {
-    files: Vec<FileId>,
+/// The files one node shares, read from a [`Libraries`] store: a
+/// sorted, duplicate-free slice plus a 64-bit summary of the id ranges
+/// it covers. Libraries hold tens of files and are probed on every
+/// query delivery. Most probes miss, and the summary answers most misses
+/// without reading the file list; the rest take one contiguous binary
+/// search, which beats a tree walk.
+#[derive(Debug, Clone, Copy)]
+pub struct Library<'a> {
+    files: &'a [FileId],
     /// Bit [`summary_bit`] of every file held. A clear bit proves a file
     /// absent; a set bit proves nothing.
     summary: u64,
@@ -48,55 +49,7 @@ fn summary_bit(f: FileId) -> u64 {
     1 << ((f.0 / SUMMARY_SPAN) % 64)
 }
 
-impl Library {
-    /// An empty library (free riders exist in real networks).
-    pub fn empty() -> Self {
-        Library::default()
-    }
-
-    /// Fills a library with `n` distinct files drawn from the node's
-    /// interests, giving up after `50 n` draws. Duplicates are dropped by
-    /// test-and-set in a bitmap over the catalog, so each draw is O(1);
-    /// the library is then read off the set bits in id order, already
-    /// sorted.
-    pub fn sample(catalog: &Catalog, profile: &InterestProfile, n: usize, rng: &mut Rng64) -> Self {
-        let mut seen = vec![0; catalog.len().div_ceil(64)];
-        Library::sample_with(catalog, profile, n, rng, &mut seen)
-    }
-
-    /// [`Library::sample`] with a caller-owned bitmap of
-    /// `catalog.len()` bits, all clear on entry and left clear on return.
-    fn sample_with(
-        catalog: &Catalog,
-        profile: &InterestProfile,
-        n: usize,
-        rng: &mut Rng64,
-        seen: &mut [u64],
-    ) -> Self {
-        let mut distinct = 0;
-        let mut guard = 0;
-        while distinct < n && guard < n * 50 {
-            let topic = profile.sample_topic(rng);
-            let f = catalog.sample_file(topic, rng).0 as usize;
-            let (word, bit) = (&mut seen[f / 64], 1 << (f % 64));
-            distinct += usize::from(*word & bit == 0);
-            *word |= bit;
-            guard += 1;
-        }
-        let mut files = Vec::with_capacity(distinct);
-        let mut summary = 0;
-        for (w, word) in seen.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let f = FileId((w * 64) as u32 + bits.trailing_zeros());
-                files.push(f);
-                summary |= summary_bit(f);
-                bits &= bits - 1;
-            }
-        }
-        Library { files, summary }
-    }
-
+impl Library<'_> {
     /// Whether the library contains `f`.
     #[inline]
     pub fn contains(&self, f: FileId) -> bool {
@@ -123,18 +76,94 @@ impl Library {
     pub fn iter(&self) -> impl Iterator<Item = FileId> + '_ {
         self.files.iter().copied()
     }
+}
 
-    /// Adds a file (e.g. after a successful download — downloads spread
-    /// content in real networks). Returns whether the file was new.
-    pub fn insert(&mut self, f: FileId) -> bool {
-        match self.files.binary_search(&f) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.files.insert(pos, f);
-                self.summary |= summary_bit(f);
-                true
-            }
+/// Every node's library in one arena ([`Rows`]): row `i` holds node
+/// `i`'s files in ascending id order, and its header carries the
+/// summary beside the row's offsets, so a probe reads one header and a
+/// summary miss touches nothing else. A library that outgrows its room
+/// (downloads add files) moves to the arena's tail.
+#[derive(Debug, Clone, Default)]
+pub struct Libraries {
+    rows: Rows<FileId, u64>,
+}
+
+impl Libraries {
+    /// No libraries.
+    pub fn new() -> Self {
+        Libraries::default()
+    }
+
+    /// Number of libraries.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no libraries.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Library `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> Library<'_> {
+        let (files, summary) = self.rows.row_meta(i);
+        Library { files, summary }
+    }
+
+    /// Appends an empty library (free riders exist in real networks) and
+    /// returns its index.
+    pub fn push_empty(&mut self) -> usize {
+        self.rows.push_row([], 0)
+    }
+
+    /// Adds `f` to library `i` (e.g. after a successful download —
+    /// downloads spread content in real networks). Returns whether the
+    /// file was new.
+    pub fn insert(&mut self, i: usize, f: FileId) -> bool {
+        let fresh = self.rows.insert_sorted(i, f);
+        *self.rows.meta_mut(i) |= summary_bit(f);
+        fresh
+    }
+
+    /// Appends a library of `n` distinct files drawn from interests
+    /// `topics` weighted by `weights`, giving up after `50 n` draws.
+    /// Duplicates are dropped by test-and-set in `seen`, a caller-owned
+    /// bitmap of `catalog.len()` bits, all clear on entry and left clear
+    /// on return, so each draw is O(1); the library is then read off the
+    /// set bits in id order, already sorted.
+    fn push_sampled(
+        &mut self,
+        catalog: &Catalog,
+        (topics, weights): (&[Topic], &[f64]),
+        n: usize,
+        rng: &mut Rng64,
+        seen: &mut [u64],
+    ) -> usize {
+        let mut distinct = 0;
+        let mut guard = 0;
+        while distinct < n && guard < n * 50 {
+            let topic = interest::sample_topic(topics, weights, rng);
+            let f = catalog.sample_file(topic, rng).0 as usize;
+            let (word, bit) = (&mut seen[f / 64], 1 << (f % 64));
+            distinct += usize::from(*word & bit == 0);
+            *word |= bit;
+            guard += 1;
         }
+        let mut summary = 0;
+        let files = seen.iter_mut().enumerate().flat_map(|(w, word)| {
+            let mut bits = std::mem::take(word);
+            std::iter::from_fn(move || {
+                let b = (bits != 0).then(|| bits.trailing_zeros())?;
+                bits &= bits - 1;
+                Some(FileId((w * 64) as u32 + b))
+            })
+        });
+        let i = self
+            .rows
+            .push_row(files.inspect(|&f| summary |= summary_bit(f)), 0);
+        *self.rows.meta_mut(i) = summary;
+        i
     }
 }
 
@@ -165,66 +194,80 @@ impl Default for WorkloadConfig {
 /// Per-node state driving query generation.
 pub struct WorkloadGen {
     cfg: WorkloadConfig,
-    profiles: Vec<InterestProfile>,
-    libraries: Vec<Library>,
+    /// Every node's interests, `weights.len()` topics per node,
+    /// strongest first.
+    topics: Vec<Topic>,
+    /// The interest weights every node shares: each sampled profile
+    /// weighs its interests by the same geometric decay.
+    weights: Vec<f64>,
+    libraries: Libraries,
 }
 
 impl WorkloadGen {
     /// Builds libraries and profiles for `n` nodes.
     pub fn generate(n: usize, catalog: &Catalog, cfg: WorkloadConfig, rng: &mut Rng64) -> Self {
-        let mut profiles = Vec::with_capacity(n);
-        let mut libraries = Vec::with_capacity(n);
+        let weights = interest::sampled_weights(catalog.topic_count(), cfg.interests_per_node);
+        let k = weights.len();
+        let mut topics = Vec::with_capacity(n * k);
+        let mut libraries = Libraries {
+            rows: Rows::with_capacity(n, n * cfg.files_per_node),
+        };
         let mut seen = vec![0; catalog.len().div_ceil(64)];
-        for _ in 0..n {
-            let profile =
-                InterestProfile::sample(catalog.topic_count(), cfg.interests_per_node, rng);
-            let lib = if rng.chance(cfg.free_rider_fraction) {
-                Library::empty()
+        for i in 0..n {
+            interest::sample_topics(catalog.topic_count(), k, rng, &mut topics);
+            if rng.chance(cfg.free_rider_fraction) {
+                libraries.push_empty();
             } else {
                 let lo = cfg.files_per_node / 2;
                 let span = cfg.files_per_node.max(1);
                 let count = lo + rng.index(span);
-                Library::sample_with(catalog, &profile, count.max(1), rng, &mut seen)
-            };
-            profiles.push(profile);
-            libraries.push(lib);
+                let profile = (&topics[i * k..(i + 1) * k], &weights[..]);
+                libraries.push_sampled(catalog, profile, count.max(1), rng, &mut seen);
+            }
         }
         WorkloadGen {
             cfg,
-            profiles,
+            topics,
+            weights,
             libraries,
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.profiles.len()
+        self.libraries.len()
     }
 
     /// Whether the workload covers zero nodes.
     pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
+        self.libraries.is_empty()
     }
 
     /// The library of node `i`.
-    pub fn library(&self, i: usize) -> &Library {
-        &self.libraries[i]
+    #[inline]
+    pub fn library(&self, i: usize) -> Library<'_> {
+        self.libraries.get(i)
     }
 
-    /// Mutable library access (downloads).
-    pub fn library_mut(&mut self, i: usize) -> &mut Library {
-        &mut self.libraries[i]
+    /// Adds `f` to node `i`'s library (a download). Returns whether the
+    /// file was new.
+    pub fn add_file(&mut self, i: usize, f: FileId) -> bool {
+        self.libraries.insert(i, f)
     }
 
-    /// The interest profile of node `i`.
-    pub fn profile(&self, i: usize) -> &InterestProfile {
-        &self.profiles[i]
+    /// The interests of node `i`, strongest first.
+    pub fn interests(&self, i: usize) -> &[Topic] {
+        let k = self.weights.len();
+        &self.topics[i * k..(i + 1) * k]
     }
 
     /// Generates the next query for node `i`, applying interest drift.
     pub fn next_query(&mut self, i: usize, catalog: &Catalog, rng: &mut Rng64) -> QueryKey {
-        self.profiles[i].drift(catalog.topic_count(), self.cfg.drift_per_query, rng);
-        let topic = self.profiles[i].sample_topic(rng);
+        let k = self.weights.len();
+        let topics = &mut self.topics[i * k..(i + 1) * k];
+        let p = self.cfg.drift_per_query;
+        interest::drift(topics, &self.weights, catalog.topic_count(), p, rng);
+        let topic = interest::sample_topic(topics, &self.weights, rng);
         let file = catalog.sample_file(topic, rng);
         QueryKey { file, topic }
     }
@@ -234,11 +277,8 @@ impl WorkloadGen {
     /// holder count per file instead.
     #[cfg(test)]
     pub(crate) fn holders(&self, q: QueryKey) -> Vec<usize> {
-        self.libraries
-            .iter()
-            .enumerate()
-            .filter(|(_, lib)| lib.matches(q))
-            .map(|(i, _)| i)
+        (0..self.len())
+            .filter(|&i| self.library(i).matches(q))
             .collect()
     }
 }
@@ -247,7 +287,21 @@ impl WorkloadGen {
 mod tests {
     use super::*;
     use crate::catalog::CatalogConfig;
+    use crate::InterestProfile;
     use std::collections::BTreeSet;
+
+    /// Appends one library drawn from `profile` to `libs`.
+    fn sample(
+        libs: &mut Libraries,
+        catalog: &Catalog,
+        profile: &InterestProfile,
+        n: usize,
+        rng: &mut Rng64,
+    ) -> usize {
+        let mut seen = vec![0; catalog.len().div_ceil(64)];
+        let profile = (profile.topics(), profile.weights());
+        libs.push_sampled(catalog, profile, n, rng, &mut seen)
+    }
 
     fn setup() -> (Catalog, WorkloadGen, Rng64) {
         let mut rng = Rng64::seed_from(42);
@@ -283,28 +337,30 @@ mod tests {
             &mut rng,
         );
         let profile = InterestProfile::from_pairs(&[(Topic(3), 1.0)]);
-        let lib = Library::sample(&catalog, &profile, 20, &mut rng);
+        let mut libs = Libraries::new();
+        let i = sample(&mut libs, &catalog, &profile, 20, &mut rng);
+        let lib = libs.get(i);
         assert!(!lib.is_empty());
         for f in lib.iter() {
             assert_eq!(catalog.meta(f).topic, Topic(3));
         }
     }
 
-    /// The sorted-insert loop `Library::sample` replaced.
+    /// The sorted-insert loop the bitmap sampling replaced.
     fn reference_sample(
         catalog: &Catalog,
         profile: &InterestProfile,
         n: usize,
         rng: &mut Rng64,
-    ) -> Library {
-        let mut lib = Library::empty();
+    ) -> Vec<FileId> {
+        let mut lib = BTreeSet::new();
         let mut guard = 0;
         while lib.len() < n && guard < n * 50 {
             let topic = profile.sample_topic(rng);
             lib.insert(catalog.sample_file(topic, rng));
             guard += 1;
         }
-        lib
+        lib.into_iter().collect()
     }
 
     #[test]
@@ -326,14 +382,16 @@ mod tests {
                 InterestProfile::from_pairs(&[(Topic(catalog.topic_count() as u16 - 1), 1.0)]),
             ];
             let mut seen = vec![0; catalog.len().div_ceil(64)];
+            let mut libs = Libraries::new();
             for profile in &profiles {
+                let weighted = (profile.topics(), profile.weights());
                 for n in [1, 20, 90] {
                     for seed in 0..40 {
                         let mut a = Rng64::seed_from(seed);
                         let mut b = Rng64::seed_from(seed);
-                        let got = Library::sample_with(catalog, profile, n, &mut a, &mut seen);
+                        let i = libs.push_sampled(catalog, weighted, n, &mut a, &mut seen);
                         let want = reference_sample(catalog, profile, n, &mut b);
-                        assert_eq!(got.files, want.files, "n {n} seed {seed}");
+                        assert_eq!(libs.get(i).files, want, "n {n} seed {seed}");
                         assert_eq!(a.next_u64(), b.next_u64(), "n {n} seed {seed}: draws");
                         assert!(seen.iter().all(|&w| w == 0), "bitmap left dirty");
                     }
@@ -361,12 +419,16 @@ mod tests {
             );
             let n = catalog.len() as u32;
             assert_eq!(n > 64 * SUMMARY_SPAN, topics == 30, "one catalog wraps");
-            let empty = Library::empty();
-            assert!((0..n).all(|f| !empty.contains(FileId(f))));
+            let mut libs = Libraries::new();
+            let empty = libs.push_empty();
+            assert!((0..n).all(|f| !libs.get(empty).contains(FileId(f))));
             for _ in 0..20 {
                 let profile = InterestProfile::sample(catalog.topic_count(), 3, &mut rng);
-                let mut lib = Library::sample(&catalog, &profile, 1 + rng.index(90), &mut rng);
-                for _ in 0..3 {
+                sample(&mut libs, &catalog, &profile, 1 + rng.index(90), &mut rng);
+            }
+            for _ in 0..3 {
+                for i in 0..libs.len() {
+                    let lib = libs.get(i);
                     let mut held = vec![false; n as usize];
                     for f in lib.iter() {
                         held[f.0 as usize] = true;
@@ -374,9 +436,10 @@ mod tests {
                     for f in 0..n {
                         assert_eq!(lib.contains(FileId(f)), held[f as usize], "file {f}");
                     }
-                    for _ in 0..10 {
-                        lib.insert(FileId(rng.below(u64::from(n)) as u32));
-                    }
+                }
+                for _ in 0..10 * libs.len() {
+                    let i = rng.index(libs.len());
+                    libs.insert(i, FileId(rng.below(u64::from(n)) as u32));
                 }
             }
         }
@@ -397,7 +460,9 @@ mod tests {
             let topic = Topic(rng.index(8) as u16);
             let n = 1 + rng.index(39);
             let profile = InterestProfile::from_pairs(&[(topic, 1.0)]);
-            let lib = Library::sample(&catalog, &profile, n, &mut rng);
+            let mut libs = Libraries::new();
+            let i = sample(&mut libs, &catalog, &profile, n, &mut rng);
+            let lib = libs.get(i);
             assert!(!lib.is_empty());
             assert!(lib.len() <= n);
             for f in lib.iter() {
@@ -438,7 +503,7 @@ mod tests {
     #[test]
     fn interest_locality_biases_queries_to_profile_topics() {
         let (catalog, mut gen, mut rng) = setup();
-        let profile_topics: BTreeSet<Topic> = gen.profile(0).topics().iter().copied().collect();
+        let profile_topics: BTreeSet<Topic> = gen.interests(0).iter().copied().collect();
         let mut in_profile = 0;
         for _ in 0..200 {
             let q = gen.next_query(0, &catalog, &mut rng);
@@ -463,7 +528,7 @@ mod tests {
         let target = (0..gen.len())
             .find(|&i| !gen.library(i).matches(q))
             .unwrap();
-        gen.library_mut(target).insert(q.file);
+        assert!(gen.add_file(target, q.file));
         assert_eq!(gen.holders(q).len(), before + 1);
     }
 

@@ -18,7 +18,7 @@
 
 use crate::collector::Collector;
 use crate::faults::{FaultPlan, FaultState};
-use crate::guid::GuidGen;
+use crate::guid::GuidGens;
 use crate::message::{HitMsg, QueryMsg};
 use crate::metrics::{MetricsBuilder, QueryOutcome, RunMetrics};
 use crate::net::{LinkPlan, LinkState, Transmission};
@@ -392,13 +392,13 @@ impl LiveHolders {
         holders
     }
 
-    fn came_online(&mut self, library: &Library) {
+    fn came_online(&mut self, library: Library<'_>) {
         for f in library.iter() {
             self.0[f.0 as usize] += 1;
         }
     }
 
-    fn went_offline(&mut self, library: &Library) {
+    fn went_offline(&mut self, library: Library<'_>) {
         for f in library.iter() {
             self.0[f.0 as usize] -= 1;
         }
@@ -427,7 +427,7 @@ pub struct Network<P: ForwardingPolicy> {
     /// Network-wide GUID dedup + reverse-path memory, GUID-major: one
     /// table per GUID, per-node FIFOs in one arena (see [`GuidStore`]).
     store: GuidStore,
-    guid_gens: Vec<GuidGen>,
+    guid_gens: GuidGens,
     churn: Option<ChurnProcess>,
     collector: Option<Collector>,
     queue: EventQueue<Event>,
@@ -535,15 +535,14 @@ impl<P: ForwardingPolicy> Network<P> {
             WorkloadGen::generate(cfg.nodes, &catalog, cfg.workload.clone(), &mut wl_rng);
 
         let mut guid_rng = streams.stream("guid");
-        let guid_gens = (0..cfg.nodes)
-            .map(|_| {
-                if guid_rng.chance(cfg.faulty_fraction) {
-                    GuidGen::faulty(4, &mut guid_rng)
-                } else {
-                    GuidGen::Proper
-                }
-            })
-            .collect();
+        let mut guid_gens = GuidGens::with_capacity(cfg.nodes);
+        for _ in 0..cfg.nodes {
+            if guid_rng.chance(cfg.faulty_fraction) {
+                guid_gens.push_faulty(4, &mut guid_rng);
+            } else {
+                guid_gens.push_proper();
+            }
+        }
 
         let churn = cfg.churn.clone().map(|mut c| {
             if let Some(col) = cfg.collector {
@@ -882,7 +881,7 @@ impl<P: ForwardingPolicy> Network<P> {
             return false; // issuer offline at reissue time
         }
         let key = self.queries[qidx].key;
-        let guid = self.guid_gens[node.index()].next(&mut self.net_rng);
+        let guid = self.guid_gens.next(node.index(), &mut self.net_rng);
         // Accounting follows the GUID's *first* query: a faulty generator
         // re-using a GUID charges traffic to the original query, exactly
         // as a lookup through the map on every message would.
@@ -1146,7 +1145,7 @@ impl<P: ForwardingPolicy> Network<P> {
             if self.cfg.download_on_hit {
                 // First hit: fetch the file, becoming a new replica.
                 let file = msg.key.file;
-                let fresh = self.workload.library_mut(issuer.index()).insert(file);
+                let fresh = self.workload.add_file(issuer.index(), file);
                 if fresh && self.graph.is_alive(issuer) {
                     self.live_holders.gained_replica(file);
                 }

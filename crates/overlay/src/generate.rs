@@ -1,7 +1,9 @@
 //! Topology generators.
 //!
 //! Unstructured P2P overlays are commonly modelled as random graphs. The
-//! generators here are deterministic given an [`Rng64`] stream:
+//! generators here are deterministic given an [`Rng64`] stream, and each
+//! one that builds from scratch collects its edge list and lays it out
+//! once ([`Graph::from_edges`]):
 //!
 //! * [`erdos_renyi`] — G(n, p) uniform random graph;
 //! * [`barabasi_albert`] — preferential attachment, yielding the power-law
@@ -20,15 +22,20 @@ use arq_simkern::Rng64;
 /// independently with probability `p`.
 pub fn erdos_renyi(n: usize, p: f64, rng: &mut Rng64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p out of range");
-    let mut g = Graph::new(n);
+    let mut edges = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
             if rng.chance(p) {
-                g.add_edge(NodeId(a as u32), NodeId(b as u32));
+                edges.push((NodeId(a as u32), NodeId(b as u32)));
             }
         }
     }
-    g
+    Graph::from_edges(n, edges.iter().copied())
+}
+
+/// Every pair `(a, b)`, `a < b`, of the first `n` node ids.
+fn clique_edges(n: usize) -> impl Iterator<Item = (NodeId, NodeId)> + Clone {
+    (0..n as u32).flat_map(move |a| (a + 1..n as u32).map(move |b| (NodeId(a), NodeId(b))))
 }
 
 /// Barabási–Albert preferential attachment.
@@ -39,23 +46,19 @@ pub fn erdos_renyi(n: usize, p: f64, rng: &mut Rng64) -> Graph {
 pub fn barabasi_albert(n: usize, m: usize, rng: &mut Rng64) -> Graph {
     assert!(m >= 1, "attachment count must be >= 1");
     assert!(n > m, "need more nodes than the seed clique");
-    let mut g = Graph::new(n);
-    // Seed: clique over the first m+1 nodes so every seed node has degree m.
-    for a in 0..=m {
-        for b in (a + 1)..=m {
-            g.add_edge(NodeId(a as u32), NodeId(b as u32));
-        }
-    }
-    // endpoint pool: each node appears once per unit of degree.
+    // Seed: clique over the first m+1 nodes so every seed node has degree
+    // m. Endpoint pool: each node appears once per unit of degree.
     let mut pool: Vec<NodeId> = Vec::with_capacity(2 * n * m);
     for a in 0..=m {
-        for _ in 0..g.degree(NodeId(a as u32)) {
+        for _ in 0..m {
             pool.push(NodeId(a as u32));
         }
     }
+    let seed_slots = pool.len();
+    let mut targets: Vec<NodeId> = Vec::with_capacity(m);
     for v in (m + 1)..n {
         let v = NodeId(v as u32);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(m);
+        targets.clear();
         // Rejection-sample m distinct targets from the degree-weighted pool.
         let mut guard = 0usize;
         while targets.len() < m {
@@ -69,13 +72,14 @@ pub fn barabasi_albert(n: usize, m: usize, rng: &mut Rng64) -> Graph {
                 "BA sampling failed to find distinct targets"
             );
         }
-        for t in targets {
-            g.add_edge(v, t);
+        for &t in &targets {
             pool.push(v);
             pool.push(t);
         }
     }
-    g
+    // Past the seed, the pool is the edge list: one `(v, t)` per edge.
+    let attached = pool[seed_slots..].chunks_exact(2).map(|e| (e[0], e[1]));
+    Graph::from_edges(n, clique_edges(m + 1).chain(attached))
 }
 
 /// Watts–Strogatz small-world graph: ring lattice with `k` neighbors per
@@ -83,12 +87,11 @@ pub fn barabasi_albert(n: usize, m: usize, rng: &mut Rng64) -> Graph {
 pub fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut Rng64) -> Graph {
     assert!(k >= 1 && 2 * k < n, "lattice degree too large for n");
     assert!((0.0..=1.0).contains(&beta));
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        for j in 1..=k {
-            g.add_edge(NodeId(i as u32), NodeId(((i + j) % n) as u32));
-        }
-    }
+    let lattice = (0..n).flat_map(|i| (1..=k).map(move |j| (i, (i + j) % n)));
+    let mut g = Graph::from_edges(
+        n,
+        lattice.map(|(a, b)| (NodeId(a as u32), NodeId(b as u32))),
+    );
     // Rewire: for each lattice edge (i, i+j), with prob beta replace the
     // far endpoint with a uniform random node.
     for i in 0..n {
@@ -118,24 +121,13 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut Rng64) -> Graph {
 
 /// A simple cycle over `n` nodes.
 pub fn ring(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    if n >= 2 {
-        for i in 0..n {
-            g.add_edge(NodeId(i as u32), NodeId(((i + 1) % n) as u32));
-        }
-    }
-    g
+    let edges = (0..n).map(|i| (NodeId(i as u32), NodeId(((i + 1) % n) as u32)));
+    Graph::from_edges(n, edges)
 }
 
 /// The complete graph over `n` nodes.
 pub fn clique(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            g.add_edge(NodeId(a as u32), NodeId(b as u32));
-        }
-    }
-    g
+    Graph::from_edges(n, clique_edges(n))
 }
 
 /// Connects all live components of `g` by adding one bridge edge between a
@@ -276,6 +268,56 @@ mod tests {
         }
     }
 
+    /// The edge-by-edge construction `barabasi_albert` replaced: the
+    /// laid-out graph has the same rows and leaves the stream where the
+    /// old one did.
+    #[test]
+    fn barabasi_albert_equals_edge_by_edge_construction() {
+        fn reference(n: usize, m: usize, rng: &mut Rng64) -> Graph {
+            let mut g = Graph::new(n);
+            for a in 0..=m {
+                for b in (a + 1)..=m {
+                    g.add_edge(NodeId(a as u32), NodeId(b as u32));
+                }
+            }
+            let mut pool: Vec<NodeId> = Vec::new();
+            for a in 0..=m {
+                for _ in 0..g.degree(NodeId(a as u32)) {
+                    pool.push(NodeId(a as u32));
+                }
+            }
+            for v in (m + 1)..n {
+                let v = NodeId(v as u32);
+                let mut targets: Vec<NodeId> = Vec::new();
+                while targets.len() < m {
+                    let t = *rng.pick(&pool);
+                    if t != v && !targets.contains(&t) {
+                        targets.push(t);
+                    }
+                }
+                for t in targets {
+                    g.add_edge(v, t);
+                    pool.push(v);
+                    pool.push(t);
+                }
+            }
+            g
+        }
+        let mut shape = rng();
+        for _ in 0..32 {
+            let m = 1 + shape.index(4);
+            let n = m + 1 + shape.index(300);
+            let seed = shape.next_u64();
+            let (mut a, mut b) = (Rng64::seed_from(seed), Rng64::seed_from(seed));
+            let (got, want) = (barabasi_albert(n, m, &mut a), reference(n, m, &mut b));
+            assert_eq!(got.edge_count(), want.edge_count());
+            for v in want.nodes() {
+                assert_eq!(got.neighbors(v), want.neighbors(v), "n {n} m {m} {v}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "n {n} m {m}: draws");
+        }
+    }
+
     /// `ensure_connected` always leaves one component.
     #[test]
     fn ensure_connected_connects() {
@@ -350,19 +392,17 @@ pub fn superpeer(
         }
     }
     ensure_connected(&mut core, rng);
-    let mut g = Graph::new(n);
-    for s in core.nodes() {
-        for &t in core.neighbors(s) {
-            g.add_edge(s, t);
-        }
-    }
     // Leaves.
     let mut assignment: Vec<NodeId> = (0..n_super as u32).map(NodeId).collect();
-    for leaf in n_super..n {
-        let sp = NodeId(rng.index(n_super) as u32);
-        g.add_edge(NodeId(leaf as u32), sp);
-        assignment.push(sp);
+    for _ in n_super..n {
+        assignment.push(NodeId(rng.index(n_super) as u32));
     }
+    let core_edges = (0..n_super as u32)
+        .map(NodeId)
+        .flat_map(|s| core.neighbors(s).iter().map(move |&t| (s, t)))
+        .filter(|(s, t)| s < t);
+    let leaf_edges = (n_super..n).map(|leaf| (NodeId(leaf as u32), assignment[leaf]));
+    let g = Graph::from_edges(n, core_edges.chain(leaf_edges));
     (g, assignment)
 }
 

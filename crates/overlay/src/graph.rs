@@ -3,14 +3,19 @@
 //! Nodes are dense integer ids. Each node carries a liveness flag: a peer
 //! that leaves the network stays in the id space (its identity — the
 //! paper's "IP address" — persists) but takes no further part in routing
-//! until it rejoins. Adjacency is stored as sorted `Vec<NodeId>` per node:
-//! overlays are sparse (Gnutella averages 3–10 neighbors), so linear scans
-//! beat hashing while keeping iteration order deterministic. Liveness is
+//! until it rejoins. Adjacency is one sorted row of neighbor ids per node,
+//! every row in one arena ([`Rows`]): overlays are sparse (Gnutella
+//! averages 3–10 neighbors), so binary search in a short row beats
+//! hashing while keeping iteration order deterministic, and a 100k-node
+//! graph is built and freed in a few allocations. Generators lay their
+//! edge list out once ([`Graph::from_edges`]); churn and adaptation edit
+//! rows in place. Liveness is
 //! a bitmap with a rank-select tree over it, so the live count is a
 //! counter and "the k-th live node in id order" — what a uniform draw
 //! over live nodes needs — costs O(log n) instead of a scan.
 
 use crate::live_set::LiveSet;
+use arq_simkern::Rows;
 use std::fmt;
 
 /// Identifier of an overlay node. Dense, stable across leave/rejoin.
@@ -34,7 +39,7 @@ impl fmt::Display for NodeId {
 /// An undirected overlay graph with per-node liveness.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    adj: Vec<Vec<NodeId>>,
+    adj: Rows<NodeId>,
     alive: LiveSet,
     edges: usize,
 }
@@ -42,10 +47,49 @@ pub struct Graph {
 impl Graph {
     /// Creates a graph with `n` isolated, live nodes.
     pub fn new(n: usize) -> Self {
+        Graph::from_edges(n, [])
+    }
+
+    /// Creates a graph with `n` live nodes and the undirected edges
+    /// `edges`, laid out once: each node's row gets exactly its degree
+    /// in room. Self loops and repeated edges are dropped, as
+    /// [`Graph::add_edge`] drops them, so the result equals adding the
+    /// edges one by one.
+    pub fn from_edges<I>(n: usize, edges: I) -> Self
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter().filter(|(a, b)| a != b);
+        let mut degree = vec![0; n];
+        for (a, b) in edges.clone() {
+            assert!(a.index() < n && b.index() < n, "edge endpoint out of range");
+            degree[a.index()] += 1;
+            degree[b.index()] += 1;
+        }
+        let mut adj = Rows::with_room(&degree, NodeId(0), ());
+        for (a, b) in edges {
+            adj.push(a.index(), b);
+            adj.push(b.index(), a);
+        }
+        let mut half_edges = 0;
+        for r in 0..n {
+            let row = adj.row_mut(r);
+            row.sort_unstable();
+            let mut kept = 0;
+            for i in 0..row.len() {
+                if kept == 0 || row[i] != row[kept - 1] {
+                    row[kept] = row[i];
+                    kept += 1;
+                }
+            }
+            adj.truncate(r, kept);
+            half_edges += kept;
+        }
         Graph {
-            adj: vec![Vec::new(); n],
+            adj,
             alive: LiveSet::all_live(n),
-            edges: 0,
+            edges: half_edges / 2,
         }
     }
 
@@ -106,7 +150,7 @@ impl Graph {
     /// Adds a fresh isolated live node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.adj.len() as u32);
-        self.adj.push(Vec::new());
+        self.adj.push_row([], ());
         self.alive.push_live();
         id
     }
@@ -122,8 +166,8 @@ impl Graph {
             ai < self.adj.len() && bi < self.adj.len(),
             "edge endpoint out of range"
         );
-        insert_sorted(&mut self.adj[ai], b);
-        insert_sorted(&mut self.adj[bi], a);
+        self.adj.insert_sorted(ai, b);
+        self.adj.insert_sorted(bi, a);
         self.edges += 1;
         true
     }
@@ -131,9 +175,9 @@ impl Graph {
     /// Removes the undirected edge `{a, b}` if present. Returns whether an
     /// edge was removed.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let removed = remove_sorted(&mut self.adj[a.index()], b);
+        let removed = self.adj.remove_sorted(a.index(), b);
         if removed {
-            remove_sorted(&mut self.adj[b.index()], a);
+            self.adj.remove_sorted(b.index(), a);
             self.edges -= 1;
         }
         removed
@@ -141,19 +185,19 @@ impl Graph {
 
     /// Whether the edge `{a, b}` exists.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.adj[a.index()].binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// All neighbors of `n` (live or not — callers filter by liveness when
     /// routing).
     #[inline]
     pub fn neighbors(&self, n: NodeId) -> &[NodeId] {
-        &self.adj[n.index()]
+        self.adj.row(n.index())
     }
 
     /// Neighbors of `n` that are currently live.
     pub fn live_neighbors<'a>(&'a self, n: NodeId) -> impl Iterator<Item = NodeId> + 'a {
-        self.adj[n.index()]
+        self.neighbors(n)
             .iter()
             .copied()
             .filter(move |m| self.is_alive(*m))
@@ -161,17 +205,19 @@ impl Graph {
 
     /// Degree of `n` counting all incident edges.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.index()].len()
+        self.neighbors(n).len()
     }
 
     /// Marks `n` as departed and removes all its incident edges, returning
-    /// the former neighbor list. Its id remains valid. Departing a node
-    /// that is already down changes nothing.
+    /// the former neighbor list. Its id remains valid, and its row keeps
+    /// its room for the edges a rejoin wires. Departing a node that is
+    /// already down changes nothing.
     pub fn depart(&mut self, n: NodeId) -> Vec<NodeId> {
         self.alive.set(n.index(), false);
-        let former = std::mem::take(&mut self.adj[n.index()]);
+        let former = self.neighbors(n).to_vec();
+        self.adj.truncate(n.index(), 0);
         for &m in &former {
-            remove_sorted(&mut self.adj[m.index()], n);
+            self.adj.remove_sorted(m.index(), n);
         }
         self.edges -= former.len();
         former
@@ -214,7 +260,7 @@ impl Graph {
         self.alive.check()?;
         let mut counted = 0usize;
         for n in self.nodes() {
-            let adj = &self.adj[n.index()];
+            let adj = self.neighbors(n);
             if adj.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("adjacency of {n} not sorted/deduped"));
             }
@@ -222,7 +268,7 @@ impl Graph {
                 if m == n {
                     return Err(format!("self loop at {n}"));
                 }
-                if self.adj[m.index()].binary_search(&n).is_err() {
+                if !self.has_edge(m, n) {
                     return Err(format!("asymmetric edge {n}-{m}"));
                 }
             }
@@ -235,22 +281,6 @@ impl Graph {
             ));
         }
         Ok(())
-    }
-}
-
-fn insert_sorted(v: &mut Vec<NodeId>, x: NodeId) {
-    if let Err(pos) = v.binary_search(&x) {
-        v.insert(pos, x);
-    }
-}
-
-fn remove_sorted(v: &mut Vec<NodeId>, x: NodeId) -> bool {
-    match v.binary_search(&x) {
-        Ok(pos) => {
-            v.remove(pos);
-            true
-        }
-        Err(_) => false,
     }
 }
 
@@ -397,6 +427,87 @@ mod tests {
             }
             g.check_invariants().unwrap();
         }
+    }
+
+    /// Seeded `add_edge` / `remove_edge` / `depart` / `rejoin` /
+    /// `add_node` sequences against a `Vec<Vec<NodeId>>` model, starting
+    /// from a laid-out graph; every query is compared after every step.
+    /// Rows move to the arena's tail and the arena compacts along the
+    /// way.
+    #[test]
+    fn graph_equals_a_vec_of_vecs_model_under_random_ops() {
+        let (mut moved, mut compacted) = (0, 0);
+        let mut rng = Rng64::seed_from(0x6A3);
+        for _ in 0..48 {
+            let n = 2 + rng.index(30);
+            let edges: Vec<(NodeId, NodeId)> = (0..rng.index(3 * n))
+                .map(|_| (NodeId(rng.index(n) as u32), NodeId(rng.index(n) as u32)))
+                .collect();
+            let mut g = Graph::from_edges(n, edges.iter().copied());
+            let mut model: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+            let mut alive = vec![true; n];
+            let link = |model: &mut Vec<Vec<NodeId>>, a: NodeId, b: NodeId| {
+                if a == b || model[a.index()].contains(&b) {
+                    return false;
+                }
+                model[a.index()].push(b);
+                model[b.index()].push(a);
+                model[a.index()].sort_unstable();
+                model[b.index()].sort_unstable();
+                true
+            };
+            for &(a, b) in &edges {
+                link(&mut model, a, b);
+            }
+            for _ in 0..rng.index(300) {
+                let dead = g.adj.dead();
+                let len = model.len();
+                let (a, b) = (NodeId(rng.index(len) as u32), NodeId(rng.index(len) as u32));
+                match rng.index(10) {
+                    0..=4 => assert_eq!(g.add_edge(a, b), link(&mut model, a, b)),
+                    5 | 6 => {
+                        let had = model[a.index()].contains(&b);
+                        model[a.index()].retain(|&m| m != b);
+                        model[b.index()].retain(|&m| m != a);
+                        assert_eq!(g.remove_edge(a, b), had);
+                    }
+                    7 => {
+                        let former = std::mem::take(&mut model[a.index()]);
+                        for m in &former {
+                            model[m.index()].retain(|&x| x != a);
+                        }
+                        alive[a.index()] = false;
+                        assert_eq!(g.depart(a), former);
+                    }
+                    8 => {
+                        alive[a.index()] = true;
+                        g.rejoin(a);
+                    }
+                    _ => {
+                        assert_eq!(g.add_node(), NodeId(len as u32));
+                        model.push(Vec::new());
+                        alive.push(true);
+                    }
+                }
+                moved += usize::from(g.adj.dead() > dead);
+                compacted += usize::from(g.adj.dead() < dead);
+                g.check_invariants().unwrap();
+                assert_eq!(g.len(), model.len());
+                let half: usize = model.iter().map(Vec::len).sum();
+                assert_eq!(g.edge_count() * 2, half);
+                assert_eq!(g.live_count(), alive.iter().filter(|&&x| x).count());
+                for (i, row) in model.iter().enumerate() {
+                    let v = NodeId(i as u32);
+                    assert_eq!(g.neighbors(v), &row[..], "{v}");
+                    assert_eq!(g.degree(v), row.len());
+                    assert_eq!(g.is_alive(v), alive[i]);
+                    let m = NodeId(rng.index(model.len()) as u32);
+                    assert_eq!(g.has_edge(v, m), row.contains(&m));
+                }
+            }
+        }
+        assert!(moved > 100, "rows moved {moved} times");
+        assert!(compacted > 0, "the arena never compacted");
     }
 
     /// Departing removes exactly the node's edges; rejoining restores

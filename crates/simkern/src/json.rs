@@ -207,6 +207,11 @@ fn write_f64(out: &mut String, f: f64) {
     } else if f == f.trunc() && f.abs() < 1e15 {
         // Keep a decimal point so the value parses back as Float.
         let _ = write!(out, "{f:.1}");
+    } else if f == f.trunc() {
+        // Display would print every digit of a huge integral value, which
+        // parses back as an integer, or not at all past i128's range;
+        // an exponent keeps it a float.
+        let _ = write!(out, "{f:e}");
     } else {
         // Rust's Display prints the shortest string that round-trips.
         let _ = write!(out, "{f}");
@@ -566,6 +571,15 @@ mod tests {
             assert_eq!(back.as_f64().unwrap().to_bits(), f.to_bits(), "value {f}");
         }
         assert_eq!(Json::Float(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn huge_integral_floats_round_trip_as_floats() {
+        for f in [1e15, -1e15, 2f64.powi(60), 1e38, 1e300, f64::MAX, -f64::MAX] {
+            let s = Json::Float(f).to_string();
+            assert_eq!(parse(&s), Ok(Json::Float(f)), "{s}");
+        }
+        assert_eq!(Json::Float(f64::MAX).to_string(), "1.7976931348623157e308");
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //!   for retry/timeout lifecycles;
 //! * [`chart`] — ASCII line charts used to render the paper's figures into
 //!   `EXPERIMENTS.md`;
+//! * [`rows`] — many short variable-length rows (a node's neighbors, a
+//!   node's files) in one arena, so a large network is built and freed
+//!   in a handful of allocations;
 //! * [`hash`] — one seeded integer hasher ([`hash::IntMap`]) for the
 //!   maps keyed by host ids, host pairs and GUIDs;
 //! * [`json`] — dependency-free JSON values and serialization with
@@ -44,6 +47,7 @@ pub mod hash;
 pub mod json;
 pub mod queue;
 pub mod rng;
+pub mod rows;
 pub mod series;
 pub mod stats;
 pub mod time;
@@ -53,6 +57,7 @@ pub use fsio::{write_atomic, write_atomic_str, Journal};
 pub use json::{Json, ToJson};
 pub use queue::{EventQueue, HeapQueue, SchedulePastError};
 pub use rng::{Rng64, SplitMix64, StreamFactory};
+pub use rows::Rows;
 pub use series::TimeSeries;
 pub use stats::{Histogram, Summary, Welford};
 pub use time::SimTime;

@@ -140,17 +140,27 @@ impl Rng64 {
     /// Returned indices are in ascending order of first selection, which is
     /// itself deterministic for a given stream state.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut picks = Vec::with_capacity(k.min(n));
+        self.sample_into(n, k, &mut picks, |i| i);
+        picks
+    }
+
+    /// [`Rng64::sample_indices`] into a caller's buffer: appends `f(i)`
+    /// for each sampled index `i`, in the same order and from the same
+    /// draws, without allocating once `out` has room.
+    pub fn sample_into<T>(&mut self, n: usize, k: usize, out: &mut Vec<T>, f: impl Fn(usize) -> T) {
         if k >= n {
-            return (0..n).collect();
+            out.extend((0..n).map(f));
+            return;
         }
-        let mut reservoir: Vec<usize> = (0..k).collect();
+        let base = out.len();
+        out.extend((0..k).map(&f));
         for i in k..n {
             let j = self.index(i + 1);
             if j < k {
-                reservoir[j] = i;
+                out[base + j] = f(i);
             }
         }
-        reservoir
     }
 }
 
@@ -352,6 +362,44 @@ mod tests {
                 assert!(x < bound);
                 assert_eq!(x, b.below(bound));
             }
+        }
+    }
+
+    /// `sample_into` appends what the allocating reservoir this crate
+    /// used to return, mapped, after whatever `out` held, and leaves the
+    /// stream where that reservoir left it.
+    #[test]
+    fn sample_into_equals_the_allocating_reservoir() {
+        fn reference(rng: &mut Rng64, n: usize, k: usize) -> Vec<usize> {
+            if k >= n {
+                return (0..n).collect();
+            }
+            let mut reservoir: Vec<usize> = (0..k).collect();
+            for i in k..n {
+                let j = rng.index(i + 1);
+                if j < k {
+                    reservoir[j] = i;
+                }
+            }
+            reservoir
+        }
+        let mut shape = Rng64::seed_from(0x3E5);
+        let mut out = Vec::new();
+        for _ in 0..256 {
+            let (n, k, seed) = (shape.index(60), shape.index(12), shape.next_u64());
+            let (mut a, mut b) = (Rng64::seed_from(seed), Rng64::seed_from(seed));
+            let keep = shape.index(out.len() + 1);
+            out.truncate(keep);
+            let before = out.clone();
+            a.sample_into(n, k, &mut out, |i| 3 * i + 1);
+            let want: Vec<usize> = reference(&mut b, n, k).iter().map(|i| 3 * i + 1).collect();
+            assert_eq!(out[..keep], before[..], "n {n} k {k}: prefix touched");
+            assert_eq!(out[keep..], want[..], "n {n} k {k}");
+            assert_eq!(a.next_u64(), b.next_u64(), "n {n} k {k}: draws");
+            assert_eq!(
+                Rng64::seed_from(seed).sample_indices(n, k),
+                reference(&mut Rng64::seed_from(seed), n, k)
+            );
         }
     }
 
